@@ -57,7 +57,7 @@ impl AttrSpaceServer {
 
     /// Start a server on an already-bound transport listener. `addr` is
     /// the *logical* address the server identifies as — for the netsim
-    /// backend it equals the bind address; for the TCP backend the
+    /// transport it equals the bind address; for the socket transport the
     /// caller owns the logical→real mapping (see `tdp-core`).
     pub fn spawn_wire(listener: WireListener, kind: ServerKind, addr: Addr) -> TdpResult<Self> {
         let shared = Arc::new(Shared {
@@ -109,7 +109,7 @@ impl AttrSpaceServer {
     }
 
     /// Transport endpoint the server is actually bound on (differs from
-    /// [`Self::addr`] for the TCP backend).
+    /// [`Self::addr`] for the socket transport).
     pub fn endpoint(&self) -> tdp_wire::Endpoint {
         self.listener.local_endpoint()
     }

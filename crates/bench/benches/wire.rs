@@ -1,17 +1,15 @@
 //! **B7 — Transport microbenchmarks**: the same attribute-space
-//! operations over `tdp-wire`'s three backends, head to head.
+//! operations over `tdp-wire`'s two transports, head to head.
 //!
 //! The netsim numbers bound what the protocol logic itself costs; the
-//! TCP-loopback numbers add real syscalls, the streaming frame decoder
-//! and the coalescing writer thread; the epoll numbers swap the
-//! two-threads-per-connection model for the shared reactor. All run the
-//! identical client and server code — only the `Transport` differs.
+//! epoll numbers add real syscalls, the streaming frame decoder and the
+//! reactor. Both run the identical client and server code — only the
+//! `Transport` differs.
 //!
 //! **B8 — Connection scaling**: aggregate put rate across N concurrent
-//! sessions per backend. This is the reactor's reason to exist: at one
-//! session all three backends should be at parity; as sessions grow the
-//! epoll backend keeps its wire thread count flat (printed to stderr
-//! after each case) while the TCP backend pays a thread per connection.
+//! sessions per transport. This is the reactor's reason to exist: as
+//! sessions grow the socket transport keeps its wire thread count flat
+//! (printed to stderr after each case).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -23,11 +21,7 @@ use tdp_wire::wire_thread_count;
 const CTX: ContextId = ContextId(1);
 
 fn backends() -> Vec<(&'static str, World)> {
-    vec![
-        ("netsim", World::new()),
-        ("tcp", World::new_tcp()),
-        ("epoll", World::new_epoll()),
-    ]
+    vec![("netsim", World::new()), ("epoll", World::new_epoll())]
 }
 
 fn pair(world: &World) -> (TdpHandle, TdpHandle) {
@@ -61,10 +55,9 @@ fn bench_latency(c: &mut Criterion) {
 }
 
 fn bench_throughput(c: &mut Criterion) {
-    // Streamed puts: the socket paths exercise their outbound queueing
-    // (writer-thread coalescing on tcp, outbox draining on epoll); each
-    // put still waits for its Ok, so this is a pipelined request/reply
-    // rate, not raw socket bandwidth.
+    // Streamed puts: the socket path exercises its outbound queueing
+    // (outbox draining); each put still waits for its Ok, so this is a
+    // pipelined request/reply rate, not raw socket bandwidth.
     const BATCH: u64 = 256;
     let mut g = c.benchmark_group("wire_throughput");
     g.measurement_time(Duration::from_secs(2))

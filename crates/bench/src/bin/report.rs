@@ -95,12 +95,8 @@ fn b1_attrspace() {
 }
 
 fn b7_wire() {
-    header("B7 — Transport backends: netsim vs TCP loopback vs epoll reactor");
-    for (name, world) in [
-        ("netsim", World::new()),
-        ("tcp", World::new_tcp()),
-        ("epoll", World::new_epoll()),
-    ] {
+    header("B7 — Transports: netsim vs epoll reactor");
+    for (name, world) in [("netsim", World::new()), ("epoll", World::new_epoll())] {
         let host = world.add_host();
         let mut rm =
             TdpHandle::init(&world, host, ContextId(1), "rm", Role::ResourceManager).unwrap();
@@ -128,11 +124,7 @@ fn b8_connection_scaling() {
     println!("  backend × sessions                             agg rate   latency    wire threads");
     const TOTAL_OPS: usize = 2000;
     for n in [1usize, 8, 100] {
-        for (name, world) in [
-            ("netsim", World::new()),
-            ("tcp", World::new_tcp()),
-            ("epoll", World::new_epoll()),
-        ] {
+        for (name, world) in [("netsim", World::new()), ("epoll", World::new_epoll())] {
             let host = world.add_host();
             // The RM's init starts the LASS; sessions are Tool handles.
             let _rm =

@@ -8,19 +8,18 @@
 //!
 //! # Transport modes
 //!
-//! A world runs its attribute-space traffic over one of three
+//! A world runs its attribute-space traffic over one of two
 //! transports (see `tdp-wire`):
 //!
 //! * [`TransportMode::Netsim`] (the default): connections ride the
 //!   in-memory simulated fabric, with its latency model and firewall
 //!   enforcement on the connect path.
-//! * [`TransportMode::Tcp`] ([`World::new_tcp`]): connections are real
-//!   loopback TCP sockets, two OS threads per connection.
-//! * [`TransportMode::Epoll`] ([`World::new_epoll`]): the same loopback
-//!   sockets multiplexed onto one `epoll` reactor plus a small worker
-//!   pool, so thread count stays bounded as sessions scale.
+//! * [`TransportMode::Epoll`] ([`World::new_epoll`]): connections are
+//!   real loopback TCP sockets multiplexed onto sharded `epoll`
+//!   reactors plus a small worker pool, so thread count stays bounded
+//!   as sessions scale ([`World::wire_census`]).
 //!
-//! In both socket modes the netsim fabric is **kept** as the
+//! In socket mode the netsim fabric is **kept** as the
 //! topology/policy source of truth — every logical address stays a
 //! `host:port` [`Addr`], and the world maintains a private map from
 //! those virtual addresses to the ephemeral real sockets the servers
@@ -40,66 +39,22 @@ use tdp_netsim::{FaultEvent, FaultInjector, FaultSchedule, FirewallPolicy, Netwo
 use tdp_proto::{Addr, HostId, TdpError, TdpResult};
 use tdp_simos::{Os, OsConfig};
 use tdp_sync::Mutex;
-use tdp_wire::tcp::ProxyResolver;
-use tdp_wire::{EpollTransport, TcpTransport, Transport, WireConn};
+use tdp_wire::socket::ProxyResolver;
+use tdp_wire::{EpollTransport, Transport, WireCensus, WireConn};
 
 /// Which transport carries attribute-space traffic in this world.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportMode {
     /// In-memory simulated fabric (default).
     Netsim,
-    /// Real loopback TCP sockets; netsim keeps the topology/firewall
-    /// bookkeeping. Two OS threads per connection.
-    Tcp,
-    /// Real loopback TCP sockets multiplexed onto a shared epoll
-    /// reactor; netsim keeps the topology/firewall bookkeeping. Thread
+    /// Real loopback TCP sockets multiplexed onto shared epoll
+    /// reactors; netsim keeps the topology/firewall bookkeeping. Thread
     /// count stays O(worker pool), not O(connections).
     Epoll,
 }
 
-/// The transport actually carrying attribute-space bytes. The two
-/// socket-backed variants share all of the world's plumbing (logical →
-/// real address map, firewall pre-check, relay proxy); they differ only
-/// in how a raw stream is driven.
-enum WireBackend {
-    Netsim,
-    Tcp(TcpTransport),
-    Epoll(EpollTransport),
-}
-
-impl WireBackend {
-    fn mode(&self) -> TransportMode {
-        match self {
-            WireBackend::Netsim => TransportMode::Netsim,
-            WireBackend::Tcp(_) => TransportMode::Tcp,
-            WireBackend::Epoll(_) => TransportMode::Epoll,
-        }
-    }
-
-    /// The socket-backed transport, when this is not the netsim mode.
-    fn socket(&self) -> Option<&dyn Transport> {
-        match self {
-            WireBackend::Netsim => None,
-            WireBackend::Tcp(t) => Some(t),
-            WireBackend::Epoll(t) => Some(t),
-        }
-    }
-
-    /// Socket-mode dial through the byte-relay proxy (`CONNECT`
-    /// exchange, then the backend's own `Hello`).
-    fn connect_via(&self, proxy: SocketAddr, target: Addr, from: HostId) -> TdpResult<WireConn> {
-        match self {
-            WireBackend::Netsim => Err(TdpError::Substrate(
-                "netsim mode has no socket proxy".into(),
-            )),
-            WireBackend::Tcp(t) => tdp_wire::tcp_connect_via(proxy, target, from, t.config()),
-            WireBackend::Epoll(t) => t.connect_via(proxy, target, from),
-        }
-    }
-}
-
-/// A live relay proxy, either backend (held so shutdown is tied to the
-/// world's lifetime).
+/// A live relay proxy, either transport (held so shutdown is tied to
+/// the world's lifetime).
 enum ProxyHandle {
     Sim(#[allow(dead_code)] tdp_netsim::proxy::ProxyServer),
     Tcp(#[allow(dead_code)] tdp_wire::TcpProxy),
@@ -109,8 +64,10 @@ struct WorldInner {
     os: Os,
     net: Network,
     trace: Trace,
-    wire: WireBackend,
-    /// Virtual (logical) address → real bound socket, socket modes only.
+    /// The socket transport carrying attribute-space bytes; `None` in
+    /// netsim mode, where the fabric itself carries them.
+    socket: Option<EpollTransport>,
+    /// Virtual (logical) address → real bound socket, socket mode only.
     tcp_addrs: Arc<Mutex<HashMap<Addr, SocketAddr>>>,
     lass: Mutex<HashMap<HostId, AttrSpaceServer>>,
     cass: Mutex<Option<AttrSpaceServer>>,
@@ -135,24 +92,18 @@ impl World {
     }
 
     /// A world whose attribute-space traffic rides real loopback TCP
-    /// (two OS threads per connection).
-    pub fn new_tcp() -> World {
-        World::with_mode(OsConfig::default(), TransportMode::Tcp)
-    }
-
-    /// A world whose attribute-space traffic rides real loopback TCP
     /// multiplexed onto a shared epoll reactor (bounded thread count).
     pub fn new_epoll() -> World {
         World::with_mode(OsConfig::default(), TransportMode::Epoll)
     }
 
     /// [`World::new_epoll`] with explicit transport tuning — reactor
-    /// shard count, worker threads, queue bounds (see
+    /// shard count, write-stall budget, outbox bound (see
     /// [`tdp_wire::EpollConfig`]). The scaling benches use this to
     /// sweep shard counts.
     pub fn new_epoll_with(wire_cfg: tdp_wire::EpollConfig) -> World {
         let t = EpollTransport::with_config(wire_cfg).expect("start epoll reactors");
-        World::with_backend(OsConfig::default(), WireBackend::Epoll(t))
+        World::with_socket(OsConfig::default(), Some(t))
     }
 
     pub fn with_config(cfg: OsConfig) -> World {
@@ -160,25 +111,22 @@ impl World {
     }
 
     pub fn with_mode(cfg: OsConfig, mode: TransportMode) -> World {
-        let wire = match mode {
-            TransportMode::Netsim => WireBackend::Netsim,
-            TransportMode::Tcp => WireBackend::Tcp(TcpTransport::new()),
+        let socket = match mode {
+            TransportMode::Netsim => None,
             // Reactor startup only fails on fd/thread exhaustion, at
             // which point this process is not running a world anyway.
-            TransportMode::Epoll => {
-                WireBackend::Epoll(EpollTransport::new().expect("start epoll reactor"))
-            }
+            TransportMode::Epoll => Some(EpollTransport::new().expect("start epoll reactor")),
         };
-        World::with_backend(cfg, wire)
+        World::with_socket(cfg, socket)
     }
 
-    fn with_backend(cfg: OsConfig, wire: WireBackend) -> World {
+    fn with_socket(cfg: OsConfig, socket: Option<EpollTransport>) -> World {
         World {
             inner: Arc::new(WorldInner {
                 os: Os::with_config(cfg),
                 net: Network::new(),
                 trace: Trace::new(),
-                wire,
+                socket,
                 tcp_addrs: Arc::new(Mutex::new(HashMap::new())),
                 lass: Mutex::new(HashMap::new()),
                 cass: Mutex::new(None),
@@ -192,7 +140,7 @@ impl World {
         &self.inner.os
     }
 
-    /// The simulated network (in TCP mode: the topology/firewall model).
+    /// The simulated network (in socket mode: the topology/firewall model).
     pub fn net(&self) -> &Network {
         &self.inner.net
     }
@@ -204,7 +152,16 @@ impl World {
 
     /// Which transport this world's attribute-space traffic uses.
     pub fn transport_mode(&self) -> TransportMode {
-        self.inner.wire.mode()
+        match self.inner.socket {
+            None => TransportMode::Netsim,
+            Some(_) => TransportMode::Epoll,
+        }
+    }
+
+    /// IO threads and registered connections of *this* world's socket
+    /// transport; `None` on netsim, which owns neither.
+    pub fn wire_census(&self) -> Option<WireCensus> {
+        self.inner.socket.as_ref().map(|t| t.census())
     }
 
     /// Add a host on the public network.
@@ -237,7 +194,7 @@ impl World {
         port: u16,
         kind: ServerKind,
     ) -> TdpResult<AttrSpaceServer> {
-        let Some(transport) = self.inner.wire.socket() else {
+        let Some(transport) = &self.inner.socket else {
             return AttrSpaceServer::spawn(&self.inner.net, host, port, kind);
         };
         // The host must exist on the topology even though the bytes
@@ -267,7 +224,7 @@ impl World {
     /// the logical address — the primitive both [`World::attr_connect`]
     /// and the redial closure of [`World::attr_connect_reliable`] use.
     fn attr_dial(&self, from: HostId, server: Addr) -> TdpResult<WireConn> {
-        let Some(transport) = self.inner.wire.socket() else {
+        let Some(transport) = &self.inner.socket else {
             let conn = self.inner.net.connect(from, server)?;
             return Ok(tdp_wire::sim::wrap_conn(conn));
         };
@@ -324,12 +281,12 @@ impl World {
         proxy: Addr,
         server: Addr,
     ) -> TdpResult<AttrClient> {
-        if self.inner.wire.socket().is_none() {
+        let Some(transport) = &self.inner.socket else {
             return AttrClient::connect_via_proxy(&self.inner.net, from, proxy, server);
-        }
+        };
         self.inner.net.route_permitted(from, proxy)?;
         let real_proxy = self.resolve_tcp(proxy)?;
-        let conn = self.inner.wire.connect_via(real_proxy, server, from)?;
+        let conn = transport.connect_via(real_proxy, server, from)?;
         Ok(AttrClient::over_wire(conn))
     }
 
@@ -338,14 +295,12 @@ impl World {
     /// topology's firewall rules from its own host's point of view, in
     /// both modes.
     pub fn spawn_proxy(&self, host: HostId, port: u16) -> TdpResult<Addr> {
-        if self.inner.wire.socket().is_none() {
+        if self.inner.socket.is_none() {
             let p = tdp_netsim::proxy::spawn(&self.inner.net, host, port)?;
             let addr = p.addr();
             self.inner.proxies.lock().push(ProxyHandle::Sim(p));
             return Ok(addr);
         }
-        // Both socket modes share the byte-relay proxy: it never frames
-        // messages, so which backend drives the endpoints is irrelevant.
         if !self.inner.net.host_alive(host) {
             return Err(TdpError::NoSuchHost(host));
         }
@@ -360,7 +315,7 @@ impl World {
                 .copied()
                 .ok_or(TdpError::ConnectionRefused(target))
         });
-        let p = tdp_wire::tcp::spawn_proxy(resolver)?;
+        let p = tdp_wire::socket::spawn_proxy(resolver)?;
         let vaddr = Addr::new(host, port);
         self.inner.tcp_addrs.lock().insert(vaddr, p.local_addr());
         self.inner.proxies.lock().push(ProxyHandle::Tcp(p));
@@ -368,7 +323,7 @@ impl World {
     }
 
     /// Resolve a virtual address to the real bound socket (socket
-    /// modes).
+    /// mode).
     fn resolve_tcp(&self, addr: Addr) -> TdpResult<SocketAddr> {
         self.inner
             .tcp_addrs
@@ -464,7 +419,7 @@ impl World {
 
     /// Kill a whole machine: the fabric severs everything touching it
     /// (so condor/lsf/grid daemons there go dark), and any attribute-
-    /// space server processes it hosted die with it. In socket modes the
+    /// space server processes it hosted die with it. In socket mode the
     /// LASS/CASS listen on real sockets the fabric cannot sever, which
     /// is why this lives on the world and not on [`Network`].
     pub fn kill_host(&self, host: HostId) {
@@ -552,9 +507,9 @@ mod tests {
     }
 
     #[test]
-    fn tcp_world_uses_virtual_addrs() {
-        let w = World::new_tcp();
-        assert_eq!(w.transport_mode(), TransportMode::Tcp);
+    fn epoll_world_uses_virtual_addrs() {
+        let w = World::new_epoll();
+        assert_eq!(w.transport_mode(), TransportMode::Epoll);
         let h = w.add_host();
         let a = w.ensure_lass(h).unwrap();
         assert_eq!(a, Addr::new(h, LASS_PORT), "logical address is stable");
@@ -568,22 +523,8 @@ mod tests {
     }
 
     #[test]
-    fn epoll_world_uses_virtual_addrs() {
+    fn epoll_kill_lass_unregisters_virtual_addr() {
         let w = World::new_epoll();
-        assert_eq!(w.transport_mode(), TransportMode::Epoll);
-        let h = w.add_host();
-        let a = w.ensure_lass(h).unwrap();
-        assert_eq!(a, Addr::new(h, LASS_PORT), "logical address is stable");
-        assert!(w.resolve_tcp(a).unwrap().ip().is_loopback());
-        let mut c = w.attr_connect(h, a).unwrap();
-        c.join(tdp_proto::ContextId(7)).unwrap();
-        c.put(tdp_proto::ContextId(7), "k", "v").unwrap();
-        assert_eq!(c.get(tdp_proto::ContextId(7), "k").unwrap(), "v");
-    }
-
-    #[test]
-    fn tcp_kill_lass_unregisters_virtual_addr() {
-        let w = World::new_tcp();
         let h = w.add_host();
         let a = w.ensure_lass(h).unwrap();
         w.kill_lass(h);

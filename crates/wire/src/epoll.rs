@@ -1,30 +1,29 @@
-//! Reactor backend: framed [`Message`] transport over loopback TCP,
-//! driven by a Linux `epoll` event loop instead of per-connection
-//! threads.
+//! The socket transport: framed [`Message`]s over loopback TCP, driven
+//! by a Linux `epoll` event loop — no per-connection threads.
 //!
-//! The TCP backend ([`crate::tcp`]) spends two OS threads per
-//! connection — the blocking reader (the caller parked in `read`) plus
-//! the coalescing writer thread — which caps how many attribute-space
-//! sessions one process can hold long before the NIC is busy. This
-//! backend keeps the exact same observable contract (`Hello` handshake,
-//! streaming [`FrameDecoder`] reassembly, bounded-queue backpressure,
-//! fail-fast close, byte-relay proxy interop) but serves *all*
-//! connections from a set of reactor shards (each with its own epoll
-//! set, eventfd, and worker-pool slice; connections hashed to a shard
-//! at accept/dial) — see [`crate::reactor`] for the readiness model.
-//! Receivers either camp directly on their own fd or park on a condvar
-//! fed by the owning shard, so a process can hold thousands of
-//! sessions with a fixed, config-derived thread budget.
+//! Observable contract (the same one the netsim adapter gives):
+//! `Hello` handshake carrying the dialler's logical host, streaming
+//! [`FrameDecoder`] reassembly across arbitrary segment boundaries,
+//! bounded-queue backpressure, fail-fast close (local sends fail at
+//! once, queued frames flush, then the peer sees EOF), and byte-relay
+//! proxy interop. *All* connections are served from a set of reactor
+//! shards (each with its own epoll set, eventfd, and worker-pool slice;
+//! connections hashed to a shard at accept/dial) — see
+//! [`crate::reactor`] for the readiness model. Receivers either camp
+//! directly on their own fd or park on a condvar fed by the owning
+//! shard, so a process can hold thousands of sessions with a fixed,
+//! config-derived thread budget ([`EpollTransport::census`]).
 //!
-//! Listeners keep one blocking accept thread each (accept rates are
-//! tiny and a serial handshake keeps establishment ordered — the same
-//! trade the TCP backend makes); only per-connection threads are gone.
+//! Listeners keep one blocking accept thread each (see
+//! [`crate::socket`]); only per-connection threads are gone.
 
 use crate::flow::ConnTuning;
 use crate::pool::BufferPool;
 use crate::reactor::{ConnState, ReactorSet};
-use crate::tcp::{dial_via_proxy, read_hello, spawn_real_listener};
-use crate::{Endpoint, RxApi, Transport, TxApi, WireConn, WireListener, WireRx, WireTx};
+use crate::socket::{dial_via_proxy, spawn_real_listener, DIAL_TIMEOUT};
+use crate::{
+    Endpoint, RxApi, Transport, TxApi, WireCensus, WireConn, WireListener, WireRx, WireTx,
+};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 use tdp_proto::{
@@ -32,71 +31,45 @@ use tdp_proto::{
 };
 use tdp_sync::Arc;
 
-/// Tunables for the epoll backend.
+/// Inbound bound: decoded messages held per connection before `EPOLLIN`
+/// is paused and TCP flow control pushes back on the peer.
+const INBOX_MESSAGES: usize = 1024;
+
+/// Tunables for the epoll transport.
 #[derive(Debug, Clone)]
 pub struct EpollConfig {
     /// Reactor shards. Each shard owns its own epoll set, wake eventfd,
     /// worker-pool slice, and connection table; connections are hashed
     /// to a shard at accept/dial time, so shards share no locks on the
     /// put/get path and readiness scales across cores. Defaults to
-    /// `std::thread::available_parallelism()` (capped at 8); the
-    /// `TDP_WIRE_REACTORS` environment variable overrides the default
-    /// (CI uses it to exercise both the single- and multi-shard paths).
+    /// `std::thread::available_parallelism()` (capped at 8).
     pub reactors: usize,
-    /// Pool threads draining readiness waves, split across the reactor
-    /// shards (each shard keeps at least one; the reactor threads
-    /// themselves handle lone events — the latency path). Defaults to
-    /// `available_parallelism()` clamped to `2..=8`. The whole
-    /// transport runs on `reactors + workers` IO threads regardless of
-    /// connection count.
-    pub workers: usize,
-    /// Default bound on a blocking `recv_msg` (`None` = wait forever).
-    pub read_timeout: Option<Duration>,
     /// How long a backpressured `send_msg` may wait on a peer that has
     /// stopped draining before the connection is killed.
     pub write_timeout: Duration,
-    /// Dial timeout.
-    pub connect_timeout: Duration,
-    /// How long the accept side waits for the `Hello` frame.
-    pub handshake_timeout: Duration,
-    /// Inbound bound: decoded messages held per connection before
-    /// `EPOLLIN` is paused and TCP flow control pushes back on the peer.
-    pub inbox_messages: usize,
     /// Outbound bound, in bytes. A full outbox blocks `send_msg`
     /// (backpressure).
     pub outbox_bytes: usize,
 }
 
+fn parallelism() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 impl Default for EpollConfig {
     fn default() -> EpollConfig {
-        let parallelism = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         EpollConfig {
-            reactors: reactors_from_env().unwrap_or(parallelism.min(8)),
-            workers: parallelism.clamp(2, 8),
-            read_timeout: None,
+            reactors: parallelism().min(8),
             write_timeout: Duration::from_secs(5),
-            connect_timeout: Duration::from_secs(2),
-            handshake_timeout: Duration::from_secs(2),
-            inbox_messages: 1024,
             outbox_bytes: 256 * 1024,
         }
     }
 }
 
-/// `TDP_WIRE_REACTORS` override for the default shard count.
-fn reactors_from_env() -> Option<usize> {
-    std::env::var("TDP_WIRE_REACTORS")
-        .ok()?
-        .trim()
-        .parse()
-        .ok()
-        .filter(|&n| n >= 1)
-}
-
 struct EpollShared {
-    cfg: EpollConfig,
+    tuning: ConnTuning,
     reactors: ReactorSet,
     pool: Arc<BufferPool>,
 }
@@ -107,8 +80,8 @@ impl Drop for EpollShared {
     }
 }
 
-/// Transport over real loopback TCP sockets, multiplexed onto one
-/// epoll reactor. Cheap to clone; all clones share the reactor. Keep
+/// Transport over real loopback TCP sockets, multiplexed onto the epoll
+/// reactor shards. Cheap to clone; all clones share the reactors. Keep
 /// the transport alive while its connections are in use — connections
 /// outliving it stop receiving readiness service.
 #[derive(Clone)]
@@ -122,35 +95,34 @@ impl EpollTransport {
     }
 
     pub fn with_config(cfg: EpollConfig) -> TdpResult<EpollTransport> {
-        let reactors = ReactorSet::start(cfg.reactors.max(1), cfg.workers)?;
-        let pool = BufferPool::new();
+        // Pool threads draining readiness waves, split across the shards
+        // (each keeps at least one; the reactor threads themselves
+        // handle lone events — the latency path).
+        let workers = parallelism().clamp(2, 8);
         Ok(EpollTransport {
             shared: Arc::new(EpollShared {
-                cfg,
-                reactors,
-                pool,
+                tuning: ConnTuning {
+                    inbox_messages: INBOX_MESSAGES,
+                    outbox_bytes: cfg.outbox_bytes.max(1),
+                    write_stall: cfg.write_timeout,
+                },
+                reactors: ReactorSet::start(cfg.reactors, workers)?,
+                pool: BufferPool::new(),
             }),
         })
     }
 
-    pub fn config(&self) -> &EpollConfig {
-        &self.shared.cfg
-    }
-
-    fn tuning(&self) -> ConnTuning {
-        let cfg = &self.shared.cfg;
-        ConnTuning {
-            inbox_messages: cfg.inbox_messages.max(1),
-            outbox_bytes: cfg.outbox_bytes.max(1),
-            write_stall: cfg.write_timeout,
-            read_timeout: cfg.read_timeout,
-        }
+    /// The IO threads this transport owns and the connections currently
+    /// registered with them. The thread count is fixed at construction —
+    /// nothing here spawns per connection.
+    pub fn census(&self) -> WireCensus {
+        self.shared.reactors.census()
     }
 
     /// Adopt an established, handshake-complete stream: register it
     /// with the reactor and wrap it as a [`WireConn`]. `leftover` holds
     /// bytes the handshake over-read past its frame.
-    fn adopt(
+    pub(crate) fn adopt(
         &self,
         stream: TcpStream,
         peer_host: Option<HostId>,
@@ -163,7 +135,7 @@ impl EpollTransport {
         let conn = self
             .shared
             .reactors
-            .register(stream, leftover, self.tuning())?;
+            .register(stream, leftover, self.shared.tuning.clone())?;
         Ok(WireConn::from_parts(
             WireTx::new(Arc::new(EpollTx {
                 conn: conn.clone(),
@@ -181,7 +153,7 @@ impl EpollTransport {
     /// non-blocking when it joins the reactor), then adopt.
     fn client_over(&self, stream: TcpStream, from: HostId) -> TdpResult<WireConn> {
         stream
-            .set_write_timeout(Some(self.shared.cfg.write_timeout))
+            .set_write_timeout(Some(self.shared.tuning.write_stall))
             .map_err(|e| TdpError::Substrate(format!("epoll set timeout: {e}")))?;
         use std::io::Write;
         (&stream)
@@ -191,39 +163,33 @@ impl EpollTransport {
     }
 
     /// Open a reactor-managed [`WireConn`] to the logical `target`
-    /// through the byte-relay proxy at `proxy` (the §2.4 crossing —
-    /// same `CONNECT` protocol as [`crate::tcp_connect_via`]).
+    /// through the byte-relay proxy at `proxy` (the §2.4 crossing — see
+    /// [`crate::socket::spawn_proxy`]).
     pub fn connect_via(
         &self,
         proxy: SocketAddr,
         target: Addr,
         from: HostId,
     ) -> TdpResult<WireConn> {
-        let stream = dial_via_proxy(proxy, target, self.shared.cfg.connect_timeout)?;
+        let stream = dial_via_proxy(proxy, target)?;
         self.client_over(stream, from)
     }
 }
 
 impl Transport for EpollTransport {
-    /// Bind a loopback listener. Like the TCP backend, the logical
-    /// `port` is ignored — real ports are ephemeral and callers map
-    /// logical to real addresses.
+    /// Bind a loopback listener. The logical `port` is ignored — real
+    /// ports are ephemeral and callers map logical to real addresses.
     fn listen(&self, _host: HostId, _port: u16) -> TdpResult<WireListener> {
         let listener = TcpListener::bind(("127.0.0.1", 0))
             .map_err(|e| TdpError::Substrate(format!("epoll bind: {e}")))?;
-        let t = self.clone();
-        let handshake_timeout = self.shared.cfg.handshake_timeout;
-        spawn_real_listener(listener, "wire-epoll-accept", move |stream| {
-            let (host, leftover) = read_hello(&stream, handshake_timeout)?;
-            t.adopt(stream, Some(host), leftover)
-        })
+        spawn_real_listener(listener, self.clone())
     }
 
     fn connect(&self, from: HostId, to: &Endpoint) -> TdpResult<WireConn> {
         let sa = to
             .as_tcp()
             .ok_or_else(|| TdpError::Substrate(format!("epoll transport cannot dial {to}")))?;
-        let stream = TcpStream::connect_timeout(&sa, self.shared.cfg.connect_timeout)
+        let stream = TcpStream::connect_timeout(&sa, DIAL_TIMEOUT)
             .map_err(|e| TdpError::Substrate(format!("epoll connect {sa}: {e}")))?;
         self.client_over(stream, from)
     }
@@ -283,8 +249,8 @@ impl Drop for EpollRx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tcp::{spawn_proxy, ProxyResolver};
-    use crate::wire_thread_count;
+    use crate::socket::{spawn_proxy, ProxyResolver};
+    use crate::wire_threads;
     use tdp_proto::ContextId;
 
     fn transport() -> EpollTransport {
@@ -447,6 +413,13 @@ mod tests {
         let m = Message::Join { ctx: ContextId(4) };
         client.send_msg(&m).unwrap();
         assert_eq!(server.recv_msg().unwrap(), m);
+        // The frame just crossed the relay, so its pump thread is live —
+        // and, like every thread this crate spawns, named `wire-…`.
+        assert!(
+            wire_threads().iter().any(|n| n == "wire-proxy-pump"),
+            "relay pump missing from the wire thread census: {:?}",
+            wire_threads()
+        );
         let err = t
             .connect_via(proxy.local_addr(), Addr::new(HostId(1), 1), HostId(3))
             .unwrap_err();
@@ -459,8 +432,8 @@ mod tests {
         let t = transport();
         let lis = t.listen(HostId(1), 0).unwrap();
         let ep = lis.local_endpoint();
+        let threads = t.census().threads;
         let mut conns = Vec::new();
-        let mut after_first = 0;
         for i in 0..50u64 {
             let client = t.connect(HostId(0), &ep).unwrap();
             let mut server = lis.accept().unwrap();
@@ -468,21 +441,16 @@ mod tests {
             client.send_msg(&m).unwrap();
             assert_eq!(server.recv_msg().unwrap(), m);
             conns.push((client, server));
-            if i == 0 {
-                // Shards, worker slices and the accept thread are all up
-                // once the first round trip completes.
-                after_first = wire_thread_count();
-            }
         }
         // The thread budget is a function of the config, never of the
-        // connection count: 49 more connections grow it by zero. (The
-        // census is process-wide, so compare against the count at one
-        // connection rather than an absolute.)
-        let wire_threads = wire_thread_count();
-        assert!(
-            wire_threads <= after_first,
-            "thread count grew with connections: {after_first} after one, \
-             {wire_threads} after fifty"
+        // connection count: fifty sessions (a client and a server end
+        // each) grow it by zero.
+        assert_eq!(
+            t.census(),
+            WireCensus {
+                threads,
+                conns: 100
+            }
         );
         // Every connection still works after the census.
         for (i, (client, server)) in conns.iter_mut().enumerate() {

@@ -1,4 +1,4 @@
-//! The per-connection state machine of the epoll backend, extracted
+//! The per-connection state machine of the epoll transport, extracted
 //! from the reactor so it is generic over its IO — production wires it
 //! to a non-blocking `TcpStream` + `epoll_ctl` rearm
 //! (`reactor::SocketIo`); the `loom_` tests wire it to a scripted
@@ -30,11 +30,9 @@ pub(crate) struct ConnTuning {
     /// bytes.
     pub outbox_bytes: usize,
     /// How long a backpressured `send_msg` waits before declaring the
-    /// peer wedged and killing the connection (the TCP backend's
-    /// `write_timeout` analogue).
+    /// peer wedged and killing the connection
+    /// ([`crate::EpollConfig::write_timeout`]).
     pub write_stall: Duration,
-    /// Default bound on a blocking `recv` (`None` = wait forever).
-    pub read_timeout: Option<Duration>,
 }
 
 /// The readiness the state machine currently wants from its IO.
@@ -337,7 +335,7 @@ impl<IO: FlowIo> Flow<IO> {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    // Peer gone: fail fast, like the TCP writer thread.
+                    // Peer gone: fail fast.
                     inner.closed = true;
                     inner.want_write = false;
                     inner.outbox.clear();
@@ -367,7 +365,7 @@ impl<IO: FlowIo> Flow<IO> {
         // Backpressure: wait for outbox space (a lone oversized frame is
         // admitted so progress is always possible). A peer that stops
         // draining for `write_stall` kills the connection instead of
-        // wedging the sender — the TCP backend's write-timeout contract.
+        // wedging the sender.
         if inner.outbox_bytes + frame.len() > self.tuning.outbox_bytes && !inner.outbox.is_empty() {
             let deadline = Instant::now() + self.tuning.write_stall;
             while inner.outbox_bytes + frame.len() > self.tuning.outbox_bytes
@@ -421,7 +419,7 @@ impl<IO: FlowIo> Flow<IO> {
         }
         inner.closed = true;
         // Local reads fail fast (after already-decoded frames drain),
-        // matching the TCP backend's immediate read-side shutdown.
+        // matching netsim's `Conn::close`, which severs both directions.
         inner.read_open = false;
         inner.rx_err.get_or_insert(TdpError::Disconnected);
         self.io.shutdown_read();
@@ -444,10 +442,6 @@ impl<IO: FlowIo> Flow<IO> {
     // ---- receive path -------------------------------------------------
 
     pub fn recv(&self, deadline: Option<Instant>) -> TdpResult<Message> {
-        let deadline = match deadline {
-            Some(d) => Some(d),
-            None => self.tuning.read_timeout.map(|t| Instant::now() + t),
-        };
         let mut inner = self.inner.lock();
         if self.io.supports_direct_read() && !inner.direct_reader {
             return self.recv_direct(inner, deadline);
@@ -756,7 +750,6 @@ mod tests {
                     inbox_messages: 64,
                     outbox_bytes: 1 << 20,
                     write_stall: Duration::from_secs(5),
-                    read_timeout: None,
                 },
                 FrameDecoder::new(),
             );

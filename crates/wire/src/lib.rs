@@ -4,24 +4,23 @@
 //! servers and clients, `tdp-core`'s `TdpHandle`) exchanges framed
 //! [`Message`]s over an abstract connection. This crate defines that
 //! abstraction — [`WireConn`] / [`WireTx`] / [`WireRx`] /
-//! [`WireListener`], produced by a [`Transport`] — and ships three
-//! backends:
+//! [`WireListener`], produced by a [`Transport`] — and ships two
+//! transports:
 //!
 //! * [`sim`] — an adapter over `tdp-netsim`'s in-memory fabric, keeping
 //!   the simulated topology, firewalls and latency models;
-//! * [`tcp`] — real `std::net` TCP sockets on loopback, with an
-//!   incremental streaming decoder ([`tdp_proto::FrameDecoder`]),
-//!   per-connection write coalescing behind a bounded outbound queue
-//!   (backpressure), configurable read/write timeouts, and fail-fast
-//!   close semantics matching netsim's;
-//! * [`epoll`] — the same loopback sockets multiplexed onto sharded
-//!   `epoll` reactor threads plus a worker pool (see [`reactor`]),
-//!   with a buffer pool making steady-state put/get allocation-free,
-//!   so thread count stays O(shards + workers), not O(connections).
+//! * [`epoll`] — real loopback TCP sockets multiplexed onto sharded
+//!   `epoll` reactor threads plus a worker pool (see [`reactor`]):
+//!   an incremental streaming decoder ([`tdp_proto::FrameDecoder`]),
+//!   a bounded outbox (backpressure) drained by coalescing `writev`,
+//!   fail-fast close semantics matching netsim's, and a buffer pool
+//!   making steady-state put/get allocation-free. Thread count stays
+//!   O(shards + workers), not O(connections). [`socket`] holds what
+//!   happens to a stream before the reactor owns it (accept, `Hello`
+//!   handshake) and the §2.4 byte-relay proxy.
 //!
-//! The backends are observably equivalent to the layers above: the
-//! same scenario driven over any of them produces the same TDP call
-//! trace.
+//! The two are observably equivalent to the layers above: the same
+//! scenario driven over either produces the same TDP call trace.
 
 // The only crate in the workspace allowed to use `unsafe` (the raw
 // epoll/eventfd/fcntl FFI in `sys`); every unsafe operation must be
@@ -37,13 +36,13 @@ mod loom_models;
 pub(crate) mod pool;
 pub(crate) mod reactor;
 pub mod sim;
+pub mod socket;
 pub mod sys;
-pub mod tcp;
 
 pub use endpoint::Endpoint;
 pub use epoll::{EpollConfig, EpollTransport};
 pub use sim::SimTransport;
-pub use tcp::{tcp_connect_via, TcpConfig, TcpProxy, TcpTransport};
+pub use socket::TcpProxy;
 
 use std::time::{Duration, Instant};
 use tdp_proto::{HostId, Message, TdpError, TdpResult};
@@ -135,15 +134,15 @@ impl WireRx {
     }
 }
 
-/// An established connection over either backend.
+/// An established connection over either transport.
 pub struct WireConn {
     tx: WireTx,
     rx: WireRx,
     local: Endpoint,
     peer: Endpoint,
     /// Logical host of the peer: carried by the address on the simulated
-    /// fabric, declared by the `Hello` handshake over TCP. `None` on the
-    /// client side of a TCP connection (the dialled server never
+    /// fabric, declared by the `Hello` handshake over sockets. `None` on
+    /// the client side of a socket connection (the dialled server never
     /// introduces itself — the client already knows whom it called).
     peer_host: Option<HostId>,
 }
@@ -241,16 +240,16 @@ impl WireListener {
     }
 }
 
-/// A connection factory: one per backend.
+/// A connection factory: one per transport.
 ///
 /// `from` is the logical host the connection originates on — the
-/// simulated backend uses it to pick the source address (and so the
-/// firewall rules that apply); the TCP backend announces it to the
-/// server in the `Hello` handshake.
+/// simulated transport uses it to pick the source address (and so the
+/// firewall rules that apply); the socket transport announces it to
+/// the server in the `Hello` handshake.
 pub trait Transport: Send + Sync {
-    /// Bind a listener. `port` is the logical port (the TCP backend
-    /// always binds an ephemeral loopback port; callers map logical to
-    /// real addresses — see `tdp-core`'s resolver).
+    /// Bind a listener. `port` is the logical port (the socket
+    /// transport always binds an ephemeral loopback port; callers map
+    /// logical to real addresses — see `tdp-core`'s resolver).
     fn listen(&self, host: HostId, port: u16) -> TdpResult<WireListener>;
     /// Open a connection from logical host `from` to `to`.
     fn connect(&self, from: HostId, to: &Endpoint) -> TdpResult<WireConn>;
@@ -260,13 +259,20 @@ pub(crate) fn protocol_err(e: tdp_proto::FrameError) -> TdpError {
     TdpError::Protocol(e.to_string())
 }
 
-/// Names of this process's live wire-layer OS threads (reactor,
-/// workers, TCP writers, accept threads, proxies — every thread this
-/// crate spawns is named `wire-…`). Linux-only by way of `/proc`; used
-/// by the scaling soak tests and the B8 bench to demonstrate that the
-/// epoll backend holds thread count at O(pool size) rather than
-/// O(connections). Note `/proc` truncates names to 15 bytes.
-pub fn wire_threads() -> Vec<String> {
+/// What one [`EpollTransport`] owns right now: its IO threads (reactor
+/// shards plus their worker slices) and the connections registered with
+/// them. Per transport, so concurrent worlds never see each other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WireCensus {
+    pub threads: usize,
+    pub conns: usize,
+}
+
+/// Names of this process's live wire-layer OS threads (reactors,
+/// workers, accept threads, proxies and their relay pumps — every
+/// thread this crate spawns is named `wire-…`). Linux-only by way of
+/// `/proc`, which truncates names to 15 bytes.
+fn wire_threads() -> Vec<String> {
     let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
         return Vec::new();
     };
@@ -277,7 +283,9 @@ pub fn wire_threads() -> Vec<String> {
         .collect()
 }
 
-/// Count of live wire-layer OS threads — see [`wire_threads`].
+/// Process-wide count of live wire-layer OS threads, across every
+/// transport and proxy in the process (the benches' headline number;
+/// for one transport's own budget see [`EpollTransport::census`]).
 pub fn wire_thread_count() -> usize {
     wire_threads().len()
 }
@@ -289,10 +297,9 @@ pub(crate) fn record_stall_kill() {
 }
 
 /// Process-wide count of connections this crate has killed because a
-/// peer stopped draining for longer than the write-stall timeout (the
-/// epoll flow's outbox stall and the TCP writer's socket write
-/// timeout). A monotone counter, never reset: ops KPI consumers diff
-/// successive samples.
+/// peer stopped draining for longer than the write-stall timeout
+/// ([`EpollConfig::write_timeout`]). A monotone counter, never reset:
+/// ops KPI consumers diff successive samples.
 pub fn stall_kill_count() -> u64 {
     STALL_KILLS.load(std::sync::atomic::Ordering::Relaxed)
 }

@@ -136,7 +136,6 @@ fn tuning(inbox_messages: usize, outbox_bytes: usize) -> ConnTuning {
         // The numeric value is irrelevant under loom: the checker
         // explores the timeout as a nondeterministic event.
         write_stall: Duration::from_millis(1),
-        read_timeout: None,
     }
 }
 

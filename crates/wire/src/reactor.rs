@@ -1,6 +1,7 @@
-//! The event loop behind the epoll backend: one reactor thread owning
-//! an epoll set, a small worker pool, and per-connection state machines
-//! ([`crate::flow::Flow`]) that turn readiness into framed messages.
+//! The event loop behind the epoll transport: per shard, one reactor
+//! thread owning an epoll set, a small worker pool, and per-connection
+//! state machines ([`crate::flow::Flow`]) that turn readiness into
+//! framed messages.
 //!
 //! # Readiness model
 //!
@@ -30,16 +31,18 @@
 //!
 //! # Thread budget
 //!
-//! One reactor thread plus [`workers`](crate::EpollConfig::workers)
-//! pool threads serve *every* connection of the transport — O(pool),
-//! not O(connections), which is the point (ROADMAP's async-backend
-//! item).
+//! [`reactors`](crate::EpollConfig::reactors) reactor threads plus a
+//! host-sized worker pool split between them serve *every* connection
+//! of the transport — O(pool), not O(connections). The set holds the
+//! `JoinHandle` of every thread it spawned, so its
+//! [`census`](ReactorSet::census) is exact and per transport.
 
 use crate::flow::{ConnTuning, Flow, FlowIo, Interest};
 use crate::pool::PooledBuf;
 use crate::sys::{
     Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLONESHOT, EPOLLOUT, EPOLLRDHUP,
 };
+use crate::WireCensus;
 use crossbeam::channel;
 use std::collections::HashMap;
 use std::io::Write;
@@ -100,6 +103,21 @@ impl ReactorSet {
     #[cfg(test)]
     pub fn shard_count(&self) -> usize {
         self.shards.len()
+    }
+
+    /// Threads owned (the join handles held — nothing is ever spawned
+    /// per connection, so that is the live count until shutdown) and
+    /// connections currently registered, summed over the shards.
+    pub fn census(&self) -> WireCensus {
+        let mut census = WireCensus {
+            threads: 0,
+            conns: 0,
+        };
+        for s in &self.shards {
+            census.threads += s.threads.lock().len();
+            census.conns += s.conns.lock().len();
+        }
+        census
     }
 
     /// Stop every shard and join its threads. Idempotent.
@@ -395,8 +413,8 @@ impl ConnState {
 
     /// Deregister from the reactor; dropping the last `Arc` then closes
     /// the socket (peer sees EOF). Frames still queued are flushed
-    /// synchronously first — the same guarantee the TCP writer thread
-    /// gives a dropped connection. The flow is quiesced *before* the
+    /// synchronously first — dropping a connection never drops what it
+    /// already accepted for sending. The flow is quiesced *before* the
     /// socket flips to blocking mode, so a worker holding a stale
     /// readiness event cannot enter a drain and block a pool thread on
     /// the now-blocking socket.

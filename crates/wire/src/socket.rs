@@ -1,0 +1,312 @@
+//! Loopback-socket plumbing under the epoll transport — everything
+//! that touches a `TcpStream` *before* the reactor owns it, plus the
+//! byte-relay proxy that never frames a message at all:
+//!
+//! * **Listener** — one blocking accept thread per listener feeding a
+//!   bounded channel; it runs the `Hello` handshake inline and hands the
+//!   stream to [`EpollTransport::adopt`]. Accept rates are tiny and a
+//!   serial handshake keeps connection establishment ordered.
+//! * **Hello handshake** — TCP carries no logical host identity, so the
+//!   dialling side's first frame is [`Message::Hello`]; the accept side
+//!   consumes it and records `peer_host` for the LASS locality rule.
+//! * **Relay proxy** — the §2.4 firewall crossing: a one-line
+//!   `CONNECT host:port\n` exchange, then two byte pumps.
+
+use crate::epoll::EpollTransport;
+use crate::{protocol_err, Endpoint, ListenerApi, WireConn, WireListener};
+use crossbeam::channel::{bounded, Receiver, Sender};
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::thread;
+use std::time::Duration;
+use tdp_proto::{Addr, FrameDecoder, HostId, Message, TdpError, TdpResult};
+use tdp_sync::atomic::{AtomicBool, Ordering};
+use tdp_sync::Arc;
+
+/// Bound on a loopback dial and on each line of the proxy `CONNECT`
+/// exchange.
+pub(crate) const DIAL_TIMEOUT: Duration = Duration::from_secs(2);
+/// How long the accept side waits for the `Hello` frame.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// A bound loopback listener: a blocking accept thread feeding a
+/// bounded channel, with the self-connection trick to unblock `accept`
+/// on close.
+pub(crate) struct RealListener {
+    local: SocketAddr,
+    incoming: Receiver<WireConn>,
+    closed: Arc<AtomicBool>,
+    thread: tdp_sync::Mutex<Option<thread::JoinHandle<()>>>,
+}
+
+impl ListenerApi for RealListener {
+    fn accept(&self) -> TdpResult<WireConn> {
+        self.incoming.recv().map_err(|_| TdpError::Disconnected)
+    }
+
+    fn local_endpoint(&self) -> Endpoint {
+        Endpoint::Tcp(self.local)
+    }
+
+    fn close(&self) {
+        if self.closed.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        // `std::net::TcpListener::accept` cannot be interrupted; wake the
+        // accept thread with a throwaway self-connection.
+        let _ = TcpStream::connect_timeout(&self.local, Duration::from_millis(500));
+        if let Some(h) = self.thread.lock().take() {
+            let _ = h.join();
+        }
+    }
+}
+
+/// Spawn the accept thread for a bound listener and wrap it as a
+/// [`WireListener`]. Each accepted stream is handshaken and registered
+/// with `transport`'s reactors inline on the accept thread.
+pub(crate) fn spawn_real_listener(
+    listener: TcpListener,
+    transport: EpollTransport,
+) -> TdpResult<WireListener> {
+    let local = listener
+        .local_addr()
+        .map_err(|e| TdpError::Substrate(format!("listener local_addr: {e}")))?;
+    let (tx, rx) = bounded::<WireConn>(64);
+    let closed = Arc::new(AtomicBool::new(false));
+    let closed2 = closed.clone();
+    let thread = thread::Builder::new()
+        .name(format!("wire-epoll-accept-{local}"))
+        .spawn(move || accept_loop(listener, transport, closed2, tx))
+        .map_err(|e| TdpError::Substrate(format!("spawn accept thread: {e}")))?;
+    Ok(WireListener::new(Arc::new(RealListener {
+        local,
+        incoming: rx,
+        closed,
+        thread: tdp_sync::Mutex::new(Some(thread)),
+    })))
+}
+
+fn accept_loop(
+    listener: TcpListener,
+    transport: EpollTransport,
+    closed: Arc<AtomicBool>,
+    out: Sender<WireConn>,
+) {
+    loop {
+        let (stream, _) = match listener.accept() {
+            Ok(pair) => pair,
+            Err(_) => break,
+        };
+        if closed.load(Ordering::Acquire) {
+            break; // the wake-up self-connection
+        }
+        let conn = read_hello(&stream)
+            .and_then(|(host, leftover)| transport.adopt(stream, Some(host), leftover));
+        match conn {
+            Ok(conn) => {
+                if out.send(conn).is_err() {
+                    break;
+                }
+            }
+            Err(_) => continue, // bad client; drop it
+        }
+    }
+}
+
+/// Server side of connection establishment: consume the `Hello` frame
+/// and return the peer's logical host plus a decoder holding any bytes
+/// the client pipelined right behind its Hello. The stream is left in
+/// blocking mode with no read timeout.
+fn read_hello(stream: &TcpStream) -> TdpResult<(HostId, FrameDecoder)> {
+    let sub = |e: std::io::Error| TdpError::Substrate(format!("handshake: {e}"));
+    stream
+        .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
+        .map_err(sub)?;
+    let mut dec = FrameDecoder::new();
+    let mut chunk = [0u8; 1024];
+    let mut reader = stream;
+    let host = loop {
+        if let Some(msg) = dec.next().map_err(protocol_err)? {
+            match msg {
+                Message::Hello { host } => break host,
+                other => return Err(TdpError::Protocol(format!("expected Hello, got {other:?}"))),
+            }
+        }
+        match reader.read(&mut chunk) {
+            Ok(0) => return Err(TdpError::Disconnected),
+            Ok(n) => dec.feed(&chunk[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => return Err(TdpError::Timeout),
+        }
+    };
+    stream.set_read_timeout(None).map_err(sub)?;
+    Ok((host, dec))
+}
+
+// ---------------------------------------------------------------- proxy
+
+/// Resolves a *logical* target address (as named in a CONNECT header) to
+/// the real socket address to dial — and decides whether the crossing is
+/// permitted at all. `tdp-core` supplies a closure that consults the
+/// simulated topology's firewall rules plus its logical→real map.
+pub type ProxyResolver = Arc<dyn Fn(Addr) -> TdpResult<SocketAddr> + Send + Sync>;
+
+/// A running byte-relay proxy over real TCP — the §2.4 mechanism, same
+/// one-line `CONNECT host:port\n` protocol as the netsim relay, so a
+/// client can reach a logical address its own routes do not permit.
+pub struct TcpProxy {
+    local: SocketAddr,
+    closed: Arc<AtomicBool>,
+    thread: Option<thread::JoinHandle<()>>,
+}
+
+impl TcpProxy {
+    /// Real loopback address clients dial.
+    pub fn local_addr(&self) -> SocketAddr {
+        self.local
+    }
+
+    pub fn shutdown(mut self) {
+        self.stop();
+    }
+
+    fn stop(&mut self) {
+        if self.closed.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        let _ = TcpStream::connect_timeout(&self.local, Duration::from_millis(500));
+        if let Some(h) = self.thread.take() {
+            let _ = h.join();
+        }
+    }
+}
+
+impl Drop for TcpProxy {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// Spawn a relay proxy on an ephemeral loopback port.
+pub fn spawn_proxy(resolver: ProxyResolver) -> TdpResult<TcpProxy> {
+    let listener = TcpListener::bind(("127.0.0.1", 0))
+        .map_err(|e| TdpError::Substrate(format!("proxy bind: {e}")))?;
+    let local = listener
+        .local_addr()
+        .map_err(|e| TdpError::Substrate(format!("proxy local_addr: {e}")))?;
+    let closed = Arc::new(AtomicBool::new(false));
+    let closed2 = closed.clone();
+    let thread = thread::Builder::new()
+        .name(format!("wire-proxy-{local}"))
+        .spawn(move || {
+            while let Ok((client, _)) = listener.accept() {
+                if closed2.load(Ordering::Acquire) {
+                    break;
+                }
+                let resolver = resolver.clone();
+                let _ = thread::Builder::new()
+                    .name("wire-proxy-relay".into())
+                    .spawn(move || relay_session(client, resolver));
+            }
+        })
+        .map_err(|e| TdpError::Substrate(format!("spawn proxy thread: {e}")))?;
+    Ok(TcpProxy {
+        local,
+        closed,
+        thread: Some(thread),
+    })
+}
+
+fn relay_session(mut client: TcpStream, resolver: ProxyResolver) {
+    let _ = client.set_read_timeout(Some(DIAL_TIMEOUT));
+    let header = match read_header_line(&mut client) {
+        Ok(h) => h,
+        Err(_) => return,
+    };
+    let target = match header.strip_prefix("CONNECT ").and_then(Addr::parse) {
+        Some(t) => t,
+        None => {
+            let _ = client.write_all(b"ERR bad connect header\n");
+            return;
+        }
+    };
+    let upstream = match resolver(target).and_then(|sa| {
+        TcpStream::connect_timeout(&sa, DIAL_TIMEOUT)
+            .map_err(|e| TdpError::Substrate(format!("dial {sa}: {e}")))
+    }) {
+        Ok(s) => s,
+        Err(e) => {
+            let _ = client.write_all(format!("ERR {e}\n").as_bytes());
+            return;
+        }
+    };
+    let _ = client.set_read_timeout(None);
+    if client.write_all(b"OK\n").is_err() {
+        return;
+    }
+    let (Ok(c2), Ok(u2)) = (client.try_clone(), upstream.try_clone()) else {
+        return;
+    };
+    let up = thread::Builder::new()
+        .name("wire-proxy-pump".into())
+        .spawn(move || pump(client, upstream))
+        .expect("spawn proxy pump");
+    pump(u2, c2);
+    let _ = up.join();
+}
+
+/// Copy one direction until EOF or error, then propagate the close.
+fn pump(mut from: TcpStream, mut to: TcpStream) {
+    let _ = std::io::copy(&mut from, &mut to);
+    let _ = to.shutdown(Shutdown::Write);
+    let _ = from.shutdown(Shutdown::Read);
+}
+
+/// Read a `\n`-terminated header, byte at a time (headers are tiny and
+/// this never over-reads into the relayed stream).
+fn read_header_line(stream: &mut TcpStream) -> TdpResult<String> {
+    let mut line = Vec::new();
+    let mut byte = [0u8; 1];
+    loop {
+        match stream.read(&mut byte) {
+            Ok(0) => return Err(TdpError::Disconnected),
+            Ok(_) => {
+                if byte[0] == b'\n' {
+                    return String::from_utf8(line)
+                        .map_err(|_| TdpError::Protocol("non-utf8 header".into()));
+                }
+                line.push(byte[0]);
+                if line.len() > 256 {
+                    return Err(TdpError::Protocol("connect header too long".into()));
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => return Err(TdpError::Timeout),
+        }
+    }
+}
+
+/// Dial the logical `target` through the relay proxy at `proxy` and run
+/// the `CONNECT` exchange, returning the established raw stream (ready
+/// for the dialler's `Hello`).
+pub(crate) fn dial_via_proxy(proxy: SocketAddr, target: Addr) -> TdpResult<TcpStream> {
+    let mut stream = TcpStream::connect_timeout(&proxy, DIAL_TIMEOUT)
+        .map_err(|e| TdpError::Substrate(format!("tcp connect {proxy}: {e}")))?;
+    stream
+        .set_read_timeout(Some(DIAL_TIMEOUT))
+        .map_err(|e| TdpError::Substrate(format!("tcp set timeout: {e}")))?;
+    stream
+        .write_all(format!("CONNECT {}\n", target.to_attr_value()).as_bytes())
+        .map_err(|_| TdpError::Disconnected)?;
+    let reply = read_header_line(&mut stream)?;
+    if reply == "OK" {
+        stream
+            .set_read_timeout(None)
+            .map_err(|e| TdpError::Substrate(format!("tcp set timeout: {e}")))?;
+        Ok(stream)
+    } else if let Some(e) = reply.strip_prefix("ERR ") {
+        Err(TdpError::Substrate(format!("proxy: {e}")))
+    } else {
+        Err(TdpError::Protocol(format!("bad proxy reply: {reply:?}")))
+    }
+}

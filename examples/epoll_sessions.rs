@@ -1,34 +1,35 @@
-//! `epoll_sessions` — the reactor backend's scaling story: hold
+//! `epoll_sessions` — the socket transport's scaling story: hold
 //! hundreds of live attribute-space sessions in one process and watch
-//! the wire-layer thread count stay flat.
+//! the world's wire-thread census stay flat.
 //!
 //! ```text
 //! cargo run -q --release --example epoll_sessions
 //! ```
 //!
-//! Over the plain TCP backend every connection costs a writer thread
-//! (plus the blocked reader), so 500 sessions is ~500 extra OS threads
-//! before the tool has done any work. Over `World::new_epoll` all
-//! sockets share one reactor thread and a small worker pool — the open
-//! item ROADMAP.md recorded after PR 1.
+//! A thread-per-connection transport would spend ~1000 OS threads on
+//! 500 sessions before the tool has done any work. Over
+//! `World::new_epoll` all sockets share the reactor shards and a small
+//! worker pool.
 
 use std::time::Instant;
 use tdp::core::World;
 use tdp::proto::ContextId;
-use tdp::wire::wire_threads;
 
 const SESSIONS: u64 = 500;
 
-fn census(label: &str) {
-    let threads = wire_threads();
-    println!("  {label:<28} {} wire threads: {threads:?}", threads.len());
+fn census(world: &World, label: &str) {
+    let c = world.wire_census().expect("socket world");
+    println!(
+        "  {label:<28} {} wire threads, {} registered connections",
+        c.threads, c.conns
+    );
 }
 
 fn main() {
     let world = World::new_epoll();
     let fe = world.add_host();
     let cass = world.ensure_cass(fe).unwrap();
-    census("before any session");
+    census(&world, "before any session");
 
     let t0 = Instant::now();
     let mut sessions = Vec::new();
@@ -43,7 +44,7 @@ fn main() {
         "  opened {SESSIONS} sessions (join+put each) in {:.1?}",
         t0.elapsed()
     );
-    census(&format!("with {SESSIONS} live sessions"));
+    census(&world, &format!("with {SESSIONS} live sessions"));
 
     // Every session stays serviceable.
     let t1 = Instant::now();

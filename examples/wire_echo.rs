@@ -1,6 +1,6 @@
 //! `wire_echo` — the transport abstraction in isolation: one echo
-//! server, one client, run back to back over **all three** backends
-//! with the same code.
+//! server, one client, run back to back over **both** transports with
+//! the same code.
 //!
 //! ```text
 //! cargo run -q --example wire_echo
@@ -8,7 +8,7 @@
 
 use tdp::netsim::Network;
 use tdp::proto::{Addr, ContextId, HostId, Message, TdpResult};
-use tdp::wire::{Endpoint, EpollTransport, SimTransport, TcpTransport, Transport, WireListener};
+use tdp::wire::{Endpoint, EpollTransport, SimTransport, Transport, WireListener};
 
 /// Serve one connection: echo every message back, then exit.
 fn echo_once(listener: WireListener) -> TdpResult<()> {
@@ -54,19 +54,15 @@ fn run(
 }
 
 fn main() -> TdpResult<()> {
-    // Backend 1: the simulated fabric.
+    // Transport 1: the simulated fabric.
     let net = Network::new();
     let a = net.add_host();
     let b = net.add_host();
     run("netsim", &SimTransport::new(net), b, a)?;
 
-    // Backend 2: real loopback TCP. Identical driver code — the logical
-    // hosts ride the Hello handshake instead of the address.
-    run("tcp", &TcpTransport::new(), HostId(1), HostId(0))?;
-
-    // Backend 3: the same loopback sockets, but every connection is
-    // multiplexed onto one shared epoll reactor instead of owning
-    // threads.
+    // Transport 2: real loopback TCP, every connection multiplexed
+    // onto the shared epoll reactors. Identical driver code — the
+    // logical hosts ride the Hello handshake instead of the address.
     run("epoll", &EpollTransport::new()?, HostId(1), HostId(0))?;
 
     // The endpoint types tell the two apart when it matters.

@@ -1,11 +1,11 @@
 //! The transport-equivalence suite: the Figure 2 (E2) and complete-
-//! framework (E11) scenarios run over every backend `tdp-wire` ships —
-//! the simulated fabric, real loopback TCP sockets (`World::new_tcp`),
-//! and the epoll reactor (`World::new_epoll`) — and produce the *same
-//! observable behaviour*, up to identical call traces. The reactor
-//! backend additionally has to do it with a bounded thread count: the
-//! 500-session soak at the bottom is the scaling claim of ROADMAP's
-//! async-backend item.
+//! framework (E11) scenarios run over both transports `tdp-wire` ships —
+//! the simulated fabric and real loopback sockets on the epoll reactors
+//! (`World::new_epoll`), the latter at one and at four reactor shards —
+//! and produce the *same observable behaviour*, up to identical call
+//! traces. The socket transport additionally has to do it with a
+//! bounded thread count: the 500-session soak at the bottom asserts the
+//! exact budget.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -15,14 +15,23 @@ use tdp::netsim::FirewallPolicy;
 use tdp::paradyn::{paradynd_image, ParadynFrontend, PerformanceConsultant};
 use tdp::proto::{names, Addr, ContextId, ProcStatus};
 use tdp::simos::{fn_program, ExecImage};
+use tdp::wire::{EpollConfig, WireCensus};
 
 const CTX: ContextId = ContextId(1);
 const T: Duration = Duration::from_secs(30);
 
-/// The socket-backed worlds, labelled for assertion messages. Every
-/// scenario below runs over each of these plus the netsim default.
+/// The socket-backed worlds, labelled for assertion messages: the
+/// single-shard path and multi-shard routing, pinned so both run
+/// whatever the host's core count. Every scenario below runs over each
+/// of these plus the netsim default.
 fn socket_worlds() -> Vec<(&'static str, World)> {
-    vec![("tcp", World::new_tcp()), ("epoll", World::new_epoll())]
+    let sharded = |reactors| {
+        World::new_epoll_with(EpollConfig {
+            reactors,
+            ..EpollConfig::default()
+        })
+    };
+    vec![("epoll×1", sharded(1)), ("epoll×4", sharded(4))]
 }
 
 /// The E2 Figure-2 scenario body, transport-agnostic. Returns the
@@ -264,12 +273,11 @@ fn complete_framework_trace_identical_across_transports() {
 
 #[test]
 fn epoll_soak_500_sessions_bounded_threads() {
-    // ROADMAP's scaling claim: a CASS front-end holding 500 live
-    // attribute-space sessions must not cost 2×500 wire threads. On the
-    // reactor backend all 500 sockets share one reactor plus its worker
-    // pool; we count the reactor-owned threads by name (other tests in
-    // this binary run concurrently and own their own wire threads, so
-    // the census filters to the epoll-specific ones).
+    // The scaling claim: a CASS front-end holding 500 live
+    // attribute-space sessions must not cost 2×500 wire threads. All
+    // 1000 sockets (a client and a server end per session) share the
+    // reactor shards plus their worker slices, and the census is this
+    // world's own — sibling tests' worlds cannot leak into it.
     let world = World::new_epoll();
     let fe = world.add_host();
     let cass = world.ensure_cass(fe).unwrap();
@@ -281,24 +289,18 @@ fn epoll_soak_500_sessions_bounded_threads() {
         c.put(ctx, "session", &format!("s{i}")).unwrap();
         sessions.push((ctx, c));
     }
-    let reactor_threads = tdp::wire::wire_threads()
-        .into_iter()
-        .filter(|n| n.starts_with("wire-reactor") || n.starts_with("wire-epoll"))
-        .count();
-    // Budget per world: the reactor shards plus each shard's worker
-    // slice (both default from available_parallelism, so the bound
-    // scales with the host instead of being hard-coded). Other tests in
-    // this binary own epoll worlds of their own that may still be
-    // winding down — allow a few, and never go below the pre-sharding
-    // fixed bound of 16 on small hosts.
-    let cfg = tdp::wire::EpollConfig::default();
-    let shards = cfg.reactors.max(1);
-    let per_world = shards + shards * cfg.workers.max(1).div_ceil(shards);
-    let budget = (4 * per_world).max(16);
-    assert!(
-        reactor_threads <= budget,
-        "500 sessions should share O(pool) reactor threads \
-         (≤{budget} across concurrent test worlds), found {reactor_threads}"
+    // The budget: the reactor shards plus each shard's slice of the
+    // worker pool, both sized from available_parallelism so the bound
+    // scales with the host instead of being hard-coded.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let shards = EpollConfig::default().reactors;
+    let workers = cores.clamp(2, 8);
+    assert_eq!(
+        world.wire_census(),
+        Some(WireCensus {
+            threads: shards + shards * workers.div_ceil(shards),
+            conns: 1000,
+        })
     );
     // Every session is still live after the census — spot-check them
     // all, not just the survivors of an LRU.
