@@ -18,8 +18,10 @@
 //!   [`Supervisor`](tdp_ops::Supervisor) for auto-restart;
 //! * **auth** ([`auth`]): per-client API keys carrying tool allowlists
 //!   (exact names or single-`*` globs);
-//! * **transport** ([`http`]): a hand-rolled epoll HTTP/1.1 server on
-//!   the wire crate's reactor machinery — no new dependencies.
+//! * **transport** ([`http`]): a hand-rolled HTTP/1.1 server whose
+//!   workers share one epoll set (the wire crate's `sys` shim) and
+//!   serve each request on the thread that saw it ready — no new
+//!   dependencies.
 //!
 //! The assembled daemon is [`Gateway`]; the transport-free dispatch
 //! core is [`GatewayCore`] (what unit tests drive). [`HttpRpcClient`]

@@ -421,7 +421,7 @@ impl Gateway {
         self.http.open_connections()
     }
 
-    /// Stop the HTTP server (joins reactor + workers).
+    /// Stop the HTTP server (joins its workers).
     pub fn shutdown(&mut self) {
         self.http.shutdown();
     }
@@ -429,18 +429,16 @@ impl Gateway {
 
 /// Routing: `POST /rpc` is JSON-RPC, `GET /health` a liveness probe.
 fn http_handler(core: Arc<GatewayCore>) -> Handler {
-    Arc::new(
-        move |req: &HttpRequest| match (req.method.as_str(), req.path.as_str()) {
-            ("POST", "/rpc") | ("POST", "/") => {
-                let key = req.header("x-api-key");
-                let resp = core.handle_rpc(&req.body_str(), key);
-                HttpResponse::json(200, resp.render())
-            }
-            ("GET", "/health") => HttpResponse::text(200, "ok\n"),
-            ("GET", _) => HttpResponse::text(404, "not found\n"),
-            _ => HttpResponse::text(405, "method not allowed\n"),
-        },
-    )
+    Arc::new(move |req: &HttpRequest<'_>| match (req.method, req.path) {
+        ("POST", "/rpc") | ("POST", "/") => {
+            let key = req.header("x-api-key");
+            let resp = core.handle_rpc(&req.body_str(), key);
+            HttpResponse::json(200, resp.render())
+        }
+        ("GET", "/health") => HttpResponse::text(200, "ok\n"),
+        ("GET", _) => HttpResponse::text(404, "not found\n"),
+        _ => HttpResponse::text(405, "method not allowed\n"),
+    })
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The CI `gateway_smoke` gate: serve + invoke + kill, bounded at five
 //! seconds wall clock. Mirrors `tdp-gateway smoke` (the binary form CI
-//! also runs) so a hang in either the HTTP reactor or the supervisor
+//! also runs) so a hang in either the HTTP server or the supervisor
 //! hand-off fails fast instead of wedging the workflow.
 
 use std::time::{Duration, Instant};

@@ -39,6 +39,7 @@ const BLOCKING: &[(&[&str], &str)] = &[
     (&["park_timeout", "("], "park"),
     (&["writev_fd", "("], "writev syscall"),
     (&["poll_readable", "("], "poll syscall"),
+    (&["poll_writable", "("], "poll syscall"),
     (&["TcpStream", "::", "connect"], "socket connect"),
 ];
 

@@ -64,6 +64,7 @@ struct PollFd {
 }
 
 const POLLIN: i16 = 0x001;
+const POLLOUT: i16 = 0x004;
 
 extern "C" {
     fn epoll_create1(flags: i32) -> i32;
@@ -141,9 +142,20 @@ pub fn writev_fd(fd: RawFd, bufs: &[&[u8]]) -> io::Result<usize> {
 /// timeout beyond the caller's budget — callers pass deadlines, so they
 /// recompute on the retry path themselves if they need exactness.
 pub fn poll_readable(fd: RawFd, timeout_ms: i32) -> io::Result<bool> {
+    poll_one(fd, POLLIN, timeout_ms)
+}
+
+/// [`poll_readable`]'s twin for the write side: block until a write to
+/// `fd` can make progress (room in the socket buffer, or an error or
+/// hangup for the write to surface), or until `timeout_ms` elapses.
+pub fn poll_writable(fd: RawFd, timeout_ms: i32) -> io::Result<bool> {
+    poll_one(fd, POLLOUT, timeout_ms)
+}
+
+fn poll_one(fd: RawFd, events: i16, timeout_ms: i32) -> io::Result<bool> {
     let mut pfd = PollFd {
         fd,
-        events: POLLIN,
+        events,
         revents: 0,
     };
     loop {
@@ -157,8 +169,8 @@ pub fn poll_readable(fd: RawFd, timeout_ms: i32) -> io::Result<bool> {
             return Err(e);
         }
         // POLLERR/POLLHUP are delivered regardless of `events`; any
-        // non-zero revents means a read will make progress (data, EOF,
-        // or a hard error to surface).
+        // non-zero revents means the read or write will make progress
+        // (data or room, EOF, or a hard error to surface).
         return Ok(ret > 0);
     }
 }
@@ -366,6 +378,27 @@ mod tests {
         // EOF also reads as ready.
         drop(a);
         assert!(poll_readable(b.as_raw_fd(), 1000).unwrap());
+    }
+
+    #[test]
+    fn poll_writable_waits_for_room() {
+        use std::io::{Read, Write};
+        use std::os::unix::io::AsRawFd;
+        let l = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let mut a = std::net::TcpStream::connect(l.local_addr().unwrap()).unwrap();
+        let (mut b, _) = l.accept().unwrap();
+        assert!(poll_writable(a.as_raw_fd(), 0).unwrap());
+        // Fill both socket buffers: no room until the peer reads.
+        a.set_nonblocking(true).unwrap();
+        let block = [0u8; 64 * 1024];
+        let mut sent = 0;
+        while let Ok(n) = a.write(&block) {
+            sent += n;
+        }
+        assert!(!poll_writable(a.as_raw_fd(), 0).unwrap());
+        let mut sink = vec![0u8; sent];
+        b.read_exact(&mut sink).unwrap();
+        assert!(poll_writable(a.as_raw_fd(), 1000).unwrap());
     }
 
     #[test]
