@@ -21,11 +21,10 @@
 //! back empty, exactly like the paper's model, and daemons re-put what
 //! they own.
 
-use rand::SmallRng;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tdp_netsim::{Conn, Network};
-use tdp_proto::{Addr, ContextId, HostId, Message, Reply, TdpError, TdpResult};
+use tdp_proto::{Addr, Backoff, ContextId, HostId, Message, Reply, TdpError, TdpResult};
 use tdp_wire::WireConn;
 
 /// Re-dials the server. Called once per connection attempt, so it can
@@ -68,6 +67,11 @@ impl ReconnectPolicy {
             policy: ReconnectPolicy::default(),
         }
     }
+
+    /// The jittered delay sequence this policy paces dials with.
+    pub fn backoff(&self) -> Backoff {
+        Backoff::new(self.base, self.cap, self.seed)
+    }
 }
 
 /// Builder for [`ReconnectPolicy`] — see [`ReconnectPolicy::builder`].
@@ -108,8 +112,8 @@ impl ReconnectPolicyBuilder {
 
 struct Redial {
     dial: Dialer,
-    policy: ReconnectPolicy,
-    rng: SmallRng,
+    max_elapsed: Duration,
+    backoff: Backoff,
     /// Contexts this session has joined (replayed on reconnect).
     joined: BTreeSet<ContextId>,
     /// Live one-shot subscriptions by token (pruned when the
@@ -180,8 +184,8 @@ impl AttrClient {
     pub fn set_redial(&mut self, dial: Dialer, policy: ReconnectPolicy) {
         self.redial = Some(Redial {
             dial,
-            rng: SmallRng::seed_from_u64(policy.seed),
-            policy,
+            max_elapsed: policy.max_elapsed,
+            backoff: policy.backoff(),
             joined: BTreeSet::new(),
             subs: BTreeMap::new(),
             reconnects: 0,
@@ -425,40 +429,14 @@ impl AttrClient {
     }
 
     fn dial_and_replay(r: &mut Redial) -> TdpResult<(WireConn, Vec<Notification>)> {
-        let start = Instant::now();
-        let mut delay = r.policy.base;
-        loop {
-            match (r.dial)().and_then(|conn| Self::replay_session(conn, &r.joined, &r.subs)) {
-                Ok((conn, notes)) => {
-                    for n in &notes {
-                        r.subs.remove(&n.token);
-                    }
-                    return Ok((conn, notes));
-                }
-                // Anything transport-shaped is worth retrying: the
-                // server may still be restarting (refused/timeout), the
-                // network healing (firewall/partition), or the real
-                // socket gone (substrate).
-                Err(
-                    e @ (TdpError::Disconnected
-                    | TdpError::ConnectionRefused(_)
-                    | TdpError::Timeout
-                    | TdpError::BlockedByFirewall { .. }
-                    | TdpError::Substrate(_)),
-                ) => {
-                    // Jittered backoff: uniform in [delay/2, delay].
-                    let half = delay / 2;
-                    let jitter =
-                        half + Duration::from_nanos(r.rng.gen_range(half.as_nanos() as u64 + 1));
-                    if start.elapsed() + jitter > r.policy.max_elapsed {
-                        return Err(e);
-                    }
-                    std::thread::sleep(jitter);
-                    delay = (delay * 2).min(r.policy.cap);
-                }
-                Err(e) => return Err(e),
-            }
+        r.backoff.reset();
+        let (conn, notes) = r.backoff.retry(r.max_elapsed, || {
+            (r.dial)().and_then(|conn| Self::replay_session(conn, &r.joined, &r.subs))
+        })?;
+        for n in &notes {
+            r.subs.remove(&n.token);
         }
+        Ok((conn, notes))
     }
 
     /// Replay joins and live subscriptions on a fresh connection.

@@ -279,8 +279,8 @@ mod tests {
         let ad = machine(512, "X86_64")
             .require("ImageSize <= 50")
             .rank_by("Prio");
-        let json = serde_json::to_string(&ad).unwrap();
-        let back: ClassAd = serde_json::from_str(&json).unwrap();
+        let json = tdp_proto::json::to_string(&ad).unwrap();
+        let back: ClassAd = tdp_proto::json::from_str(&json).unwrap();
         assert_eq!(back, ad);
     }
 }

@@ -7,7 +7,7 @@ use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 use tdp_netsim::Conn;
-use tdp_proto::{Addr, HostId, JobId, TdpError, TdpResult};
+use tdp_proto::{json, Addr, HostId, JobId, TdpResult};
 
 /// Messages to/from the matchmaker (collector + negotiator).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -130,27 +130,23 @@ pub enum ShadowMsg {
 
 /// Send one JSON message as one chunk.
 pub fn send_json<T: Serialize>(conn: &Conn, msg: &T) -> TdpResult<()> {
-    let data =
-        serde_json::to_vec(msg).map_err(|e| TdpError::Protocol(format!("json encode: {e}")))?;
-    conn.send(&data)
+    conn.send(&json::to_vec(msg)?)
 }
 
 /// Receive one JSON message (one chunk).
 pub fn recv_json<T: DeserializeOwned>(conn: &mut Conn) -> TdpResult<T> {
-    let chunk = conn.recv()?;
-    serde_json::from_slice(&chunk).map_err(|e| TdpError::Protocol(format!("json decode: {e}")))
+    json::from_slice(&conn.recv()?)
 }
 
 /// Receive with a deadline.
 pub fn recv_json_timeout<T: DeserializeOwned>(conn: &mut Conn, t: Duration) -> TdpResult<T> {
-    let chunk = conn.recv_timeout(t)?;
-    serde_json::from_slice(&chunk).map_err(|e| TdpError::Protocol(format!("json decode: {e}")))
+    json::from_slice(&conn.recv_timeout(t)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classad::ClassAd;
+    use tdp_proto::TdpError;
 
     #[test]
     fn json_roundtrip_over_conn() {
@@ -198,5 +194,60 @@ mod tests {
         let (a, mut b) = Conn::pair();
         a.send(b"{not json").unwrap();
         assert!(recv_json::<MmMsg>(&mut b).is_err());
+        // A peer's chunk of 200 000 `[` is refused at the parser's
+        // nesting cap (it used to overflow the stack: SIGABRT).
+        a.send("[".repeat(200_000).as_bytes()).unwrap();
+        let err = recv_json::<ClaimMsg>(&mut b).unwrap_err();
+        assert!(matches!(err, TdpError::Protocol(_)), "{err}");
+    }
+
+    /// Text → value → text is stable, and the value prints the same.
+    fn roundtrip<T: Serialize + DeserializeOwned + std::fmt::Debug>(msg: &T) {
+        let text = json::to_string(msg).unwrap();
+        let back: T = json::from_str(&text).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{msg:?}"), "{text}");
+    }
+
+    #[test]
+    fn every_wire_enum_roundtrips_typed() {
+        let ad = ClassAd::new()
+            .with_int("Memory", 512)
+            .with_str("Arch", "X86_64")
+            .require("Memory >= 256")
+            .rank_by("Memory");
+        let startd = Addr::new(HostId(2), 9620);
+        roundtrip(&MmMsg::RegisterMachine {
+            name: "slot1@host2".into(),
+            host: HostId(2),
+            startd,
+            ad,
+        });
+        roundtrip(&MmMsg::Machines(vec![
+            ("a".into(), true),
+            ("b".into(), false),
+        ]));
+        roundtrip(&MmMsg::NoMatch);
+        roundtrip(&ClaimMsg::ActivateClaim {
+            claim_id: i64::MAX as u64,
+            details: Box::new(JobDetails {
+                job: JobId(7),
+                submit: SubmitDescription {
+                    executable: "/bin/app".into(),
+                    arguments: vec!["-n".into(), "3".into()],
+                    input: Some("in\tfile \"q\"".into()),
+                    ..SubmitDescription::default()
+                },
+                shadow: startd,
+                submit_host: HostId(0),
+                rank: 1,
+                tool_auto_run: true,
+            }),
+        });
+        roundtrip(&ClaimMsg::Released);
+        roundtrip(&ShadowMsg::FileData {
+            path: "out/é.txt".into(),
+            data: vec![0, 10, 255],
+        });
+        roundtrip(&ShadowMsg::Ack);
     }
 }

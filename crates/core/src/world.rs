@@ -246,27 +246,9 @@ impl World {
         server: Addr,
         policy: ReconnectPolicy,
     ) -> TdpResult<AttrClient> {
-        let start = std::time::Instant::now();
-        let mut delay = policy.base;
-        let conn = loop {
-            match self.attr_dial(from, server) {
-                Ok(c) => break c,
-                Err(
-                    e @ (TdpError::Disconnected
-                    | TdpError::ConnectionRefused(_)
-                    | TdpError::Timeout
-                    | TdpError::BlockedByFirewall { .. }
-                    | TdpError::Substrate(_)),
-                ) => {
-                    if start.elapsed() + delay > policy.max_elapsed {
-                        return Err(e);
-                    }
-                    std::thread::sleep(delay);
-                    delay = (delay * 2).min(policy.cap);
-                }
-                Err(e) => return Err(e),
-            }
-        };
+        let conn = policy
+            .backoff()
+            .retry(policy.max_elapsed, || self.attr_dial(from, server))?;
         let mut client = AttrClient::over_wire(conn);
         let w = self.clone();
         client.set_redial(Box::new(move || w.attr_dial(from, server)), policy);
@@ -493,6 +475,55 @@ mod tests {
         assert_eq!(w.cass_addr(), None);
         let a = w.ensure_cass(fe).unwrap();
         assert_eq!(w.ensure_cass(fe).unwrap(), a);
+    }
+
+    #[test]
+    fn first_dial_backoff_is_jittered_by_the_policy_seed() {
+        use std::time::{Duration, Instant};
+        let w = World::new();
+        let h = w.add_host();
+        let dead = Addr::new(h, 4242); // nothing listens here
+        let nominal = Duration::from_millis(200);
+        let budget = nominal + Duration::from_millis(10);
+        let policy = |seed| {
+            ReconnectPolicy::builder()
+                .base(nominal)
+                .cap(nominal)
+                .max_elapsed(budget)
+                .seed(seed)
+                .build()
+        };
+        let delays = |seed| {
+            let mut b = policy(seed).backoff();
+            [b.next_delay(), b.next_delay()]
+        };
+        // Policies differing only in seed pace differently, every
+        // delay within [d/2, d]. Both picks fit one delay into the
+        // budget and not a second.
+        let short = (0..)
+            .find(|&s| delays(s)[0] < nominal * 6 / 10 && delays(s)[0] + delays(s)[1] > budget)
+            .unwrap();
+        let long = (0..).find(|&s| delays(s)[0] > nominal * 8 / 10).unwrap();
+        assert_ne!(delays(short), delays(long));
+        for d in delays(short).into_iter().chain(delays(long)) {
+            assert!(d >= nominal / 2 && d <= nominal, "{d:?}");
+        }
+        // The first dial sleeps that sequence, so the call lasts one
+        // jittered delay — the bare doubling loop it replaces slept the
+        // full nominal 200 ms whatever the seed.
+        let timed = |seed| {
+            let start = Instant::now();
+            let err = w.attr_connect_reliable(h, dead, policy(seed)).err();
+            assert_eq!(err, Some(TdpError::ConnectionRefused(dead)));
+            start.elapsed()
+        };
+        assert!(timed(long) >= delays(long)[0]);
+        let took = timed(short);
+        assert!(took >= delays(short)[0], "{took:?}");
+        assert!(
+            took < nominal,
+            "a jittered delay, within max_elapsed: {took:?}"
+        );
     }
 
     #[test]

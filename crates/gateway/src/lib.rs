@@ -47,7 +47,6 @@ pub mod auth;
 pub mod bridge;
 pub mod client;
 pub mod http;
-pub mod json;
 pub mod procs;
 pub mod registry;
 pub mod rpc;
@@ -58,8 +57,10 @@ pub use auth::ApiKeys;
 pub use bridge::AttrBridge;
 pub use client::HttpRpcClient;
 pub use http::{HttpRequest, HttpResponse, HttpServer};
-pub use json::Json;
 pub use procs::{install_daemon_image, DaemonInfo, ProcManager};
 pub use registry::{AliasTool, FnTool, Tool, ToolRegistry};
 pub use rpc::{RpcError, RpcRequest};
 pub use server::{Gateway, GatewayConfig, GatewayCore};
+/// The document value and its text codec live in `tdp-proto` (one JSON
+/// parser and writer for the workspace).
+pub use tdp_proto::json::{self, Json, JsonError};

@@ -11,7 +11,9 @@ use tdp_condor::{CondorPool, JobState, SubmitDescription, ToolDaemonSpec, Univer
 use tdp_core::World;
 use tdp_lsf::{LsfCluster, LsfJobState, LsfRequest};
 use tdp_netsim::Conn;
-use tdp_proto::{attr::split_multi_value, Addr, HostId, JobId, ProcStatus, TdpError, TdpResult};
+use tdp_proto::{
+    attr::split_multi_value, json, Addr, HostId, JobId, ProcStatus, TdpError, TdpResult,
+};
 use tdp_sync::Mutex;
 
 /// The gatekeeper's well-known port (Globus's 2119).
@@ -253,7 +255,7 @@ fn serve(conn: &mut Conn, backend: &Arc<dyn LocalRm>, grid_map: &Mutex<HashMap<S
         subject,
         token,
         rsl,
-    }) = serde_json::from_slice(&chunk)
+    }) = json::from_slice(&chunk)
     else {
         let _ = send(
             conn,
@@ -318,7 +320,7 @@ fn serve(conn: &mut Conn, backend: &Arc<dyn LocalRm>, grid_map: &Mutex<HashMap<S
     );
     match backend.wait(job, Duration::from_secs(600)) {
         Ok(Ok(done)) => {
-            let detail = serde_json::to_string(
+            let detail = json::to_string(
                 &done
                     .iter()
                     .map(|(k, v)| (*k, v.to_attr_value()))
@@ -355,8 +357,7 @@ fn serve(conn: &mut Conn, backend: &Arc<dyn LocalRm>, grid_map: &Mutex<HashMap<S
 }
 
 fn send(conn: &Conn, msg: &GramMsg) -> TdpResult<()> {
-    let data = serde_json::to_vec(msg).map_err(|e| TdpError::Protocol(format!("encode: {e}")))?;
-    conn.send(&data)
+    conn.send(&json::to_vec(msg)?)
 }
 
 /// Client-side handle for one grid job.
@@ -386,9 +387,7 @@ impl GramClient {
             },
         )?;
         let chunk = conn.recv_timeout(Duration::from_secs(10))?;
-        match serde_json::from_slice(&chunk)
-            .map_err(|e| TdpError::Protocol(format!("decode: {e}")))?
-        {
+        match json::from_slice(&chunk)? {
             GramMsg::Accepted { job, backend } => Ok(GramClient { conn, job, backend }),
             GramMsg::Denied { reason } => Err(TdpError::Substrate(format!("denied: {reason}"))),
             other => Err(TdpError::Protocol(format!("unexpected reply {other:?}"))),
@@ -398,14 +397,11 @@ impl GramClient {
     /// Read the next state transition.
     pub fn next_state(&mut self, timeout: Duration) -> TdpResult<GramState> {
         let chunk = self.conn.recv_timeout(timeout)?;
-        match serde_json::from_slice(&chunk)
-            .map_err(|e| TdpError::Protocol(format!("decode: {e}")))?
-        {
+        match json::from_slice(&chunk)? {
             GramMsg::Status { state, detail } => Ok(match state.as_str() {
                 "ACTIVE" => GramState::Active,
                 "DONE" => {
-                    let raw: HashMap<u32, String> =
-                        serde_json::from_str(&detail).unwrap_or_default();
+                    let raw: HashMap<u32, String> = json::from_str(&detail).unwrap_or_default();
                     GramState::Done(
                         raw.into_iter()
                             .filter_map(|(k, v)| ProcStatus::parse(&v).map(|s| (k, s)))
@@ -431,6 +427,37 @@ impl GramClient {
                 GramState::Failed(e) => return Ok(GramState::Failed(e)),
                 _ => continue,
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn gram_messages_roundtrip_typed() {
+        for msg in [
+            GramMsg::Submit {
+                subject: "/O=Grid/CN=alice".into(),
+                token: "proxy-abc".into(),
+                rsl: r#"&(executable=/bin/app)(arguments="a b")"#.into(),
+            },
+            GramMsg::Accepted {
+                job: JobId(3),
+                backend: "condor".into(),
+            },
+            GramMsg::Denied {
+                reason: "subject \"/CN=eve\" not authorized".into(),
+            },
+            GramMsg::Status {
+                state: "DONE".into(),
+                detail: json::to_string(&HashMap::from([(0u32, "exited:0".to_string())])).unwrap(),
+            },
+        ] {
+            let text = json::to_string(&msg).unwrap();
+            let back: GramMsg = json::from_str(&text).unwrap();
+            assert_eq!(format!("{back:?}"), format!("{msg:?}"), "{text}");
         }
     }
 }

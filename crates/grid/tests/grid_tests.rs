@@ -8,7 +8,7 @@ use tdp_core::World;
 use tdp_grid::{Gatekeeper, GramClient, GramState, GridJobRequest, Rsl};
 use tdp_lsf::LsfCluster;
 use tdp_paradyn::{paradynd_image, ParadynFrontend};
-use tdp_proto::{ProcStatus, TdpError};
+use tdp_proto::{Json, ProcStatus, TdpError};
 use tdp_simos::{fn_program, ExecImage};
 use tdp_tools::tracey_image;
 
@@ -48,6 +48,25 @@ fn rsl_to_request_translation() {
     assert_eq!(args, vec!["-a%pid", "-A"]);
     // Missing executable is an error.
     assert!(GridJobRequest::from_rsl(&Rsl::parse("&(count=2)").unwrap()).is_err());
+}
+
+#[test]
+fn malformed_submission_is_denied_not_fatal() {
+    let world = World::new();
+    let pool = Arc::new(CondorPool::build(&world, 1).unwrap());
+    let head = world.add_host();
+    let user_host = world.add_host();
+    let gk = Gatekeeper::start(&world, head, pool).unwrap();
+    // A chunk of 200 000 `[` used to overflow the JSON parser's stack
+    // (SIGABRT); the nesting cap turns it into the stated denial.
+    for bad in ["[".repeat(200_000), "{not json".to_string()] {
+        let mut conn = world.net().connect(user_host, gk.addr()).unwrap();
+        conn.send(bad.as_bytes()).unwrap();
+        let reply = conn.recv_timeout(T).unwrap();
+        let reply = Json::parse(std::str::from_utf8(&reply).unwrap()).unwrap();
+        let denied = reply.get("Denied").expect("a Denied reply");
+        assert_eq!(denied.str_field("reason"), Some("malformed submission"));
+    }
 }
 
 #[test]

@@ -11,7 +11,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 use tdp_core::World;
 use tdp_netsim::ConnTx;
-use tdp_proto::{Addr, HostId, JobId, ProcStatus, TdpError, TdpResult};
+use tdp_proto::{json, Addr, HostId, JobId, ProcStatus, TdpError, TdpResult};
 use tdp_sync::{Condvar, Mutex};
 
 /// mbatchd's well-known port on the master host.
@@ -252,8 +252,7 @@ impl LsfCluster {
         // Remove anything still queued.
         self.inner.queue.lock().retain(|t| t.job != job);
         // Tell every host to kill its running tasks of this job.
-        let data = serde_json::to_vec(&MbdMsg::Kill { job })
-            .map_err(|e| TdpError::Protocol(format!("encode: {e}")))?;
+        let data = json::to_vec(&MbdMsg::Kill { job })?;
         for h in self.inner.hosts.lock().iter() {
             let _ = h.tx.send(&data);
         }
@@ -313,7 +312,7 @@ impl Mbd {
         let tx = Arc::new(tx);
         let mut my_index: Option<usize> = None;
         while let Ok(chunk) = rx.recv() {
-            let msg: SbdMsg = match serde_json::from_slice(&chunk) {
+            let msg: SbdMsg = match json::from_slice(&chunk) {
                 Ok(m) => m,
                 Err(_) => continue,
             };
@@ -519,8 +518,7 @@ impl Mbd {
                 // Hosts are append-only (dead ones keep their entry with
                 // slots=0), so the index stays valid across the unlock.
                 Some((i, tx)) => {
-                    let data =
-                        serde_json::to_vec(&MbdMsg::Dispatch(dispatch)).expect("encode dispatch");
+                    let data = json::to_vec(&MbdMsg::Dispatch(dispatch)).expect("encode dispatch");
                     let ok = tx.send(&data).is_ok();
                     let mut hosts = self.hosts.lock();
                     let h = &mut hosts[i];

@@ -63,3 +63,42 @@ pub enum MbdMsg {
     },
     Ack,
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tdp_proto::json;
+
+    /// Text → value → text is stable, and the value prints the same.
+    fn roundtrip<T: Serialize + serde::de::DeserializeOwned + std::fmt::Debug>(msg: &T) {
+        let text = json::to_string(msg).unwrap();
+        let back: T = json::from_str(&text).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{msg:?}"), "{text}");
+    }
+
+    #[test]
+    fn every_wire_enum_roundtrips_typed() {
+        let (job, task) = (JobId(4), 1);
+        roundtrip(&SbdMsg::TaskDone {
+            job,
+            task,
+            status: "exited:0".into(),
+            stdout: b"crunched \x00\xff".to_vec(),
+            stderr: Vec::new(),
+            tool_files: vec![("trace\n.out".into(), vec![1, 2, 3])],
+        });
+        roundtrip(&MbdMsg::Dispatch(Dispatch {
+            job,
+            task,
+            executable: "/bin/app".into(),
+            args: vec!["5".into()],
+            stdin: b"input".to_vec(),
+            suspend_at_exec: true,
+            tool: Some(ToolSpecWire {
+                cmd: "paradynd".into(),
+                args: vec!["-a%pid".into()],
+            }),
+        }));
+        roundtrip(&MbdMsg::Ack);
+    }
+}

@@ -8,7 +8,7 @@ use std::thread;
 use std::time::Duration;
 use tdp_core::{Role, TdpCreate, TdpHandle, World};
 use tdp_netsim::ConnTx;
-use tdp_proto::{names, Addr, ContextId, HostId, TdpError, TdpResult};
+use tdp_proto::{json, names, Addr, ContextId, HostId, TdpError, TdpResult};
 use tdp_proto::{JobId, Pid};
 use tdp_simos::Sink;
 use tdp_sync::Mutex;
@@ -50,7 +50,7 @@ pub fn start(world: &World, host: HostId, slots: u32, mbd: Addr) -> TdpResult<Sb
                 buf.extend_from_slice(&chunk);
                 // One JSON message per chunk (netsim preserves chunk
                 // boundaries); parse and reset.
-                let msg: MbdMsg = match serde_json::from_slice(&buf) {
+                let msg: MbdMsg = match json::from_slice(&buf) {
                     Ok(m) => {
                         buf.clear();
                         m
@@ -99,8 +99,7 @@ pub fn start(world: &World, host: HostId, slots: u32, mbd: Addr) -> TdpResult<Sb
 }
 
 fn send(tx: &ConnTx, msg: &SbdMsg) -> TdpResult<()> {
-    let data = serde_json::to_vec(msg).map_err(|e| TdpError::Protocol(format!("encode: {e}")))?;
-    tx.send(&data)
+    tx.send(&json::to_vec(msg)?)
 }
 
 /// The task runner — LSF's `res`, speaking TDP. This is this

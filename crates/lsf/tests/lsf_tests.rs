@@ -4,9 +4,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 use tdp_core::World;
+use tdp_lsf::messages::SbdMsg;
 use tdp_lsf::{LsfCluster, LsfJobState, LsfRequest};
 use tdp_paradyn::{paradynd_image, ParadynFrontend};
-use tdp_proto::{HostId, ProcStatus};
+use tdp_proto::{json, HostId, ProcStatus};
 use tdp_simos::{fn_program, ExecImage};
 use tdp_tools::{tracey_image, vamp_image};
 
@@ -439,4 +440,25 @@ fn dead_sbatchd_host_does_not_wedge_the_cluster() {
         .iter()
         .find(|(n, _, _)| n.contains(&format!("host{}", r.exec[0].0)));
     assert_eq!(dead.map(|(_, slots, _)| *slots), Some(0), "{hosts:?}");
+}
+
+#[test]
+fn mbatchd_skips_an_over_nested_chunk_and_still_registers() {
+    // A peer's chunk of 200 000 `[` used to overflow the JSON parser's
+    // stack (SIGABRT); now it is refused at the nesting cap, skipped
+    // like any malformed chunk, and the session keeps being served.
+    let r = rig(0, 0);
+    let host = r.world.add_host();
+    let conn = r.world.net().connect(host, r.cluster.addr()).unwrap();
+    conn.send("[".repeat(200_000).as_bytes()).unwrap();
+    let register = SbdMsg::Register {
+        name: "late@host".into(),
+        slots: 3,
+    };
+    conn.send(&json::to_vec(&register).unwrap()).unwrap();
+    let deadline = std::time::Instant::now() + T;
+    while r.cluster.bhosts() != [("late@host".to_string(), 3, 0)] {
+        assert!(std::time::Instant::now() < deadline, "never registered");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }

@@ -1,45 +1,12 @@
-//! Restart pacing: capped exponential backoff with jitter, and the
-//! restart-budget circuit breaker that turns "restart forever" into
-//! "restart a bounded number of times per window, then escalate".
+//! Restart pacing: the restart-budget circuit breaker that turns
+//! "restart forever" into "restart a bounded number of times per
+//! window, then escalate". The capped exponential [`Backoff`] that paces
+//! the restarts is `tdp-proto`'s — the same one the attribute-space
+//! client re-dials with — re-exported here.
 
-use rand::SmallRng;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
-
-/// Capped exponential backoff with uniform jitter in `[delay/2, delay]`
-/// (the same shape the attribute-space client uses for reconnects, so
-/// restart storms from many supervisors de-synchronize).
-pub struct Backoff {
-    base: Duration,
-    cap: Duration,
-    next: Duration,
-    rng: SmallRng,
-}
-
-impl Backoff {
-    pub fn new(base: Duration, cap: Duration, seed: u64) -> Backoff {
-        Backoff {
-            base,
-            cap,
-            next: base,
-            rng: SmallRng::seed_from_u64(seed),
-        }
-    }
-
-    /// The delay to wait before the next attempt; doubles the nominal
-    /// delay (up to the cap) each call.
-    pub fn next_delay(&mut self) -> Duration {
-        let d = self.next;
-        self.next = (self.next * 2).min(self.cap);
-        let half = d / 2;
-        half + Duration::from_nanos(self.rng.gen_range(half.as_nanos() as u64 + 1))
-    }
-
-    /// Back to the base delay (call on recovery).
-    pub fn reset(&mut self) {
-        self.next = self.base;
-    }
-}
+pub use tdp_proto::Backoff;
 
 /// A sliding-window circuit breaker: at most `max` restarts per
 /// `window`. When the budget is exhausted the supervisor stops
@@ -93,26 +60,6 @@ impl RestartBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backoff_doubles_to_cap_with_bounded_jitter() {
-        let base = Duration::from_millis(10);
-        let cap = Duration::from_millis(80);
-        let mut b = Backoff::new(base, cap, 42);
-        let mut nominal = base;
-        for _ in 0..6 {
-            let d = b.next_delay();
-            assert!(d >= nominal / 2 && d <= nominal, "{d:?} vs {nominal:?}");
-            nominal = (nominal * 2).min(cap);
-        }
-        // Capped: stays within [cap/2, cap] forever after.
-        for _ in 0..4 {
-            let d = b.next_delay();
-            assert!(d >= cap / 2 && d <= cap, "{d:?}");
-        }
-        b.reset();
-        assert!(b.next_delay() <= base);
-    }
 
     #[test]
     fn budget_opens_after_max_and_refills_after_window() {

@@ -1,7 +1,6 @@
 //! The error type shared by every layer of the TDP stack.
 
 use crate::ids::{Addr, ContextId, HostId, Pid};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Result alias used across the workspace.
@@ -13,7 +12,7 @@ pub type TdpResult<T> = Result<T, TdpError>;
 /// prose mentions (e.g. "an error is returned if the attribute is not
 /// contained in the shared space" for the non-blocking get) onto a
 /// dedicated variant so callers can match on it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TdpError {
     /// Non-blocking get on an attribute absent from the space (§3.2).
     AttributeNotFound(String),
@@ -55,6 +54,22 @@ pub enum TdpError {
     Protocol(String),
     /// Failure inside a substrate (scheduler, tool) with a human message.
     Substrate(String),
+}
+
+impl TdpError {
+    /// Transport-shaped failures worth retrying: the server may still
+    /// be restarting (refused/timeout), the network healing
+    /// (firewall/partition), or the real socket gone (substrate).
+    pub fn is_transient(&self) -> bool {
+        matches!(
+            self,
+            TdpError::Disconnected
+                | TdpError::ConnectionRefused(_)
+                | TdpError::Timeout
+                | TdpError::BlockedByFirewall { .. }
+                | TdpError::Substrate(_)
+        )
+    }
 }
 
 impl fmt::Display for TdpError {

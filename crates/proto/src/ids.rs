@@ -26,7 +26,7 @@ impl fmt::Display for HostId {
 /// Real Unix pids are per-host; making them cluster-unique simplifies the
 /// attribute space payloads ("PID" attributes) without changing any TDP
 /// semantics — the paper's `-a%pid` substitution carries exactly one pid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Pid(pub u64);
 
 impl fmt::Display for Pid {
@@ -97,7 +97,7 @@ impl fmt::Display for Addr {
 /// used by the RM in each `tdp_init` call to create a different space."
 /// Contexts are reference counted by the server; the space is destroyed
 /// when the last member calls `tdp_exit`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ContextId(pub u64);
 
 impl ContextId {

@@ -1,18 +1,27 @@
-//! A small hand-rolled JSON value — parser and writer — for the
-//! gateway's wire format.
+//! The workspace's one JSON text codec: a small hand-rolled document
+//! value with its parser and writer.
 //!
-//! The workspace's `serde_json` shim (see `stubs/README.md`) serializes
-//! Rust types; the gateway instead needs a *dynamic* document model:
-//! JSON-RPC params are schemaless (each tool defines its own), and the
-//! registry forwards them opaquely. Rather than coupling the external
-//! wire format to the shim's internal `Content` tree, this module owns
-//! the ~250 lines directly — the same no-new-dependencies precedent as
-//! `tdp-wire`'s `sys` module.
+//! Two *trees* remain and one *codec*. The gateway needs a dynamic
+//! document model — JSON-RPC params are schemaless (each tool defines
+//! its own) and the registry forwards them opaquely — so [`Json`] is
+//! its wire value and this parser/writer sit on its request path
+//! untouched. The scheduler daemons (condor, lsf, grid) instead send
+//! derived Rust types, which the `serde` shim renders to its own
+//! `Content` tree; [`to_vec`]/[`to_string`]/[`from_slice`]/[`from_str`]
+//! bridge that tree to [`Json`] by move and reuse the same text layer,
+//! so bytes from a peer meet exactly one parser — the one with the
+//! nesting cap. The conversion costs a tree walk, paid only on
+//! ms-scale scheduler messages, never on the gateway's µs-scale path.
 //!
 //! Numbers: integers in `i64` range stay exact ([`Json::Int`]); other
-//! numbers ride as `f64` ([`Json::Num`]). Parsing enforces a nesting
-//! depth limit so hostile bodies cannot overflow the stack.
+//! numbers ride as `f64` ([`Json::Num`]). A typed encode of an integer
+//! outside `i64` is an error rather than a rounded float. Parsing
+//! enforces a nesting depth limit so hostile bodies cannot overflow
+//! the stack.
 
+use crate::{TdpError, TdpResult};
+use serde::de::DeserializeOwned;
+use serde::{Content, Serialize};
 use std::fmt;
 
 /// Maximum container nesting the parser accepts.
@@ -232,6 +241,76 @@ impl fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
+
+/// Encode a derived type as compact JSON text.
+pub fn to_string<T: Serialize + ?Sized>(value: &T) -> TdpResult<String> {
+    Ok(Json::try_from(value.to_content())?.render())
+}
+
+/// Encode a derived type as one JSON message (the daemons' chunk).
+pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> TdpResult<Vec<u8>> {
+    to_string(value).map(String::into_bytes)
+}
+
+/// Decode a derived type from JSON text.
+pub fn from_str<T: DeserializeOwned>(text: &str) -> TdpResult<T> {
+    let doc = Json::parse(text).map_err(decode_err)?;
+    T::from_content(&doc.into()).map_err(decode_err)
+}
+
+/// Decode a derived type from one received chunk.
+pub fn from_slice<T: DeserializeOwned>(bytes: &[u8]) -> TdpResult<T> {
+    from_str(std::str::from_utf8(bytes).map_err(decode_err)?)
+}
+
+fn decode_err(e: impl fmt::Display) -> TdpError {
+    TdpError::Protocol(format!("json decode: {e}"))
+}
+
+impl TryFrom<Content> for Json {
+    type Error = TdpError;
+
+    fn try_from(c: Content) -> TdpResult<Json> {
+        Ok(match c {
+            Content::Null => Json::Null,
+            Content::Bool(b) => Json::Bool(b),
+            Content::U64(n) => Json::Int(i64::try_from(n).map_err(|_| {
+                TdpError::Protocol(format!("json encode: {n} is outside the exact (i64) range"))
+            })?),
+            Content::I64(n) => Json::Int(n),
+            Content::F64(f) => Json::Num(f),
+            Content::Str(s) => Json::Str(s),
+            Content::Seq(items) => Json::Arr(
+                items
+                    .into_iter()
+                    .map(Json::try_from)
+                    .collect::<TdpResult<_>>()?,
+            ),
+            Content::Map(entries) => Json::Obj(
+                entries
+                    .into_iter()
+                    .map(|(k, v)| Ok((k, Json::try_from(v)?)))
+                    .collect::<TdpResult<_>>()?,
+            ),
+        })
+    }
+}
+
+impl From<Json> for Content {
+    fn from(j: Json) -> Content {
+        match j {
+            Json::Null => Content::Null,
+            Json::Bool(b) => Content::Bool(b),
+            Json::Int(n) => u64::try_from(n).map_or(Content::I64(n), Content::U64),
+            Json::Num(f) => Content::F64(f),
+            Json::Str(s) => Content::Str(s),
+            Json::Arr(items) => Content::Seq(items.into_iter().map(Content::from).collect()),
+            Json::Obj(pairs) => {
+                Content::Map(pairs.into_iter().map(|(k, v)| (k, v.into())).collect())
+            }
+        }
+    }
+}
 
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
@@ -500,7 +579,10 @@ mod tests {
         let rendered = Json::Str(s.into()).render();
         assert_eq!(Json::parse(&rendered).unwrap().as_str(), Some(s));
         // Surrogate pair form parses too.
-        assert_eq!(Json::parse(r#""🚀""#).unwrap().as_str(), Some("🚀"));
+        assert_eq!(
+            Json::parse(r#""\ud83d\ude80""#).unwrap().as_str(),
+            Some("\u{1F680}")
+        );
     }
 
     #[test]
@@ -520,5 +602,81 @@ mod tests {
     fn object_builder_preserves_order() {
         let j = Json::obj([("z", Json::Int(1)), ("a", Json::Int(2))]);
         assert_eq!(j.render(), r#"{"z":1,"a":2}"#);
+    }
+
+    // ---- typed entry points (serde `Content` tree ⇄ `Json` ⇄ text) ----
+
+    use std::collections::HashMap;
+    use std::fmt::Debug;
+
+    fn typed_roundtrip<T: Serialize + DeserializeOwned + PartialEq + Debug>(v: T) {
+        let text = to_string(&v).unwrap();
+        assert_eq!(from_str::<T>(&text).unwrap(), v, "{text}");
+        assert_eq!(from_slice::<T>(&to_vec(&v).unwrap()).unwrap(), v);
+    }
+
+    #[test]
+    fn value_roundtrip_through_text() {
+        let mut m: HashMap<u32, Vec<String>> = HashMap::new();
+        m.insert(3, vec!["a".into(), "b".into()]);
+        let text = to_string(&m).unwrap();
+        let back: HashMap<u32, Vec<String>> = from_str(&text).unwrap();
+        assert_eq!(back, m);
+    }
+
+    #[test]
+    fn typed_values_roundtrip() {
+        typed_roundtrip(HashMap::from([
+            (7u32, "exited:0".to_string()),
+            (9, String::new()),
+        ]));
+        typed_roundtrip(vec![0u8, 1, 127, 255]);
+        typed_roundtrip((Some(-3i32), Option::<String>::None, true, 1.5f64));
+        typed_roundtrip(crate::Addr::new(crate::HostId(2), 9620));
+        typed_roundtrip("quote\" slash\\ nl\n unicode:é🚀 ctrl:\u{01}".to_string());
+    }
+
+    #[test]
+    fn integers_stay_exact_or_fail_the_encode() {
+        typed_roundtrip(i64::MAX as u64);
+        typed_roundtrip(i64::MIN);
+        assert_eq!(
+            to_string(&(i64::MAX as u64)).unwrap(),
+            "9223372036854775807"
+        );
+        // One past the exact range is an error, never a rounded float.
+        let err = to_string(&(i64::MAX as u64 + 1)).unwrap_err();
+        assert!(matches!(err, TdpError::Protocol(_)), "{err}");
+        assert!(to_vec(&vec![1u64, u64::MAX]).is_err());
+    }
+
+    #[test]
+    fn reads_the_retired_writers_dialect() {
+        // The deleted `serde_json` shim wrote `\b`/`\f` short escapes
+        // and its parser took exponent floats for integers; this writer
+        // emits `\u0008`/`\u000c` and plain digits. A mixed-version
+        // pair of daemons must decode both spellings to one value.
+        let old: (String, u64) = from_str(r#"["a\b\fz\u00e9", 1e3]"#).unwrap();
+        let new: (String, u64) = from_str(r#"["a\u0008\u000cz\u00e9", 1000]"#).unwrap();
+        assert_eq!(old, new);
+        assert_eq!(new, ("a\u{08}\u{0C}zé".to_string(), 1000));
+        assert_eq!(to_string(&new).unwrap(), r#"["a\u0008\u000czé",1000]"#);
+    }
+
+    #[test]
+    fn typed_decode_inherits_the_nesting_cap() {
+        // A peer's chunk of 200 000 `[` overflowed the retired parser's
+        // stack (SIGABRT); the shared parser refuses it at depth 64.
+        let deep = "[".repeat(200_000);
+        let err = from_slice::<Vec<u32>>(deep.as_bytes()).unwrap_err();
+        assert!(matches!(err, TdpError::Protocol(_)), "{err}");
+        assert!(
+            from_slice::<String>(&[0xff, 0xfe]).is_err(),
+            "invalid utf-8"
+        );
+        assert!(
+            from_str::<u8>("300").is_err(),
+            "value mapping errors surface"
+        );
     }
 }

@@ -14,16 +14,20 @@
 //! NULs) and layer typed helpers on top in `tdp-core`.
 
 pub mod attr;
+pub mod backoff;
 pub mod error;
 pub mod frame;
 pub mod ids;
+pub mod json;
 pub mod message;
 
 pub use attr::{names, AttrKey, AttrValue, OPS_CONTEXT};
+pub use backoff::Backoff;
 pub use error::{TdpError, TdpResult};
 pub use frame::{
     decode_frame, decode_frame_with, encode_frame, encode_frame_into, DecodeScratch, FrameDecoder,
     FrameError, MAX_FRAME,
 };
 pub use ids::{Addr, ContextId, HostId, JobId, Pid, Port, Rank};
+pub use json::{Json, JsonError};
 pub use message::{AsMessage, Message, ProcRequest, ProcStatus, Reply};

@@ -4,7 +4,6 @@
 
 use crate::error::TdpError;
 use crate::ids::ContextId;
-use serde::{Deserialize, Serialize};
 
 /// A request sent by a TDP client (RM or RT daemon) to an attribute-space
 /// server, or the server's reply.
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// `tdp_async_get` (the server pushes a [`Reply::Notify`] when the
 /// attribute is stored), `Join`/`Leave` back context reference counting
 /// (`tdp_init` / `tdp_exit`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message {
     /// `tdp_put(handle, attribute, value)`.
     Put {
@@ -65,7 +64,7 @@ pub enum Message {
 }
 
 /// Server → client payloads.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Reply {
     /// Operation completed.
     Ok,
@@ -100,7 +99,7 @@ impl AsMessage for Message {
 /// Application-process status as published by the RM in the `ap_status`
 /// attribute (§2.3: "When the RM needs to notify the RT about a change in
 /// process status, it places a value in the Attribute Space").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProcStatus {
     /// Created but not yet started (stopped at exec).
     Created,
@@ -148,7 +147,7 @@ impl ProcStatus {
 
 /// Process-management request an RT writes to the `proc_request`
 /// attribute for the RM to service (§2.3 single-point process control).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProcRequest {
     Continue,
     Pause,

@@ -1,248 +1,50 @@
 //! Synchronization facade for the TDP workspace.
 //!
 //! All runtime code takes its `Mutex`/`Condvar`/`RwLock`/`Arc`/atomics
-//! from this crate instead of naming `parking_lot` or `std::sync`
-//! directly. In a normal build the types *are* the `parking_lot`/`std`
-//! ones (pure re-exports, zero cost). Under `RUSTFLAGS="--cfg loom"`
-//! they switch to `loom::sync`-backed adapters with the same
-//! (parking_lot-shaped, poison-free) API, so the exact code that ships
-//! can be driven through loom's exhaustive interleaving checker — see
-//! `tdp-wire`'s `loom_` tests and DESIGN.md "Concurrency invariants".
+//! from this crate instead of naming `std::sync` directly. The lock
+//! types are one thin adapter (`adapter.rs`) giving the primitives a
+//! `parking_lot`-shaped, poison-free API; it is written once and
+//! instantiated over `std::sync` in a normal build and over
+//! `loom::sync` under `RUSTFLAGS="--cfg loom"`, so the exact code that
+//! ships can be driven through loom's exhaustive interleaving checker —
+//! see `tdp-wire`'s `loom_` tests and DESIGN.md "Concurrency
+//! invariants".
 //!
 //! API surface intentionally matches `parking_lot`:
-//! - `Mutex::lock()` returns the guard directly (no `Result`, no
-//!   poisoning — a panicking holder aborts the test/run instead of
-//!   poisoning peers).
+//! - `Mutex::lock()` returns the guard directly (no `Result`; a lock
+//!   poisoned by a panicking holder is recovered, not propagated).
 //! - `Condvar::wait(&mut guard)` takes the guard by `&mut` and
 //!   reacquires in place; `wait_for`/`wait_until` return a
 //!   [`WaitTimeoutResult`]. Under loom the duration/deadline is a
 //!   *nondeterministic event*: the checker explores both the notified
 //!   and the timed-out path regardless of the numeric value.
 
-// Third backend: `--features lockdep` swaps in order-checked wrappers
-// around the parking_lot types (see `lockdep.rs`). Zero cost when off —
-// this default branch stays a pure re-export.
+mod adapter;
+
+// `--features lockdep` wraps the adapter's locks in order-checked ones
+// (see `lockdep.rs`). Zero cost when off — the default branch is the
+// adapter itself.
 #[cfg(all(not(loom), feature = "lockdep"))]
 mod lockdep;
+#[cfg(any(loom, not(feature = "lockdep")))]
+use adapter as imp;
 #[cfg(all(not(loom), feature = "lockdep"))]
 use lockdep as imp;
 
-#[cfg(all(not(loom), not(feature = "lockdep")))]
-mod imp {
-    pub use parking_lot::{
-        Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, WaitTimeoutResult,
-    };
-    pub use std::sync::{Arc, Weak};
-
-    pub mod atomic {
-        pub use std::sync::atomic::{
-            fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering,
-        };
-    }
-}
-
 #[cfg(loom)]
-mod imp {
-    //! parking_lot-shaped adapters over `loom::sync`.
+pub use loom::sync::{atomic, Arc, Weak};
+#[cfg(not(loom))]
+pub use std::sync::{Arc, Weak};
 
-    use std::fmt;
-    use std::ops::{Deref, DerefMut};
-    use std::time::{Duration, Instant};
-
-    pub use loom::sync::{atomic, Arc, Weak};
-
-    fn ok<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
-        r.unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    pub struct Mutex<T: ?Sized>(loom::sync::Mutex<T>);
-
-    pub struct MutexGuard<'a, T: ?Sized> {
-        // `Option` so `Condvar` can take the loom guard out while
-        // blocking and put the reacquired one back.
-        inner: Option<loom::sync::MutexGuard<'a, T>>,
-    }
-
-    impl<T> Mutex<T> {
-        pub fn new(value: T) -> Self {
-            Mutex(loom::sync::Mutex::new(value))
-        }
-
-        pub fn into_inner(self) -> T {
-            ok(self.0.into_inner())
-        }
-    }
-
-    impl<T: ?Sized> Mutex<T> {
-        pub fn lock(&self) -> MutexGuard<'_, T> {
-            MutexGuard {
-                inner: Some(ok(self.0.lock())),
-            }
-        }
-
-        pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-            match self.0.try_lock() {
-                Ok(g) => Some(MutexGuard { inner: Some(g) }),
-                Err(_) => None,
-            }
-        }
-    }
-
-    impl<T: Default> Default for Mutex<T> {
-        fn default() -> Self {
-            Mutex::new(T::default())
-        }
-    }
-
-    impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("Mutex")
-        }
-    }
-
-    impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            self.inner.as_ref().expect("guard taken")
-        }
-    }
-
-    impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-        fn deref_mut(&mut self) -> &mut T {
-            self.inner.as_mut().expect("guard taken")
-        }
-    }
-
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct WaitTimeoutResult {
-        timed_out: bool,
-    }
-
-    impl WaitTimeoutResult {
-        pub fn timed_out(&self) -> bool {
-            self.timed_out
-        }
-    }
-
-    #[derive(Default)]
-    pub struct Condvar(loom::sync::Condvar);
-
-    impl Condvar {
-        pub fn new() -> Self {
-            Condvar(loom::sync::Condvar::new())
-        }
-
-        pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-            let g = guard.inner.take().expect("guard taken");
-            guard.inner = Some(ok(self.0.wait(g)));
-        }
-
-        pub fn wait_for<T>(
-            &self,
-            guard: &mut MutexGuard<'_, T>,
-            _timeout: Duration,
-        ) -> WaitTimeoutResult {
-            let g = guard.inner.take().expect("guard taken");
-            // The duration is irrelevant under the model: the checker
-            // decides nondeterministically whether the timeout fires.
-            let (g, res) = ok(self.0.wait_timeout(g, Duration::from_millis(1)));
-            guard.inner = Some(g);
-            WaitTimeoutResult {
-                timed_out: res.timed_out(),
-            }
-        }
-
-        pub fn wait_until<T>(
-            &self,
-            guard: &mut MutexGuard<'_, T>,
-            _deadline: Instant,
-        ) -> WaitTimeoutResult {
-            self.wait_for(guard, Duration::from_millis(1))
-        }
-
-        pub fn wait_while<'a, T>(
-            &self,
-            guard: &mut MutexGuard<'a, T>,
-            mut condition: impl FnMut(&mut T) -> bool,
-        ) {
-            while condition(&mut **guard) {
-                self.wait(guard);
-            }
-        }
-
-        pub fn notify_one(&self) {
-            self.0.notify_one();
-        }
-
-        pub fn notify_all(&self) {
-            self.0.notify_all();
-        }
-    }
-
-    impl fmt::Debug for Condvar {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("Condvar")
-        }
-    }
-
-    // Modelled as exclusive: loom's state space does not benefit from
-    // reader parallelism, and exclusivity is the conservative choice.
-    pub struct RwLock<T: ?Sized>(Mutex<T>);
-
-    pub struct RwLockReadGuard<'a, T: ?Sized>(MutexGuard<'a, T>);
-    pub struct RwLockWriteGuard<'a, T: ?Sized>(MutexGuard<'a, T>);
-
-    impl<T> RwLock<T> {
-        pub fn new(value: T) -> Self {
-            RwLock(Mutex::new(value))
-        }
-
-        pub fn into_inner(self) -> T {
-            self.0.into_inner()
-        }
-    }
-
-    impl<T: ?Sized> RwLock<T> {
-        pub fn read(&self) -> RwLockReadGuard<'_, T> {
-            RwLockReadGuard(self.0.lock())
-        }
-
-        pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-            RwLockWriteGuard(self.0.lock())
-        }
-    }
-
-    impl<T: Default> Default for RwLock<T> {
-        fn default() -> Self {
-            RwLock::new(T::default())
-        }
-    }
-
-    impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            &self.0
-        }
-    }
-
-    impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            &self.0
-        }
-    }
-
-    impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-        fn deref_mut(&mut self) -> &mut T {
-            &mut self.0
-        }
-    }
+/// Only the atomics loom also models, so code that builds here builds
+/// under `--cfg loom`.
+#[cfg(not(loom))]
+pub mod atomic {
+    pub use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 }
 
-pub use imp::{
-    atomic, Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
-    WaitTimeoutResult, Weak,
-};
+pub use adapter::WaitTimeoutResult;
+pub use imp::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 // One-shot/rendezvous primitives have no loom model and no lockdep
 // story (they express no ordering a cycle could invert), so they are
@@ -254,7 +56,7 @@ pub use std::sync::{Barrier, BarrierWaitResult, Once};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn mutex_and_condvar_roundtrip() {
@@ -281,6 +83,26 @@ mod tests {
         let cv = Condvar::new();
         let mut g = m.lock();
         assert!(cv.wait_for(&mut g, Duration::from_millis(1)).timed_out());
+        let past = Instant::now() - Duration::from_millis(1);
+        assert!(cv.wait_until(&mut g, past).timed_out());
+    }
+
+    #[test]
+    fn mutex_roundtrip() {
+        let m = Mutex::new(1);
+        *m.lock() += 1;
+        assert_eq!(*m.lock(), 2);
+        assert_eq!(m.into_inner(), 2);
+    }
+
+    // Not under loom: its `RwLock` stand-in is exclusive by design.
+    #[cfg(not(loom))]
+    #[test]
+    fn rwlock_many_readers() {
+        let l = RwLock::new(5);
+        let a = l.read();
+        let b = l.read();
+        assert_eq!(*a + *b, 10);
     }
 
     #[test]

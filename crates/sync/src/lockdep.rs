@@ -31,10 +31,11 @@
 //!   same edges it recorded going in.
 //!
 //! Everything here is behind `cfg(all(not(loom), feature = "lockdep"))`
-//! — the default build re-exports `parking_lot` unchanged and pays
-//! nothing. The detector's own bookkeeping uses `std::sync::Mutex`
-//! (the one crate allowed to by `tdp-lint`): bookkeeping never acquires
-//! user locks, so it cannot participate in the orders it checks.
+//! — the default build uses the facade's plain adapter (`adapter.rs`),
+//! which these types wrap, and pays nothing. The detector's own
+//! bookkeeping uses `std::sync::Mutex` (the one crate allowed to by
+//! `tdp-lint`): bookkeeping never acquires user locks, so it cannot
+//! participate in the orders it checks.
 
 use std::backtrace::Backtrace;
 use std::cell::RefCell;
@@ -43,12 +44,7 @@ use std::panic::Location;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
-pub use parking_lot::WaitTimeoutResult;
-pub use std::sync::{Arc, Weak};
-
-pub mod atomic {
-    pub use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-}
+use crate::adapter::{self, WaitTimeoutResult};
 
 // ------------------------------------------------------------ registry
 
@@ -229,12 +225,12 @@ fn pop_held(class: u32) {
 
 pub struct Mutex<T: ?Sized> {
     class: ClassCell,
-    inner: parking_lot::Mutex<T>,
+    inner: adapter::Mutex<T>,
 }
 
 pub struct MutexGuard<'a, T: ?Sized> {
     class: u32,
-    inner: parking_lot::MutexGuard<'a, T>,
+    inner: adapter::MutexGuard<'a, T>,
 }
 
 impl<T> Mutex<T> {
@@ -242,7 +238,7 @@ impl<T> Mutex<T> {
     pub fn new(value: T) -> Mutex<T> {
         Mutex {
             class: ClassCell::new(Location::caller()),
-            inner: parking_lot::Mutex::new(value),
+            inner: adapter::Mutex::new(value),
         }
     }
 
@@ -265,10 +261,6 @@ impl<T: ?Sized> Mutex<T> {
         let inner = self.inner.try_lock()?;
         push_held(class);
         Some(MutexGuard { class, inner })
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
     }
 }
 
@@ -306,17 +298,17 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
 
 pub struct RwLock<T: ?Sized> {
     class: ClassCell,
-    inner: parking_lot::RwLock<T>,
+    inner: adapter::RwLock<T>,
 }
 
 pub struct RwLockReadGuard<'a, T: ?Sized> {
     class: u32,
-    inner: parking_lot::RwLockReadGuard<'a, T>,
+    inner: adapter::RwLockReadGuard<'a, T>,
 }
 
 pub struct RwLockWriteGuard<'a, T: ?Sized> {
     class: u32,
-    inner: parking_lot::RwLockWriteGuard<'a, T>,
+    inner: adapter::RwLockWriteGuard<'a, T>,
 }
 
 impl<T> RwLock<T> {
@@ -324,7 +316,7 @@ impl<T> RwLock<T> {
     pub fn new(value: T) -> RwLock<T> {
         RwLock {
             class: ClassCell::new(Location::caller()),
-            inner: parking_lot::RwLock::new(value),
+            inner: adapter::RwLock::new(value),
         }
     }
 
@@ -348,10 +340,6 @@ impl<T: ?Sized> RwLock<T> {
         let inner = self.inner.write();
         push_held(class);
         RwLockWriteGuard { class, inner }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
     }
 }
 
@@ -395,7 +383,7 @@ impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
 }
 
 pub struct Condvar {
-    inner: parking_lot::Condvar,
+    inner: adapter::Condvar,
 }
 
 impl Default for Condvar {
@@ -407,7 +395,7 @@ impl Default for Condvar {
 impl Condvar {
     pub fn new() -> Condvar {
         Condvar {
-            inner: parking_lot::Condvar::new(),
+            inner: adapter::Condvar::new(),
         }
     }
 
@@ -429,16 +417,6 @@ impl Condvar {
         deadline: Instant,
     ) -> WaitTimeoutResult {
         self.inner.wait_until(&mut guard.inner, deadline)
-    }
-
-    pub fn wait_while<'a, T>(
-        &self,
-        guard: &mut MutexGuard<'a, T>,
-        mut condition: impl FnMut(&mut T) -> bool,
-    ) {
-        while condition(&mut *guard.inner) {
-            self.inner.wait(&mut guard.inner);
-        }
     }
 
     pub fn notify_one(&self) {

@@ -3,8 +3,8 @@
 //! Instead of serde's visitor architecture this shim round-trips every
 //! value through an owned, JSON-shaped tree ([`Content`]). `Serialize`
 //! renders a value to a `Content`; `Deserialize` rebuilds it from one.
-//! Formats (here: `serde_json`) then only convert `Content` to and
-//! from text. The derive macros in `serde_derive` target exactly this
+//! A format (here: `tdp_proto::json`) then only converts `Content` to
+//! and from text. The derive macros in `serde_derive` target exactly this
 //! model, following serde's default conventions: structs as maps,
 //! externally-tagged enums, `None` as null, maps with stringified
 //! keys.
