@@ -16,8 +16,8 @@
 //!   enforcement on the connect path.
 //! * [`TransportMode::Epoll`] ([`World::new_epoll`]): connections are
 //!   real loopback TCP sockets multiplexed onto sharded `epoll`
-//!   reactors plus a small worker pool, so thread count stays bounded
-//!   as sessions scale ([`World::wire_census`]).
+//!   reactors, one thread per shard, so thread count stays bounded as
+//!   sessions scale ([`World::wire_census`]).
 //!
 //! In socket mode the netsim fabric is **kept** as the
 //! topology/policy source of truth — every logical address stays a
@@ -49,7 +49,7 @@ pub enum TransportMode {
     Netsim,
     /// Real loopback TCP sockets multiplexed onto shared epoll
     /// reactors; netsim keeps the topology/firewall bookkeeping. Thread
-    /// count stays O(worker pool), not O(connections).
+    /// count stays O(shards), not O(connections).
     Epoll,
 }
 

@@ -7,9 +7,9 @@
 //! bounded-queue backpressure, fail-fast close (local sends fail at
 //! once, queued frames flush, then the peer sees EOF), and byte-relay
 //! proxy interop. *All* connections are served from a set of reactor
-//! shards (each with its own epoll set, eventfd, and worker-pool slice;
+//! shards (each one thread with its own epoll set and eventfd;
 //! connections hashed to a shard at accept/dial) — see
-//! [`crate::reactor`] for the readiness model. Receivers either camp
+//! [`crate::reactor`] for the ownership rule. Receivers either camp
 //! directly on their own fd or park on a condvar fed by the owning
 //! shard, so a process can hold thousands of sessions with a fixed,
 //! config-derived thread budget ([`EpollTransport::census`]).
@@ -38,8 +38,8 @@ const INBOX_MESSAGES: usize = 1024;
 /// Tunables for the epoll transport.
 #[derive(Debug, Clone)]
 pub struct EpollConfig {
-    /// Reactor shards. Each shard owns its own epoll set, wake eventfd,
-    /// worker-pool slice, and connection table; connections are hashed
+    /// Reactor shards. Each shard is one thread owning its own epoll
+    /// set, wake eventfd, and connection table; connections are hashed
     /// to a shard at accept/dial time, so shards share no locks on the
     /// put/get path and readiness scales across cores. Defaults to
     /// `std::thread::available_parallelism()` (capped at 8).
@@ -52,16 +52,10 @@ pub struct EpollConfig {
     pub outbox_bytes: usize,
 }
 
-fn parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 impl Default for EpollConfig {
     fn default() -> EpollConfig {
         EpollConfig {
-            reactors: parallelism().min(8),
+            reactors: std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
             write_timeout: Duration::from_secs(5),
             outbox_bytes: 256 * 1024,
         }
@@ -95,10 +89,6 @@ impl EpollTransport {
     }
 
     pub fn with_config(cfg: EpollConfig) -> TdpResult<EpollTransport> {
-        // Pool threads draining readiness waves, split across the shards
-        // (each keeps at least one; the reactor threads themselves
-        // handle lone events — the latency path).
-        let workers = parallelism().clamp(2, 8);
         Ok(EpollTransport {
             shared: Arc::new(EpollShared {
                 tuning: ConnTuning {
@@ -106,7 +96,7 @@ impl EpollTransport {
                     outbox_bytes: cfg.outbox_bytes.max(1),
                     write_stall: cfg.write_timeout,
                 },
-                reactors: ReactorSet::start(cfg.reactors, workers)?,
+                reactors: ReactorSet::start(cfg.reactors)?,
                 pool: BufferPool::new(),
             }),
         })
@@ -208,11 +198,11 @@ impl TxApi for EpollTx {
         // `PooledBuf` and returns to the pool when fully written.
         let mut frame = self.pool.acquire();
         encode_frame_into(msg, frame.buf_mut());
-        self.conn.send(frame)
+        self.conn.flow.send(frame)
     }
 
     fn close(&self) {
-        self.conn.close();
+        self.conn.flow.close();
     }
 }
 
@@ -228,15 +218,15 @@ struct EpollRx {
 
 impl RxApi for EpollRx {
     fn recv_msg_deadline(&mut self, deadline: Option<Instant>) -> TdpResult<Message> {
-        self.conn.recv(deadline)
+        self.conn.flow.recv(deadline)
     }
 
     fn try_recv_msg(&mut self) -> TdpResult<Option<Message>> {
-        self.conn.try_recv()
+        self.conn.flow.try_recv()
     }
 
     fn recycle_msg(&mut self, msg: Message) {
-        self.conn.recycle(msg);
+        self.conn.flow.recycle(msg);
     }
 }
 
@@ -255,6 +245,14 @@ mod tests {
 
     fn transport() -> EpollTransport {
         EpollTransport::new().unwrap()
+    }
+
+    fn sharded(reactors: usize) -> EpollTransport {
+        EpollTransport::with_config(EpollConfig {
+            reactors,
+            ..EpollConfig::default()
+        })
+        .unwrap()
     }
 
     fn pair(t: &EpollTransport) -> (WireConn, WireConn) {
@@ -432,7 +430,6 @@ mod tests {
         let t = transport();
         let lis = t.listen(HostId(1), 0).unwrap();
         let ep = lis.local_endpoint();
-        let threads = t.census().threads;
         let mut conns = Vec::new();
         for i in 0..50u64 {
             let client = t.connect(HostId(0), &ep).unwrap();
@@ -444,11 +441,11 @@ mod tests {
         }
         // The thread budget is a function of the config, never of the
         // connection count: fifty sessions (a client and a server end
-        // each) grow it by zero.
+        // each) and still one thread per shard.
         assert_eq!(
             t.census(),
             WireCensus {
-                threads,
+                threads: EpollConfig::default().reactors,
                 conns: 100
             }
         );
@@ -464,12 +461,9 @@ mod tests {
 
     #[test]
     fn sharded_reactors_route_connections_across_all_shards() {
-        let t = EpollTransport::with_config(EpollConfig {
-            reactors: 4,
-            ..EpollConfig::default()
-        })
-        .unwrap();
+        let t = sharded(4);
         assert_eq!(t.shared.reactors.shard_count(), 4);
+        assert_eq!(t.census().threads, 4);
         let lis = t.listen(HostId(1), 0).unwrap();
         let ep = lis.local_endpoint();
         // 8 sessions = 16 registered connections → every shard (ids are
@@ -487,6 +481,129 @@ mod tests {
             let r = Message::Reply(tdp_proto::Reply::Ok);
             server.send_msg(&r).unwrap();
             assert_eq!(client.recv_msg().unwrap(), r);
+        }
+    }
+
+    /// A raw client socket and the reactor-side state of its peer,
+    /// registered on `t` with no `WireRx` attached. Nobody camps on the
+    /// fd and nobody calls `try_recv` (which drains an empty inbox
+    /// from the socket itself), so the shard thread is the only thing
+    /// that can move a frame from the socket into the inbox.
+    fn raw_pair(t: &EpollTransport, lis: &TcpListener) -> (TcpStream, Arc<ConnState>) {
+        let client = TcpStream::connect(lis.local_addr().unwrap()).unwrap();
+        let (server, _) = lis.accept().unwrap();
+        let conn = t
+            .shared
+            .reactors
+            .register(server, FrameDecoder::new(), t.shared.tuning.clone())
+            .unwrap();
+        (client, conn)
+    }
+
+    fn inbox_len(conn: &ConnState) -> usize {
+        conn.flow.snapshot().0
+    }
+
+    fn paused(conn: &ConnState) -> bool {
+        conn.flow.snapshot().1
+    }
+
+    fn wait_for(what: &str, within: Duration, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + within;
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::park_timeout(Duration::from_millis(1));
+        }
+    }
+
+    fn join(i: u64) -> Message {
+        Message::Join { ctx: ContextId(i) }
+    }
+
+    #[test]
+    fn one_shard_thread_delivers_a_wave() {
+        use std::io::Write;
+        let t = sharded(1);
+        let lis = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let mut peers: Vec<_> = (0..64).map(|_| raw_pair(&t, &lis)).collect();
+        // The wave: every connection gets a frame before anyone looks.
+        for (i, (client, _)) in peers.iter_mut().enumerate() {
+            client.write_all(&encode_frame(&join(i as u64))).unwrap();
+        }
+        wait_for("all 64 deliveries", Duration::from_secs(5), || {
+            peers.iter().all(|(_, conn)| inbox_len(conn) == 1)
+        });
+        for (i, (_, conn)) in peers.iter().enumerate() {
+            assert_eq!(conn.flow.try_recv().unwrap(), Some(join(i as u64)));
+        }
+        // One thread did that: the only `wire-epoll-*` names left in
+        // the process are listeners' accept threads.
+        assert_eq!(t.census().threads, 1);
+        assert!(wire_threads()
+            .iter()
+            .all(|n| !n.starts_with("wire-epoll-") || n.starts_with("wire-epoll-acc")));
+    }
+
+    #[test]
+    fn paused_connection_does_not_delay_its_shard_neighbour() {
+        use std::io::{Read, Write};
+        let t = sharded(1);
+        let lis = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let (mut hog_client, hog) = raw_pair(&t, &lis);
+        let (mut client, neighbour) = raw_pair(&t, &lis);
+
+        // Drive one connection past its inbox bound and leave it
+        // unread: the shard thread pauses it (`EPOLLIN` withheld) with
+        // the rest of the burst still in the socket buffer.
+        const BURST: u64 = 3000;
+        for i in 0..BURST {
+            hog_client.write_all(&encode_frame(&join(i))).unwrap();
+        }
+        wait_for("the hog to pause", Duration::from_secs(5), || paused(&hog));
+        assert!(inbox_len(&hog) >= INBOX_MESSAGES);
+
+        // A round trip on the neighbour, inbound half delivered by the
+        // same shard thread, is not held up by the paused connection.
+        let t0 = Instant::now();
+        client.write_all(&encode_frame(&join(7))).unwrap();
+        wait_for("the neighbour's delivery", Duration::from_secs(1), || {
+            inbox_len(&neighbour) == 1
+        });
+        assert_eq!(neighbour.flow.try_recv().unwrap(), Some(join(7)));
+        let reply = Message::Reply(tdp_proto::Reply::Ok);
+        let mut frame = t.shared.pool.acquire();
+        encode_frame_into(&reply, frame.buf_mut());
+        neighbour.flow.send(frame).unwrap();
+        let want = encode_frame(&reply);
+        let mut got = vec![0u8; want.len()];
+        client
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .unwrap();
+        client.read_exact(&mut got).unwrap();
+        assert_eq!(got[..], want[..]);
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+        assert!(paused(&hog), "the hog was read while its inbox was full");
+
+        // Draining below half the bound resumes it: the shard thread
+        // refills the inbox, and the whole burst arrives in order.
+        let half = INBOX_MESSAGES / 2;
+        let mut next = 0;
+        for _ in half..inbox_len(&hog) {
+            assert_eq!(hog.flow.try_recv().unwrap(), Some(join(next)));
+            next += 1;
+        }
+        wait_for("the shard thread to refill", Duration::from_secs(5), || {
+            inbox_len(&hog) > half
+        });
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while next < BURST {
+            match hog.flow.try_recv().unwrap() {
+                Some(m) => {
+                    assert_eq!(m, join(next));
+                    next += 1;
+                }
+                None => assert!(Instant::now() < deadline, "burst stalled at {next}"),
+            }
         }
     }
 

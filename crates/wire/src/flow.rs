@@ -3,7 +3,7 @@
 //! to a non-blocking `TcpStream` + `epoll_ctl` rearm
 //! (`reactor::SocketIo`); the `loom_` tests wire it to a scripted
 //! in-memory IO and drive every interleaving of senders, receivers,
-//! and pool workers through the exact code that ships.
+//! and the shard thread through the exact code that ships.
 //!
 //! All synchronization goes through `tdp-sync`, so under
 //! `RUSTFLAGS="--cfg loom"` the mutex/condvars here are loom's
@@ -200,7 +200,7 @@ impl<IO: FlowIo> Flow<IO> {
         self.io.rearm(interest);
     }
 
-    // ---- event handling (reactor / workers) ---------------------------
+    // ---- event handling (the shard thread) ----------------------------
 
     /// One readiness report. Error/hangup conditions map to both flags:
     /// the drains will surface the failure through the IO result.
@@ -568,10 +568,10 @@ impl<IO: FlowIo> Flow<IO> {
     /// machine (stale readiness reports and senders become no-ops) and
     /// hand any unflushed outbox back to the caller, which flushes it
     /// synchronously *outside* the flow lock. Quiescing before the
-    /// owner flips the socket to blocking mode is load-bearing: a pool
-    /// worker holding a stale readiness event must find `read_open ==
-    /// false` here rather than enter `drain_read` on a now-blocking
-    /// socket and wedge its thread.
+    /// owner flips the socket to blocking mode is load-bearing: the
+    /// shard thread holding a stale readiness event must find
+    /// `read_open == false` here rather than enter `drain_read` on a
+    /// now-blocking socket and wedge the whole shard.
     pub fn begin_release(&self) -> Option<FlushPlan> {
         let mut inner = self.inner.lock();
         let flush = !inner.outbox.is_empty() && (!inner.closed || inner.flush_then_shutdown);

@@ -10,12 +10,12 @@
 //! * [`sim`] — an adapter over `tdp-netsim`'s in-memory fabric, keeping
 //!   the simulated topology, firewalls and latency models;
 //! * [`epoll`] — real loopback TCP sockets multiplexed onto sharded
-//!   `epoll` reactor threads plus a worker pool (see [`reactor`]):
+//!   `epoll` reactors, one thread per shard (see [`reactor`]):
 //!   an incremental streaming decoder ([`tdp_proto::FrameDecoder`]),
 //!   a bounded outbox (backpressure) drained by coalescing `writev`,
 //!   fail-fast close semantics matching netsim's, and a buffer pool
 //!   making steady-state put/get allocation-free. Thread count stays
-//!   O(shards + workers), not O(connections). [`socket`] holds what
+//!   O(shards), not O(connections). [`socket`] holds what
 //!   happens to a stream before the reactor owns it (accept, `Hello`
 //!   handshake) and the §2.4 byte-relay proxy.
 //!
@@ -259,9 +259,9 @@ pub(crate) fn protocol_err(e: tdp_proto::FrameError) -> TdpError {
     TdpError::Protocol(e.to_string())
 }
 
-/// What one [`EpollTransport`] owns right now: its IO threads (reactor
-/// shards plus their worker slices) and the connections registered with
-/// them. Per transport, so concurrent worlds never see each other.
+/// What one [`EpollTransport`] owns right now: its IO threads (one per
+/// reactor shard) and the connections registered with them. Per
+/// transport, so concurrent worlds never see each other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireCensus {
     pub threads: usize,
@@ -269,7 +269,7 @@ pub struct WireCensus {
 }
 
 /// Names of this process's live wire-layer OS threads (reactors,
-/// workers, accept threads, proxies and their relay pumps — every
+/// accept threads, proxies and their relay pumps — every
 /// thread this crate spawns is named `wire-…`). Linux-only by way of
 /// `/proc`, which truncates names to 15 bytes.
 fn wire_threads() -> Vec<String> {

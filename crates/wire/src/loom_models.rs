@@ -7,10 +7,10 @@
 //! Each test drives the *shipped* [`Flow`] state machine (the exact
 //! code the epoll backend runs — see `reactor::SocketIo` for the
 //! production binding) against a scripted in-memory [`FakeIo`], under
-//! every interleaving of senders, receivers, and pool workers that the
-//! checker can produce. Blocking waits with deadlines are explored
-//! both ways (notified and timed out); a lost wakeup shows up as a
-//! reported deadlock, not a hung test.
+//! every interleaving of senders, receivers, and the shard thread (the
+//! models' `worker`) that the checker can produce. Blocking waits with
+//! deadlines are explored both ways (notified and timed out); a lost
+//! wakeup shows up as a reported deadlock, not a hung test.
 //!
 //! Protocols covered (ISSUE 5 acceptance list):
 //! 1. inbox pause-at-cap / resume-at-half (`loom_inbox_pause_resume`)

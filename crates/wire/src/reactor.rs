@@ -1,15 +1,17 @@
-//! The event loop behind the epoll transport: per shard, one reactor
-//! thread owning an epoll set, a small worker pool, and per-connection
-//! state machines ([`crate::flow::Flow`]) that turn readiness into
-//! framed messages.
+//! The event loop behind the epoll transport: per shard, one thread
+//! owning an epoll set, and per-connection state machines
+//! ([`crate::flow::Flow`]) that turn readiness into framed messages.
 //!
-//! # Readiness model
+//! # Who owns a connection when
 //!
-//! Every connection is a non-blocking socket registered `EPOLLONESHOT`:
-//! the kernel reports it at most once, a worker (or the reactor itself,
-//! for a single-event wake — the latency path) drains it under the
-//! connection's lock, and the registration is rearmed with the interest
-//! set the state machine currently wants:
+//! A shard is one thread, `wire-reactor-{shard}`. It blocks in
+//! `epoll_wait` on its own set and, for every event of a wake, in
+//! order, calls [`ConnState::handle_event`] itself — no queue, no second
+//! thread. Every connection is a non-blocking socket registered
+//! `EPOLLONESHOT`: the kernel reports it at most once, the shard thread
+//! drains it under the connection's lock, and the drain's last act is to
+//! rearm the registration with the interest set the state machine
+//! currently wants:
 //!
 //! * `EPOLLIN` while the decoded-message inbox is below its bound —
 //!   above it, reads pause and TCP's window does the backpressure;
@@ -19,39 +21,49 @@
 //!   socket buffer fills.
 //!
 //! Because both the IO and the rearm happen under the per-connection
-//! mutex, a duplicate readiness report (send racing a worker) is
-//! harmless — the second drain finds nothing to do. The state-machine
-//! half of this module lives in [`crate::flow`] so the loom models can
-//! drive the shipped protocol logic exhaustively; this file keeps the
-//! epoll plumbing.
+//! mutex, a readiness report that races a sender or a camped receiver
+//! is harmless — the drain finds nothing to do. The state-machine half
+//! of this module lives in [`crate::flow`] so the loom models can drive
+//! the shipped protocol logic exhaustively; this file keeps the epoll
+//! plumbing.
 //!
-//! An [`EventFd`] registered level-triggered at token 0 kicks
-//! `epoll_wait` for shutdown; `epoll_ctl` changes need no kick, the
-//! kernel applies them to an in-progress wait.
+//! One thread is enough because [`Flow::on_ready`] cannot block: it is
+//! a non-blocking `read`/`writev` under the flow lock, a `notify_all`
+//! and one `epoll_ctl`. A connection whose inbox is full is not a slow
+//! event, it is no event — its `EPOLLIN` is withheld until the receiver
+//! drains — and blocked receivers camp on their own fd, so the shard
+//! thread is off the put/get hot path altogether. The gateway's HTTP
+//! loop (`tdp-gateway`'s `http.rs`) is the same oneshot-rearm idea with
+//! the opposite numbers, and the two must not be merged by reflex: its
+//! handlers block for up to 30 s, so it runs N threads on one shared
+//! set and takes *one* event per `wait` (a thread must never sit on a
+//! second ready connection while its handler is parked); here nothing
+//! blocks, so one thread takes up to 256 events per `wait` and serves
+//! them all before the next syscall.
+//!
+//! Shutdown signals a level-triggered [`EventFd`] at token 0 that
+//! nobody drains; the loop returns when it sees it. `epoll_ctl` changes
+//! need no kick, the kernel applies them to an in-progress wait.
 //!
 //! # Thread budget
 //!
-//! [`reactors`](crate::EpollConfig::reactors) reactor threads plus a
-//! host-sized worker pool split between them serve *every* connection
-//! of the transport — O(pool), not O(connections). The set holds the
-//! `JoinHandle` of every thread it spawned, so its
+//! [`reactors`](crate::EpollConfig::reactors) threads serve *every*
+//! connection of the transport — O(shards), not O(connections). The set
+//! holds the `JoinHandle` of every thread it spawned, so its
 //! [`census`](ReactorSet::census) is exact and per transport.
 
 use crate::flow::{ConnTuning, Flow, FlowIo, Interest};
-use crate::pool::PooledBuf;
 use crate::sys::{
     Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLONESHOT, EPOLLOUT, EPOLLRDHUP,
 };
 use crate::WireCensus;
-use crossbeam::channel;
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::thread;
-use std::time::Instant;
-use tdp_proto::{FrameDecoder, Message, TdpError, TdpResult};
-use tdp_sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use tdp_proto::{FrameDecoder, TdpError, TdpResult};
+use tdp_sync::atomic::{AtomicU64, Ordering};
 use tdp_sync::{Arc, Mutex, Weak};
 
 // ---------------------------------------------------------- reactor set
@@ -64,8 +76,8 @@ pub(crate) fn shard_index(conn_id: u64, nshards: usize) -> usize {
     (conn_id % nshards.max(1) as u64) as usize
 }
 
-/// N independent reactors, each owning its own epoll set, wake eventfd,
-/// and worker-pool slice. A connection is hashed to a shard when it is
+/// N independent reactors, each one thread owning its own epoll set and
+/// wake eventfd. A connection is hashed to a shard when it is
 /// registered (accept/dial time) and never migrates, so the whole
 /// put/get path — readiness, drains, rearms, wakeups — touches only
 /// shard-local state; no lock is shared between shards.
@@ -75,13 +87,10 @@ pub(crate) struct ReactorSet {
 }
 
 impl ReactorSet {
-    /// Spawn `reactors` shards splitting `workers` pool threads between
-    /// them (each shard gets at least one).
-    pub fn start(reactors: usize, workers: usize) -> TdpResult<ReactorSet> {
-        let reactors = reactors.max(1);
-        let per_shard = workers.max(1).div_ceil(reactors);
-        let shards = (0..reactors)
-            .map(|i| Reactor::start(i, per_shard))
+    /// Spawn `shards` reactor threads (at least one).
+    pub fn start(shards: usize) -> TdpResult<ReactorSet> {
+        let shards = (0..shards.max(1))
+            .map(Reactor::start)
             .collect::<TdpResult<Vec<_>>>()?;
         Ok(ReactorSet {
             shards,
@@ -114,13 +123,13 @@ impl ReactorSet {
             conns: 0,
         };
         for s in &self.shards {
-            census.threads += s.threads.lock().len();
+            census.threads += usize::from(s.thread.lock().is_some());
             census.conns += s.conns.lock().len();
         }
         census
     }
 
-    /// Stop every shard and join its threads. Idempotent.
+    /// Stop every shard and join its thread. Idempotent.
     pub fn shutdown(&self) {
         for s in &self.shards {
             s.shutdown();
@@ -135,15 +144,14 @@ pub(crate) struct Reactor {
     wake: EventFd,
     conns: Mutex<HashMap<u64, Arc<ConnState>>>,
     next_token: AtomicU64,
-    stop: AtomicBool,
-    threads: Mutex<Vec<thread::JoinHandle<()>>>,
+    thread: Mutex<Option<thread::JoinHandle<()>>>,
 }
 
 const WAKE_TOKEN: u64 = 0;
 
 impl Reactor {
-    /// Spawn shard `shard`'s reactor thread plus `workers` pool threads.
-    pub fn start(shard: usize, workers: usize) -> TdpResult<Arc<Reactor>> {
+    /// Spawn shard `shard`'s thread.
+    pub fn start(shard: usize) -> TdpResult<Arc<Reactor>> {
         let sub = |e: std::io::Error| TdpError::Substrate(format!("epoll reactor: {e}"));
         let ep = Epoll::new().map_err(sub)?;
         let wake = EventFd::new().map_err(sub)?;
@@ -153,84 +161,33 @@ impl Reactor {
             wake,
             conns: Mutex::new(HashMap::new()),
             next_token: AtomicU64::new(1),
-            stop: AtomicBool::new(false),
-            threads: Mutex::new(Vec::new()),
+            thread: Mutex::new(None),
         });
-        let spawn_err = |e: std::io::Error| TdpError::Substrate(format!("spawn wire thread: {e}"));
-
-        // The reactor thread owns the only job `Sender`: when it exits,
-        // the workers' `recv` disconnects and they exit too. The
-        // channel (like everything else here) is per shard: a wave on
-        // one shard never contends with another shard's dispatch.
-        let (jobs_tx, jobs_rx) = channel::unbounded::<(u64, u32)>();
-        let mut threads = reactor.threads.lock();
-        for i in 0..workers.max(1) {
-            let rx = jobs_rx.clone();
-            let r = reactor.clone();
-            threads.push(
-                thread::Builder::new()
-                    .name(format!("wire-epoll-{shard}-{i}"))
-                    .spawn(move || {
-                        while let Ok((token, revents)) = rx.recv() {
-                            if let Some(conn) = r.lookup(token) {
-                                conn.handle_event(revents);
-                            }
-                        }
-                    })
-                    .map_err(spawn_err)?,
-            );
-        }
         let r = reactor.clone();
-        threads.push(
-            thread::Builder::new()
-                .name(format!("wire-reactor-{shard}"))
-                .spawn(move || r.run(jobs_tx))
-                .map_err(spawn_err)?,
-        );
-        drop(threads);
+        let handle = thread::Builder::new()
+            .name(format!("wire-reactor-{shard}"))
+            .spawn(move || r.run())
+            .map_err(|e| TdpError::Substrate(format!("spawn wire thread: {e}")))?;
+        *reactor.thread.lock() = Some(handle);
         Ok(reactor)
     }
 
-    fn run(&self, jobs: channel::Sender<(u64, u32)>) {
+    fn run(&self) {
+        // A fixed array, not a `Vec` — the event loop allocates nothing.
         let mut buf = [EpollEvent {
             events: 0,
             token: 0,
         }; 256];
-        // Copied out of `buf` each wake: it is reused and (on x86-64)
-        // packed. A fixed array, not a `Vec` — the event loop allocates
-        // nothing in steady state.
-        let mut events = [(0u64, 0u32); 256];
-        // Loop until the epoll fd is torn down or shutdown is flagged.
+        // Loop until the epoll fd is torn down or shutdown is signalled.
         while let Ok(ready) = self.ep.wait(&mut buf, -1) {
-            if self.stop.load(Ordering::Acquire) {
-                break;
-            }
-            let mut n = 0;
-            let mut woken = false;
             for e in ready {
+                // By value: `EpollEvent` is packed on x86-64.
                 let (token, revents) = ({ e.token }, { e.events });
                 if token == WAKE_TOKEN {
-                    woken = true;
-                } else {
-                    events[n] = (token, revents);
-                    n += 1;
+                    return;
                 }
-            }
-            if woken {
-                self.wake.drain();
-            }
-            if let [(token, revents)] = events[..n] {
-                // Latency path: a lone readiness report is handled on
-                // the reactor thread itself, skipping a dispatch hop.
                 if let Some(conn) = self.lookup(token) {
                     conn.handle_event(revents);
-                }
-            } else {
-                // A wave: fan out so slow connections don't serialize.
-                for ev in &events[..n] {
-                    if jobs.send(*ev).is_err() {
-                        return;
-                    }
                 }
             }
         }
@@ -281,14 +238,12 @@ impl Reactor {
         self.conns.lock().remove(&token);
     }
 
-    /// Stop the loop and join every thread. Idempotent.
+    /// Stop the loop and join its thread. Idempotent: the eventfd is
+    /// level-triggered and never drained, and the handle is taken once.
     pub fn shutdown(&self) {
-        if self.stop.swap(true, Ordering::AcqRel) {
-            return;
-        }
         self.wake.signal();
-        let handles: Vec<_> = self.threads.lock().drain(..).collect();
-        for h in handles {
+        let handle = self.thread.lock().take();
+        if let Some(h) = handle {
             let _ = h.join();
         }
     }
@@ -357,11 +312,11 @@ impl FlowIo for SocketIo {
 /// Shared state of one reactor-managed connection: the generic flow
 /// state machine bound to its socket, plus handle accounting. All
 /// socket IO and all interest changes happen under the flow's lock, so
-/// concurrent senders, the receiver, and pool workers serialize per
+/// concurrent senders, the receiver, and the shard thread serialize per
 /// connection while different connections proceed in parallel.
 pub(crate) struct ConnState {
     token: u64,
-    flow: Flow<SocketIo>,
+    pub flow: Flow<SocketIo>,
     /// Live API handles (Tx + Rx wrappers); the last one out
     /// deregisters and closes the socket.
     handles: AtomicU64,
@@ -381,26 +336,6 @@ impl ConnState {
         self.flow.on_ready(readable, writable);
     }
 
-    pub fn send(&self, frame: PooledBuf) -> TdpResult<()> {
-        self.flow.send(frame)
-    }
-
-    pub fn close(&self) {
-        self.flow.close();
-    }
-
-    pub fn recv(&self, deadline: Option<Instant>) -> TdpResult<Message> {
-        self.flow.recv(deadline)
-    }
-
-    pub fn try_recv(&self) -> TdpResult<Option<Message>> {
-        self.flow.try_recv()
-    }
-
-    pub fn recycle(&self, msg: Message) {
-        self.flow.recycle(msg);
-    }
-
     // ---- lifecycle ----------------------------------------------------
 
     /// Called when a Tx or Rx API wrapper drops; the last one releases
@@ -415,9 +350,9 @@ impl ConnState {
     /// the socket (peer sees EOF). Frames still queued are flushed
     /// synchronously first — dropping a connection never drops what it
     /// already accepted for sending. The flow is quiesced *before* the
-    /// socket flips to blocking mode, so a worker holding a stale
-    /// readiness event cannot enter a drain and block a pool thread on
-    /// the now-blocking socket.
+    /// socket flips to blocking mode, so the shard thread holding a
+    /// stale readiness event cannot enter a drain and block on the
+    /// now-blocking socket.
     fn release(&self) {
         let plan = self.flow.begin_release();
         if let Some(plan) = plan {

@@ -18,7 +18,7 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tdp_proto::{Addr, FrameDecoder, HostId, Message, TdpError, TdpResult};
 use tdp_sync::atomic::{AtomicBool, Ordering};
 use tdp_sync::Arc;
@@ -117,11 +117,13 @@ fn accept_loop(
 /// and return the peer's logical host plus a decoder holding any bytes
 /// the client pipelined right behind its Hello. The stream is left in
 /// blocking mode with no read timeout.
+///
+/// [`HANDSHAKE_TIMEOUT`] bounds the whole handshake, not each `read`:
+/// the accept thread is serial, so a client that trickles a byte at a
+/// time must not hold it past the one deadline.
 fn read_hello(stream: &TcpStream) -> TdpResult<(HostId, FrameDecoder)> {
     let sub = |e: std::io::Error| TdpError::Substrate(format!("handshake: {e}"));
-    stream
-        .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
-        .map_err(sub)?;
+    let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
     let mut dec = FrameDecoder::new();
     let mut chunk = [0u8; 1024];
     let mut reader = stream;
@@ -132,6 +134,11 @@ fn read_hello(stream: &TcpStream) -> TdpResult<(HostId, FrameDecoder)> {
                 other => return Err(TdpError::Protocol(format!("expected Hello, got {other:?}"))),
             }
         }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(TdpError::Timeout);
+        }
+        stream.set_read_timeout(Some(left)).map_err(sub)?;
         match reader.read(&mut chunk) {
             Ok(0) => return Err(TdpError::Disconnected),
             Ok(n) => dec.feed(&chunk[..n]),
@@ -308,5 +315,50 @@ pub(crate) fn dial_via_proxy(proxy: SocketAddr, target: Addr) -> TdpResult<TcpSt
         Err(TdpError::Substrate(format!("proxy: {e}")))
     } else {
         Err(TdpError::Protocol(format!("bad proxy reply: {reply:?}")))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Transport;
+
+    #[test]
+    fn trickled_hello_cannot_hold_the_accept_thread() {
+        let t = EpollTransport::new().unwrap();
+        let lis = t.listen(HostId(1), 0).unwrap();
+        let ep = lis.local_endpoint();
+
+        // First in the accept queue: a client that announces a 1 MiB
+        // frame and then feeds it a byte at a time, each well inside
+        // the per-read timeout the handshake used to apply.
+        let mut trickler = TcpStream::connect(ep.as_tcp().unwrap()).unwrap();
+        trickler.write_all(&(1u32 << 20).to_be_bytes()).unwrap();
+        let budget = HANDSHAKE_TIMEOUT + Duration::from_secs(1);
+        let trickle = thread::spawn(move || {
+            let t0 = Instant::now();
+            while t0.elapsed() < budget + Duration::from_secs(1) {
+                if trickler.write_all(&[0]).is_err() {
+                    return true; // the server hung up on us
+                }
+                thread::sleep(Duration::from_millis(50));
+            }
+            false
+        });
+
+        // Behind it: a well-behaved client. Its accept must not wait
+        // for the trickler's frame, only for the one handshake deadline.
+        let _client = t.connect(HostId(0), &ep).unwrap();
+        let (done_tx, done_rx) = bounded(1);
+        let l2 = lis.clone();
+        let accept = thread::spawn(move || {
+            let _ = done_tx.send(l2.accept().map(|c| c.peer_host()));
+        });
+        let accepted = done_rx.recv_timeout(budget);
+        let dropped = trickle.join().unwrap();
+        lis.close();
+        accept.join().unwrap();
+        assert_eq!(accepted, Ok(Ok(Some(HostId(0)))));
+        assert!(dropped, "the trickling client was never dropped");
     }
 }

@@ -8,8 +8,8 @@
 //!
 //! A thread-per-connection transport would spend ~1000 OS threads on
 //! 500 sessions before the tool has done any work. Over
-//! `World::new_epoll` all sockets share the reactor shards and a small
-//! worker pool.
+//! `World::new_epoll` all sockets share the reactor shards, one thread
+//! each.
 
 use std::time::Instant;
 use tdp::core::World;
@@ -57,5 +57,5 @@ fn main() {
     );
 
     drop(sessions);
-    println!("done: thread count stayed O(pool), not O(sessions)");
+    println!("done: thread count stayed O(shards), not O(sessions)");
 }

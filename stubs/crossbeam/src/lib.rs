@@ -1,9 +1,11 @@
 //! Offline shim for `crossbeam` (see `stubs/README.md`).
 //!
-//! Only the `channel` module is provided: MPMC `unbounded`/`bounded`
-//! channels with the blocking, timeout and non-blocking receive forms
-//! the workspace uses. Built on `std::sync::{Mutex, Condvar}`; a
-//! bounded sender blocks while the queue is at capacity (backpressure).
+//! Only the `channel` module is provided: MPMC `bounded` channels with
+//! the blocking, timeout and non-blocking receive forms the workspace
+//! uses. Built on `std::sync::{Mutex, Condvar}`; a sender blocks while
+//! the queue is at capacity (backpressure). There is no `unbounded`:
+//! nothing in the workspace may queue without a limit (`tdp-lint`'s
+//! `unbounded-channel` rule).
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -21,7 +23,7 @@ pub mod channel {
 
     struct State<T> {
         queue: VecDeque<T>,
-        cap: Option<usize>,
+        cap: usize,
         senders: usize,
         receivers: usize,
     }
@@ -70,23 +72,14 @@ pub mod channel {
         }
     }
 
-    /// An unbounded MPMC channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        with_cap(None)
-    }
-
     /// A bounded MPMC channel; `send` blocks while full. A capacity of
     /// zero is treated as one (true rendezvous is not implemented —
     /// nothing in this workspace uses it).
     pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        with_cap(Some(cap.max(1)))
-    }
-
-    fn with_cap<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
-                cap,
+                cap: cap.max(1),
                 senders: 1,
                 receivers: 1,
             }),
@@ -109,7 +102,7 @@ pub mod channel {
 
     impl<T> State<T> {
         fn full(&self) -> bool {
-            matches!(self.cap, Some(c) if self.queue.len() >= c)
+            self.queue.len() >= self.cap
         }
     }
 
@@ -310,7 +303,7 @@ pub mod channel {
 
         #[test]
         fn fifo_and_disconnect() {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = bounded(2);
             tx.send(1).unwrap();
             tx.send(2).unwrap();
             drop(tx);
@@ -321,7 +314,7 @@ pub mod channel {
 
         #[test]
         fn timeout_fires() {
-            let (_tx, rx) = unbounded::<u8>();
+            let (_tx, rx) = bounded::<u8>(1);
             assert_eq!(
                 rx.recv_timeout(Duration::from_millis(5)),
                 Err(RecvTimeoutError::Timeout)
@@ -344,14 +337,14 @@ pub mod channel {
 
         #[test]
         fn send_to_dropped_receiver_errors() {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = bounded(1);
             drop(rx);
             assert_eq!(tx.send(9), Err(SendError(9)));
         }
 
         #[test]
         fn mpmc_clones_work() {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = bounded(1);
             let tx2 = tx.clone();
             let rx2 = rx.clone();
             tx2.send(7).unwrap();

@@ -25,13 +25,14 @@ const T: Duration = Duration::from_secs(30);
 /// whatever the host's core count. Every scenario below runs over each
 /// of these plus the netsim default.
 fn socket_worlds() -> Vec<(&'static str, World)> {
-    let sharded = |reactors| {
-        World::new_epoll_with(EpollConfig {
-            reactors,
-            ..EpollConfig::default()
-        })
-    };
     vec![("epoll×1", sharded(1)), ("epoll×4", sharded(4))]
+}
+
+fn sharded(reactors: usize) -> World {
+    World::new_epoll_with(EpollConfig {
+        reactors,
+        ..EpollConfig::default()
+    })
 }
 
 /// The E2 Figure-2 scenario body, transport-agnostic. Returns the
@@ -276,36 +277,36 @@ fn epoll_soak_500_sessions_bounded_threads() {
     // The scaling claim: a CASS front-end holding 500 live
     // attribute-space sessions must not cost 2×500 wire threads. All
     // 1000 sockets (a client and a server end per session) share the
-    // reactor shards plus their worker slices, and the census is this
-    // world's own — sibling tests' worlds cannot leak into it.
-    let world = World::new_epoll();
-    let fe = world.add_host();
-    let cass = world.ensure_cass(fe).unwrap();
-    let mut sessions = Vec::with_capacity(500);
-    for i in 0..500u64 {
-        let mut c = world.attr_connect(fe, cass).unwrap();
-        let ctx = ContextId(i);
-        c.join(ctx).unwrap();
-        c.put(ctx, "session", &format!("s{i}")).unwrap();
-        sessions.push((ctx, c));
-    }
-    // The budget: the reactor shards plus each shard's slice of the
-    // worker pool, both sized from available_parallelism so the bound
-    // scales with the host instead of being hard-coded.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let shards = EpollConfig::default().reactors;
-    let workers = cores.clamp(2, 8);
-    assert_eq!(
-        world.wire_census(),
-        Some(WireCensus {
-            threads: shards + shards * workers.div_ceil(shards),
-            conns: 1000,
-        })
-    );
-    // Every session is still live after the census — spot-check them
-    // all, not just the survivors of an LRU.
-    for (ctx, c) in sessions.iter_mut() {
-        let i = ctx.0;
-        assert_eq!(c.get(*ctx, "session").unwrap(), format!("s{i}"));
+    // reactor shards — one thread each — and the census is this world's
+    // own, so sibling tests' worlds cannot leak into it.
+    let worlds = [
+        (EpollConfig::default().reactors, World::new_epoll()),
+        (1, sharded(1)),
+        (4, sharded(4)),
+    ];
+    for (shards, world) in worlds {
+        let fe = world.add_host();
+        let cass = world.ensure_cass(fe).unwrap();
+        let mut sessions = Vec::with_capacity(500);
+        for i in 0..500u64 {
+            let mut c = world.attr_connect(fe, cass).unwrap();
+            let ctx = ContextId(i);
+            c.join(ctx).unwrap();
+            c.put(ctx, "session", &format!("s{i}")).unwrap();
+            sessions.push((ctx, c));
+        }
+        assert_eq!(
+            world.wire_census(),
+            Some(WireCensus {
+                threads: shards,
+                conns: 1000
+            })
+        );
+        // Every session is still live after the census — spot-check
+        // them all, not just the survivors of an LRU.
+        for (ctx, c) in sessions.iter_mut() {
+            let i = ctx.0;
+            assert_eq!(c.get(*ctx, "session").unwrap(), format!("s{i}"));
+        }
     }
 }
