@@ -24,10 +24,14 @@ pub enum MmMsg {
     /// startd → matchmaker: leaving the pool.
     UnregisterMachine { name: String },
     /// schedd → matchmaker: find a machine for this job ad, excluding
-    /// the named machines (already claimed for the same MPI job).
+    /// the named machines (already claimed for the same MPI job). When
+    /// nothing matches, the matchmaker holds the request for up to
+    /// `budget_us` microseconds and answers as soon as a machine
+    /// registers or frees up (0: answer at once).
     Negotiate {
         job_ad: ClassAd,
         exclude: Vec<String>,
+        budget_us: u64,
     },
     /// matchmaker → schedd.
     MatchFound {
@@ -36,7 +40,7 @@ pub enum MmMsg {
         startd: Addr,
         ad: ClassAd,
     },
-    /// matchmaker → schedd.
+    /// matchmaker → schedd: nothing matched within the budget.
     NoMatch,
     /// Acknowledgement for register/update/unregister.
     Ack,

@@ -10,6 +10,7 @@
 //! for the user's run command), and only once rank 0 is running
 //! activate the remaining ranks with auto-running tool daemons.
 
+use crate::matchmaker::MAX_PARK;
 use crate::messages::{recv_json_timeout, send_json, ClaimMsg, JobDetails, MmMsg};
 use crate::shadow::Shadow;
 use crate::submit::{SubmitDescription, Universe};
@@ -19,7 +20,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 use tdp_core::World;
-use tdp_proto::{Addr, HostId, JobId, ProcStatus, TdpError, TdpResult};
+use tdp_proto::{Addr, Backoff, HostId, JobId, ProcStatus, TdpError, TdpResult};
 use tdp_sync::{Condvar, Mutex};
 
 /// Queue state of a job.
@@ -189,7 +190,27 @@ struct Claim {
     claim_id: u64,
 }
 
-/// Negotiate-and-claim one machine, retrying until `deadline`.
+/// How long the schedd waits for the answer to one `Negotiate`: above
+/// [`MAX_PARK`], so a matchmaker that died holding the request is still
+/// found out by a timer.
+const NEGOTIATE_REPLY: Duration = Duration::from_secs(5);
+
+/// Pacing of the claim-failure path (see [`claim_one`]).
+const CLAIM_RETRY_BASE: Duration = Duration::from_millis(1);
+const CLAIM_RETRY_CAP: Duration = Duration::from_millis(250);
+
+/// Negotiate-and-claim one machine; `Ok(None)` means `deadline` passed.
+///
+/// The wait for a free slot happens *inside* `Negotiate`: the matchmaker
+/// parks the request and answers the moment a machine registers or
+/// frees up, so nothing on the success path sleeps. A match whose claim
+/// then fails is the failure path — the stale ad of a dead host, or a
+/// race lost to a sibling job — and it is paced by [`Backoff`], spent
+/// as the budget of one negotiate that leaves the failed machine out:
+/// another machine that is or becomes free in that time is taken at
+/// once, and otherwise the failed one is back in the running. A stale
+/// ad therefore costs two `Negotiate`s per (growing, capped) delay, not
+/// a spin.
 fn claim_one(
     inner: &ScheddInner,
     job: JobId,
@@ -197,12 +218,27 @@ fn claim_one(
     exclude: &[String],
     deadline: Instant,
 ) -> TdpResult<Option<Claim>> {
+    let mut pace = Backoff::new(CLAIM_RETRY_BASE, CLAIM_RETRY_CAP, job.0);
+    // The machine whose claim just failed, and for how long to look
+    // elsewhere before asking for it again.
+    let mut failed: Option<(String, Duration)> = None;
     loop {
-        if Instant::now() > deadline {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
             return Ok(None);
         }
-        match negotiate(inner, submit, exclude.to_vec())? {
-            Some((name, host, startd)) => match try_claim(inner, job, startd) {
+        let mut exclude = exclude.to_vec();
+        let budget = match failed.take() {
+            Some((machine, pause)) => {
+                exclude.push(machine);
+                pause
+            }
+            None => MAX_PARK,
+        };
+        // `None` here means the budget ran out; the loop top ends the
+        // search once that was the last of the deadline.
+        if let Some((name, host, startd)) = negotiate(inner, submit, exclude, budget.min(left))? {
+            match try_claim(inner, job, startd) {
                 Ok((conn, claim_id)) => {
                     return Ok(Some(Claim {
                         machine: name,
@@ -211,9 +247,8 @@ fn claim_one(
                         claim_id,
                     }))
                 }
-                Err(_) => thread::sleep(Duration::from_millis(10)),
-            },
-            None => thread::sleep(Duration::from_millis(15)),
+                Err(_) => failed = Some((name, pace.next_delay())),
+            }
         }
     }
 }
@@ -337,21 +372,11 @@ fn schedule_job(inner: &Arc<ScheddInner>, job: JobId, submit: SubmitDescription)
             // Wait until rank 0 actually runs (the user issued the run
             // command through the tool front-end, or no tool is
             // involved and it started straight away).
-            let run_deadline = Instant::now() + Duration::from_secs(30);
-            loop {
-                match shadow.status_of(0) {
-                    Some(ProcStatus::Running) => break,
-                    Some(st) if st.is_terminal() => break, // crashed before others started
-                    _ => {
-                        if Instant::now() > run_deadline {
-                            release_claims(&mut claims);
-                            return Err(TdpError::Substrate(format!(
-                                "{job}: rank 0 never started"
-                            )));
-                        }
-                        thread::sleep(Duration::from_millis(5));
-                    }
-                }
+            // The shadow completes this wait on the status report
+            // itself; 30 s bounds a front-end that never says run.
+            if shadow.wait_started(0, Duration::from_secs(30)).is_err() {
+                release_claims(&mut claims);
+                return Err(TdpError::Substrate(format!("{job}: rank 0 never started")));
             }
             // Remaining ranks: tools auto-run (§4.3: "they immediately
             // issue a run command").
@@ -496,10 +521,13 @@ fn schedule_job(inner: &Arc<ScheddInner>, job: JobId, submit: SubmitDescription)
 /// How many starter-level failures a job may absorb before giving up.
 const MAX_REQUEUES: u32 = 3;
 
+/// One `Negotiate` round trip; the matchmaker may hold it for `budget`
+/// (at most [`MAX_PARK`]) waiting for a machine to match.
 fn negotiate(
     inner: &ScheddInner,
     submit: &SubmitDescription,
     exclude: Vec<String>,
+    budget: Duration,
 ) -> TdpResult<Option<(String, HostId, Addr)>> {
     let mut conn = inner.world.net().connect(inner.submit_host, inner.mm)?;
     send_json(
@@ -507,9 +535,10 @@ fn negotiate(
         &MmMsg::Negotiate {
             job_ad: submit.job_ad(),
             exclude,
+            budget_us: budget.as_micros() as u64,
         },
     )?;
-    match recv_json_timeout::<MmMsg>(&mut conn, Duration::from_secs(5))? {
+    match recv_json_timeout::<MmMsg>(&mut conn, NEGOTIATE_REPLY)? {
         MmMsg::MatchFound {
             name, host, startd, ..
         } => Ok(Some((name, host, startd))),

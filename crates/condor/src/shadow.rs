@@ -111,6 +111,24 @@ impl Shadow {
         Ok(s.done.clone())
     }
 
+    /// Block until `rank` reports `Running` — or a terminal status: it
+    /// may crash before it ever runs. The MPI staged start-up waits here
+    /// for rank 0 (§4.3).
+    pub fn wait_started(&self, rank: u32, timeout: Duration) -> TdpResult<ProcStatus> {
+        let deadline = Instant::now() + timeout;
+        let (lock, cv) = &*self.state;
+        let mut s = lock.lock();
+        loop {
+            match s.status.get(&rank) {
+                Some(&st) if st == ProcStatus::Running || st.is_terminal() => return Ok(st),
+                _ => {}
+            }
+            if cv.wait_until(&mut s, deadline).timed_out() {
+                return Err(TdpError::Timeout);
+            }
+        }
+    }
+
     /// Forget a rank's terminal status so it can be re-run (checkpoint
     /// requeue after a vacate).
     pub fn clear_rank(&self, rank: u32) {
@@ -291,5 +309,47 @@ mod tests {
         );
         let done = shadow.wait_done(1, T).unwrap();
         assert_eq!(done[&0], ProcStatus::Exited(0));
+    }
+
+    #[test]
+    fn wait_started_is_completed_by_the_status_report() {
+        let world = World::new();
+        let submit = world.add_host();
+        let exec = world.add_host();
+        let shadow = Arc::new(Shadow::start(&world, submit, JobId(3)).unwrap());
+        let status = |rank, status: &str| {
+            ask(
+                &world,
+                exec,
+                shadow.addr(),
+                ShadowMsg::StatusUpdate {
+                    job: JobId(3),
+                    rank,
+                    status: status.into(),
+                },
+            )
+        };
+        // Neither "created" nor another rank's "running" is a start.
+        status(0, "created");
+        status(1, "running");
+        assert_eq!(
+            shadow.wait_started(0, Duration::from_millis(50)),
+            Err(TdpError::Timeout)
+        );
+        // A waiter already parked is released by the report itself.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let shadow = shadow.clone();
+            thread::spawn(move || {
+                tx.send(()).unwrap();
+                shadow.wait_started(0, T)
+            })
+        };
+        rx.recv().unwrap();
+        status(0, "running");
+        assert_eq!(waiter.join().unwrap(), Ok(ProcStatus::Running));
+        // A rank that died before it ever ran also ends the wait.
+        status(2, "killed:11");
+        assert_eq!(shadow.wait_started(2, T), Ok(ProcStatus::Killed(11)));
     }
 }

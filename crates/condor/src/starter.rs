@@ -113,8 +113,13 @@ pub fn run_starter_observed(
     // The staged input is the whole of stdin: deliver EOF after it, as
     // the real starter does at end of the input file.
     world.os().close_stdin(app_pid)?;
+    // Register, then check: an unpaused application may already have
+    // exited, and a terminal event emitted before `watch` returned
+    // reached no watcher — the status read after it is what catches
+    // that, so such a job goes straight to output staging.
     let watch = world.os().watch(app_pid, WatchRole::Observer)?;
-    report_status(&shadow, details, world.os().status(app_pid)?)?;
+    let initial = world.os().status(app_pid)?;
+    report_status(&shadow, details, initial)?;
 
     // Step 2 (Fig 6): launch the tool daemon (not paused).
     let tool_pid = if let Some(tool) = &submit.tool_daemon {
@@ -145,28 +150,36 @@ pub fn run_starter_observed(
     };
 
     // ---- Supervision ---------------------------------------------------
-    // Forward every status change to the shadow; stop at terminal. A
-    // fast job may terminate before the watcher registered, so poll the
-    // status on every timeout instead of trusting the event stream
-    // alone.
-    let terminal = loop {
-        // §2.3: service any process-management request the tool filed
-        // through the attribute space — the starter is the single point
-        // of process control.
-        tdp.service_proc_requests(app_pid)?;
-        match watch.recv_timeout(Duration::from_millis(50)) {
-            Ok(ev) => {
-                report_status(&shadow, details, ev.status)?;
-                tdp.publish_status(ev.status)?;
-                if ev.status.is_terminal() {
-                    break ev.status;
+    // Forward every status change to the shadow; stop at terminal.
+    // Status arrives as an event. The 50 ms tick is not a status poll:
+    // it paces the service of strict-mode `proc_request`s (§2.3), which
+    // reach the starter through the attribute space rather than through
+    // this channel — unifying the two wake sources is a later issue.
+    // Its status read is the missed-event fallback only: the kernel
+    // emits a terminal event just before it flips the state, so an exit
+    // can slip between `watch` and the status read above.
+    let terminal = if initial.is_terminal() {
+        initial
+    } else {
+        loop {
+            // §2.3: service any process-management request the tool
+            // filed through the attribute space — the starter is the
+            // single point of process control.
+            tdp.service_proc_requests(app_pid)?;
+            match watch.recv_timeout(Duration::from_millis(50)) {
+                Ok(ev) => {
+                    report_status(&shadow, details, ev.status)?;
+                    tdp.publish_status(ev.status)?;
+                    if ev.status.is_terminal() {
+                        break ev.status;
+                    }
                 }
-            }
-            Err(_) => {
-                let st = world.os().status(app_pid)?;
-                if st.is_terminal() {
-                    report_status(&shadow, details, st)?;
-                    break st;
+                Err(_) => {
+                    let st = world.os().status(app_pid)?;
+                    if st.is_terminal() {
+                        report_status(&shadow, details, st)?;
+                        break st;
+                    }
                 }
             }
         }

@@ -126,8 +126,9 @@ fn serve(args: &[String]) -> i32 {
     println!("try: curl -s http://{}/health", gw.addr());
     match opts.duration {
         Some(d) => std::thread::sleep(d),
+        // Serve until killed: the gateway's own threads do the work.
         None => loop {
-            std::thread::sleep(Duration::from_secs(3600));
+            std::thread::park();
         },
     }
     0

@@ -11,6 +11,7 @@ mod ffi_errno_check;
 mod lock_outside_sync;
 mod named_threads;
 mod pooledbuf_escape;
+mod sleep_in_loop;
 mod unbounded_channel;
 
 /// A source file ready for checking: workspace-relative path plus the
@@ -37,5 +38,6 @@ pub fn all() -> Vec<Box<dyn Rule>> {
         Box::new(named_threads::NamedThreads),
         Box::new(pooledbuf_escape::PooledBufEscape),
         Box::new(ffi_errno_check::FfiErrnoCheck),
+        Box::new(sleep_in_loop::SleepInLoop),
     ]
 }

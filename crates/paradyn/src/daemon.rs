@@ -12,6 +12,9 @@ use tdp_simos::{fn_program, ExecImage, ProcCtx};
 /// (`transfer_input_files = paradynd`, Figure 5B).
 pub const PARADYND_EXE: &str = "paradynd";
 
+/// How often the daemon samples its probes while the application runs.
+const SAMPLE_INTERVAL: Duration = Duration::from_millis(5);
+
 /// How the daemon finds its application process (§4.2's two modes plus
 /// the TDP framework mode of §4.3).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -257,6 +260,9 @@ fn daemon_main(world: &World, ctx: &mut ProcCtx, args: &DaemonArgs) -> TdpResult
         )?;
     } else {
         'wait_run: loop {
+            // The run command arrives as an event on the control
+            // channel; the 20 ms timeout is only the cadence at which
+            // the daemon crosses its own pause/kill gate while waiting.
             ctx.checkpoint();
             match control.recv_timeout(Duration::from_millis(20)) {
                 Ok(chunk) => {
@@ -280,11 +286,19 @@ fn daemon_main(world: &World, ctx: &mut ProcCtx, args: &DaemonArgs) -> TdpResult
     }
 
     // Monitoring loop: sample probes, relay control commands, watch for
-    // termination.
+    // termination. Termination is an event — the wait below is on the
+    // application's own condvar and returns the moment it exits — while
+    // sampling stays periodic: a timeout means "take a sample". The
+    // checkpoint keeps the daemon itself stoppable and killable once
+    // per interval.
     let mut control_lines = LineBuf::default();
     let mut last_sent: std::collections::HashMap<String, (u64, u64, u64)> = Default::default();
     loop {
-        ctx.sleep(Duration::from_millis(5));
+        ctx.checkpoint();
+        let exited = match tdp.wait_terminal(pid, SAMPLE_INTERVAL) {
+            Err(TdpError::Timeout) => None,
+            status => Some(status?),
+        };
         // Forward any front-end steering commands.
         while let Some(Ok(chunk)) = control.try_recv() {
             control_lines.push(&chunk);
@@ -331,8 +345,7 @@ fn daemon_main(world: &World, ctx: &mut ProcCtx, args: &DaemonArgs) -> TdpResult
                 data.send(format!("{}\n", render_line(&msg)).as_bytes())?;
             }
         }
-        let status = tdp.process_status(pid)?;
-        if status.is_terminal() {
+        if let Some(status) = exited {
             // Final flush: one last sample per instrumented symbol, the
             // summary trace file for off-line staging (§2), then DONE.
             let snap = tdp.read_probes(pid)?;

@@ -364,3 +364,170 @@ fn two_daemons_two_apps_isolated_contexts() {
     let done = s.fe.wait_done(2, T).unwrap();
     assert!(done.values().all(|st| *st == ProcStatus::Exited(0)));
 }
+
+// ---- Termination is an event, sampling is periodic --------------------
+
+/// paradynd's sampling period (`daemon.rs::SAMPLE_INTERVAL`).
+const SAMPLE_INTERVAL: Duration = Duration::from_millis(5);
+
+/// An application that calls `warm` once and then runs until the test
+/// closes its stdin.
+fn gated_app() -> ExecImage {
+    ExecImage::new(
+        ["main", "warm"],
+        Arc::new(|_| {
+            fn_program(|ctx| {
+                ctx.call("main", |ctx| {
+                    ctx.call("warm", |ctx| ctx.compute(1));
+                    while let Ok(Some(_)) = ctx.read_stdin() {}
+                });
+                0
+            })
+        }),
+    )
+}
+
+/// An application that calls `tick` once a millisecond, `n` times.
+fn ticking_app(n: u32) -> ExecImage {
+    ExecImage::new(
+        ["main", "tick"],
+        Arc::new(move |_| {
+            fn_program(move |ctx| {
+                ctx.call("main", |ctx| {
+                    for _ in 0..n {
+                        ctx.call("tick", |ctx| ctx.sleep(Duration::from_millis(1)));
+                    }
+                });
+                0
+            })
+        }),
+    )
+}
+
+fn tick_count(fe: &ParadynFrontend) -> u64 {
+    fe.samples()
+        .iter()
+        .find(|x| x.symbol == "tick")
+        .map_or(0, |x| x.count)
+}
+
+#[test]
+fn application_exit_reaches_the_frontend_without_waiting_for_a_sample_tick() {
+    // The daemon used to learn of the exit at its next 5 ms wake-up, so
+    // exit → DONE was spread over the whole interval. Now it is woken
+    // by the exit itself.
+    const ROUNDS: usize = 40;
+    let s = setup();
+    s.world
+        .os()
+        .fs()
+        .install_exec(s.exec_host, "/bin/gated", gated_app());
+    let mut rm = TdpHandle::init(&s.world, s.exec_host, CTX, "rm", Role::ResourceManager).unwrap();
+    let mut lag: Vec<Duration> = (1..=ROUNDS)
+        .map(|round| {
+            let app = rm
+                .create_process(TdpCreate::new("/bin/gated").paused())
+                .unwrap();
+            let args = fe_args(&s.fe, &[&format!("-a{app}"), "-A"]);
+            rm.create_process(TdpCreate::new("paradynd").args(args))
+                .unwrap();
+            // Its `warm` sample at the front-end: the daemon is in its
+            // monitoring loop, between samples.
+            let deadline = std::time::Instant::now() + T;
+            while !s.fe.samples().iter().any(|x| x.pid == app) {
+                assert!(std::time::Instant::now() < deadline, "no sample");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let t0 = std::time::Instant::now();
+            s.world.os().close_stdin(app).unwrap();
+            let done = s.fe.wait_done(round, T).unwrap();
+            let lag = t0.elapsed();
+            assert!(done.values().all(|st| *st == ProcStatus::Exited(0)));
+            lag
+        })
+        .collect();
+    lag.sort();
+    eprintln!(
+        "exit → DONE: p50 {:?}, max {:?}",
+        lag[ROUNDS / 2],
+        lag[ROUNDS - 1]
+    );
+    assert!(
+        lag[ROUNDS / 2] < SAMPLE_INTERVAL / 3,
+        "median exit → DONE {:?}",
+        lag[ROUNDS / 2]
+    );
+}
+
+#[test]
+fn long_running_application_is_still_sampled_periodically() {
+    let s = setup();
+    s.world
+        .os()
+        .fs()
+        .install_exec(s.exec_host, "/bin/ticker", ticking_app(150));
+    let mut rm = TdpHandle::init(&s.world, s.exec_host, CTX, "rm", Role::ResourceManager).unwrap();
+    let args = fe_args(&s.fe, &["-r/bin/ticker"]);
+    rm.create_process(TdpCreate::new("paradynd").args(args))
+        .unwrap();
+    s.fe.wait_for_daemons(1, T).unwrap();
+    s.fe.run_all().unwrap();
+    // Distinct intermediate counts seen while the application runs: a
+    // time series, not one final flush.
+    let mut seen = std::collections::BTreeSet::new();
+    while s.fe.wait_done(1, Duration::from_millis(2)).is_err() {
+        seen.insert(tick_count(&s.fe));
+    }
+    seen.remove(&0);
+    seen.remove(&150);
+    assert!(seen.len() >= 5, "intermediate tick counts: {seen:?}");
+    assert_eq!(tick_count(&s.fe), 150);
+}
+
+#[test]
+fn daemon_itself_stays_pausable_and_killable_while_it_waits() {
+    // The daemon now blocks on the *application's* condvar between
+    // samples, so a stop or kill aimed at the daemon lands at its next
+    // checkpoint — one sampling interval away at most, not at the
+    // application's exit (minutes away here).
+    let s = setup();
+    s.world
+        .os()
+        .fs()
+        .install_exec(s.exec_host, "/bin/ticker", ticking_app(120_000));
+    let mut rm = TdpHandle::init(&s.world, s.exec_host, CTX, "rm", Role::ResourceManager).unwrap();
+    let args = fe_args(&s.fe, &["-r/bin/ticker"]);
+    let daemon = rm
+        .create_process(TdpCreate::new("paradynd").args(args))
+        .unwrap();
+    let app = s.fe.wait_for_daemons(1, T).unwrap()[0].pid;
+    s.fe.run_all().unwrap();
+    let advances_past = |count: u64| {
+        let deadline = std::time::Instant::now() + T;
+        while tick_count(&s.fe) <= count {
+            assert!(std::time::Instant::now() < deadline, "samples stopped");
+            std::thread::sleep(SAMPLE_INTERVAL);
+        }
+    };
+    advances_past(0);
+
+    // Paused: after the interval it may take to reach the checkpoint,
+    // no sample leaves the daemon although the application ticks on.
+    s.world.os().stop_process(daemon).unwrap();
+    std::thread::sleep(10 * SAMPLE_INTERVAL);
+    let frozen = tick_count(&s.fe);
+    std::thread::sleep(10 * SAMPLE_INTERVAL);
+    assert_eq!(tick_count(&s.fe), frozen, "a paused daemon kept sampling");
+    assert_eq!(s.world.os().status(app).unwrap(), ProcStatus::Running);
+    s.world.os().continue_process(daemon).unwrap();
+    advances_past(frozen);
+
+    // Killed: it dies of the signal while the application lives on.
+    s.world.os().kill(daemon, 9).unwrap();
+    assert_eq!(
+        s.world.os().wait_terminal(daemon, T).unwrap(),
+        ProcStatus::Killed(9)
+    );
+    assert_eq!(s.world.os().status(app).unwrap(), ProcStatus::Running);
+    s.world.os().kill(app, 9).unwrap();
+}

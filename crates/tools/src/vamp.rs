@@ -78,7 +78,14 @@ fn vamp_main(
     let mut tick: u64 = 0;
     let mut last: std::collections::HashMap<String, u64> = Default::default();
     loop {
-        pctx.sleep(interval);
+        // Sampling is periodic, the application's exit is an event: the
+        // wait returns at once when it terminates, so the last tick is
+        // a short one. The checkpoint is vamp's own pause/kill gate.
+        pctx.checkpoint();
+        let exited = match tdp.wait_terminal(pid, interval) {
+            Err(TdpError::Timeout) => None,
+            status => Some(status?),
+        };
         tick += 1;
         let snap = tdp.read_probes(pid)?;
         let mut syms: Vec<&String> = snap.counts.keys().collect();
@@ -91,8 +98,7 @@ fn vamp_main(
                 last.insert(sym.clone(), count);
             }
         }
-        let st = world.os().status(pid)?;
-        if st.is_terminal() {
+        if let Some(st) = exited {
             log.push_str(&format!("t={tick} END {}\n", st.to_attr_value()));
             break;
         }

@@ -165,15 +165,23 @@ fn host_failure_severs_everything_on_it() {
     );
     let mut rm = TdpHandle::init(&w, exec, CTX, "rm", Role::ResourceManager).unwrap();
     let _app = rm.create_process(TdpCreate::new("/bin/app")).unwrap();
-    // A monitoring connection from the submit machine.
+    // A monitoring connection from the submit machine, to a port on the
+    // execution host that admits remote peers and never closes on its
+    // own, so only the host's death can end it. Not the LASS: it
+    // answers a remote client with a rejection frame and a close of its
+    // own (§2.1), which would race the kill for the first read.
     let lass = w.lass_addr(exec).unwrap();
-    let mut probe = w.net().connect(submit, lass).unwrap();
+    let monitor = w.net().listen(exec, 7070).unwrap();
+    let mut probe = w.net().connect(submit, monitor.local_addr()).unwrap();
+    let _held = monitor.accept().unwrap();
     w.net().kill_host(exec);
     // The connection is severed…
-    assert!(matches!(
+    assert_eq!(
         probe.recv_timeout(Duration::from_secs(2)),
         Err(TdpError::Disconnected)
-    ));
+    );
+    // …so is the RM's own session with the LASS on that host…
+    assert!(rm.put("k", "v").is_err());
     // …and nothing new can reach the dead host.
     assert!(w.net().connect(submit, lass).is_err());
 }
