@@ -95,7 +95,7 @@ fn b1_attrspace() {
 }
 
 fn b7_wire() {
-    header("B7 — Transports: netsim vs epoll reactor");
+    header("B7 — Transports: netsim vs epoll");
     for (name, world) in [("netsim", World::new()), ("epoll", World::new_epoll())] {
         let host = world.add_host();
         let mut rm =
@@ -162,67 +162,60 @@ fn b8_connection_scaling() {
         "  (latency = wall / per-session ops; epoll thread count stays flat as sessions grow)"
     );
 
-    // Reactor-shard sweep (ISSUE 9): the epoll backend's aggregate put
-    // rate as session count climbs into the hundreds, per shard count.
-    // A fixed pool of driver threads multiplexes the sessions (the way
-    // scalability harnesses like memtier drive many connections), so
-    // the curve measures the reactor substrate's capacity rather than
-    // client-side scheduler thrash from one OS thread per session.
+    // Session sweep: the epoll backend's aggregate put rate as session
+    // count climbs into the hundreds. A fixed pool of driver threads
+    // multiplexes the sessions (the way scalability harnesses like
+    // memtier drive many connections), so the curve measures the
+    // transport's capacity rather than client-side scheduler thrash
+    // from one OS thread per session.
     // Each session performs the same number of puts regardless of n,
     // and gets one warm-up put before the barrier so per-connection
     // pools and decoder buffers are at steady state inside the window.
     println!();
-    println!("  epoll shard sweep                              agg rate   latency    wire threads");
+    println!("  epoll session sweep                            agg rate   latency    wire threads");
     const SWEEP_DRIVERS: usize = 8;
     const OPS_PER_SESSION: usize = 20;
-    for shards in [1usize, 2, 4] {
-        for n in [100usize, 250, 500, 1000] {
-            let world = World::new_epoll_with(tdp_wire::EpollConfig {
-                reactors: shards,
-                ..Default::default()
-            });
-            let host = world.add_host();
-            let _rm =
-                TdpHandle::init(&world, host, ContextId(1), "rm", Role::ResourceManager).unwrap();
-            let mut sessions: Vec<TdpHandle> = (0..n)
-                .map(|i| {
-                    TdpHandle::init(&world, host, ContextId(1), &format!("s{i}"), Role::Tool)
-                        .unwrap()
-                })
-                .collect();
-            let drivers = SWEEP_DRIVERS.min(n);
-            let barrier = &tdp_sync::Barrier::new(drivers + 1);
-            let mut t0 = std::time::Instant::now();
-            std::thread::scope(|s| {
-                for chunk in sessions.chunks_mut(n.div_ceil(drivers)) {
-                    s.spawn(move || {
+    for n in [100usize, 250, 500, 1000] {
+        let world = World::new_epoll();
+        let host = world.add_host();
+        let _rm = TdpHandle::init(&world, host, ContextId(1), "rm", Role::ResourceManager).unwrap();
+        let mut sessions: Vec<TdpHandle> = (0..n)
+            .map(|i| {
+                TdpHandle::init(&world, host, ContextId(1), &format!("s{i}"), Role::Tool).unwrap()
+            })
+            .collect();
+        let drivers = SWEEP_DRIVERS.min(n);
+        let barrier = &tdp_sync::Barrier::new(drivers + 1);
+        let mut t0 = std::time::Instant::now();
+        std::thread::scope(|s| {
+            for chunk in sessions.chunks_mut(n.div_ceil(drivers)) {
+                s.spawn(move || {
+                    for h in chunk.iter_mut() {
+                        h.put("warm", "1").unwrap();
+                    }
+                    barrier.wait();
+                    for i in 0..OPS_PER_SESSION {
+                        let v = i.to_string();
                         for h in chunk.iter_mut() {
-                            h.put("warm", "1").unwrap();
+                            h.put("k", &v).unwrap();
                         }
-                        barrier.wait();
-                        for i in 0..OPS_PER_SESSION {
-                            let v = i.to_string();
-                            for h in chunk.iter_mut() {
-                                h.put("k", &v).unwrap();
-                            }
-                        }
-                    });
-                }
-                barrier.wait();
-                t0 = std::time::Instant::now();
-            });
-            let wall = t0.elapsed();
-            let total = OPS_PER_SESSION * n;
-            let rate = total as f64 / wall.as_secs_f64();
-            let latency = fmt_dur(Duration::from_secs_f64(
-                wall.as_secs_f64() * drivers as f64 / total as f64,
-            ));
-            let threads = tdp_wire::wire_thread_count();
-            row(
-                &format!("{shards} shard(s) × {n} sessions"),
-                format!("{rate:>9.0}/s   {latency:>7}    {threads}"),
-            );
-        }
+                    }
+                });
+            }
+            barrier.wait();
+            t0 = std::time::Instant::now();
+        });
+        let wall = t0.elapsed();
+        let total = OPS_PER_SESSION * n;
+        let rate = total as f64 / wall.as_secs_f64();
+        let latency = fmt_dur(Duration::from_secs_f64(
+            wall.as_secs_f64() * drivers as f64 / total as f64,
+        ));
+        let threads = tdp_wire::wire_thread_count();
+        row(
+            &format!("{n} sessions, 8 drivers"),
+            format!("{rate:>9.0}/s   {latency:>7}    {threads}"),
+        );
     }
     println!(
         "  (8 driver threads multiplex the sessions; rate = total puts / timed wall, \

@@ -15,8 +15,9 @@
 //!   in-memory simulated fabric, with its latency model and firewall
 //!   enforcement on the connect path.
 //! * [`TransportMode::Epoll`] ([`World::new_epoll`]): connections are
-//!   real loopback TCP sockets multiplexed onto sharded `epoll`
-//!   reactors, one thread per shard, so thread count stays bounded as
+//!   real loopback TCP sockets with no per-connection wire thread —
+//!   each receiver reads its own socket and one `wire-reactor` thread
+//!   drains backed-up writes — so the wire thread count stays at one as
 //!   sessions scale ([`World::wire_census`]).
 //!
 //! In socket mode the netsim fabric is **kept** as the
@@ -47,9 +48,9 @@ use tdp_wire::{EpollTransport, Transport, WireCensus, WireConn};
 pub enum TransportMode {
     /// In-memory simulated fabric (default).
     Netsim,
-    /// Real loopback TCP sockets multiplexed onto shared epoll
-    /// reactors; netsim keeps the topology/firewall bookkeeping. Thread
-    /// count stays O(shards), not O(connections).
+    /// Real loopback TCP sockets, one wire thread per world however
+    /// many connections; netsim keeps the topology/firewall
+    /// bookkeeping.
     Epoll,
 }
 
@@ -92,18 +93,9 @@ impl World {
     }
 
     /// A world whose attribute-space traffic rides real loopback TCP
-    /// multiplexed onto a shared epoll reactor (bounded thread count).
+    /// (one wire thread, however many sessions).
     pub fn new_epoll() -> World {
         World::with_mode(OsConfig::default(), TransportMode::Epoll)
-    }
-
-    /// [`World::new_epoll`] with explicit transport tuning — reactor
-    /// shard count, write-stall budget, outbox bound (see
-    /// [`tdp_wire::EpollConfig`]). The scaling benches use this to
-    /// sweep shard counts.
-    pub fn new_epoll_with(wire_cfg: tdp_wire::EpollConfig) -> World {
-        let t = EpollTransport::with_config(wire_cfg).expect("start epoll reactors");
-        World::with_socket(OsConfig::default(), Some(t))
     }
 
     pub fn with_config(cfg: OsConfig) -> World {
@@ -117,10 +109,6 @@ impl World {
             // which point this process is not running a world anyway.
             TransportMode::Epoll => Some(EpollTransport::new().expect("start epoll reactor")),
         };
-        World::with_socket(cfg, socket)
-    }
-
-    fn with_socket(cfg: OsConfig, socket: Option<EpollTransport>) -> World {
         World {
             inner: Arc::new(WorldInner {
                 os: Os::with_config(cfg),

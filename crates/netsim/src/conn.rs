@@ -4,7 +4,7 @@
 use bytes::{Bytes, BytesMut};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 use tdp_proto::{decode_frame, encode_frame, Addr, FrameError, Message, TdpError, TdpResult};
 use tdp_sync::{Condvar, Mutex};
@@ -120,19 +120,18 @@ impl Pipe {
     }
 }
 
-/// One endpoint of an established connection.
+/// One endpoint of an established connection: a send half and a
+/// receive half ([`Conn::split`] hands them out) plus the addresses.
 ///
 /// `send` is `&self` (multiple writers may share the endpoint behind an
 /// `Arc`); `recv*` take `&mut self` because framed reads keep a
 /// reassembly buffer. Closing either endpoint (or dropping it) delivers
 /// EOF to the peer, like a TCP FIN.
 pub struct Conn {
-    pub(crate) tx: Arc<Pipe>,
-    pub(crate) rx: Arc<Pipe>,
+    tx: ConnTx,
+    rx: ConnRx,
     local: Addr,
     peer: Addr,
-    latency: Duration,
-    read_buf: BytesMut,
 }
 
 impl std::fmt::Debug for Conn {
@@ -155,24 +154,24 @@ impl Conn {
     pub(crate) fn pair_with(a: Addr, b: Addr, latency: Duration) -> (Conn, Conn) {
         let ab = Pipe::new();
         let ba = Pipe::new();
-        (
-            Conn {
-                tx: ab.clone(),
-                rx: ba.clone(),
-                local: a,
-                peer: b,
+        let end = |tx: &Arc<Pipe>, rx: &Arc<Pipe>, local, peer| Conn {
+            tx: ConnTx {
+                tx: tx.clone(),
                 latency,
+            },
+            rx: ConnRx {
+                rx: rx.clone(),
                 read_buf: BytesMut::new(),
             },
-            Conn {
-                tx: ba,
-                rx: ab,
-                local: b,
-                peer: a,
-                latency,
-                read_buf: BytesMut::new(),
-            },
-        )
+            local,
+            peer,
+        };
+        (end(&ab, &ba, a, b), end(&ba, &ab, b, a))
+    }
+
+    /// Both directions' pipes, for the fabric's host-kill registry.
+    pub(crate) fn pipes(&self) -> [Weak<Pipe>; 2] {
+        [Arc::downgrade(&self.tx.tx), Arc::downgrade(&self.rx.rx)]
     }
 
     /// Local address of this endpoint.
@@ -188,130 +187,90 @@ impl Conn {
     /// Send a chunk of bytes. Ordered, reliable, never blocks (pipes are
     /// unbounded, as justified by TDP's small control-plane messages).
     pub fn send(&self, data: &[u8]) -> TdpResult<()> {
-        self.tx
-            .push(Instant::now() + self.latency, Bytes::copy_from_slice(data))
+        self.tx.send(data)
     }
 
     /// Send an owned chunk without copying.
     pub fn send_bytes(&self, data: Bytes) -> TdpResult<()> {
-        self.tx.push(Instant::now() + self.latency, data)
+        self.tx.send_bytes(data)
     }
 
     /// Blocking receive of the next chunk.
     pub fn recv(&mut self) -> TdpResult<Bytes> {
-        if !self.read_buf.is_empty() {
-            return Ok(self.read_buf.split().freeze());
-        }
-        self.rx.pop(None)
+        self.rx.recv()
     }
 
     /// Receive with a timeout.
     pub fn recv_timeout(&mut self, timeout: Duration) -> TdpResult<Bytes> {
-        if !self.read_buf.is_empty() {
-            return Ok(self.read_buf.split().freeze());
-        }
-        self.rx.pop(Some(Instant::now() + timeout))
+        self.rx.recv_timeout(timeout)
     }
 
     /// Non-blocking receive: `None` when nothing is deliverable yet.
     pub fn try_recv(&mut self) -> Option<TdpResult<Bytes>> {
-        if !self.read_buf.is_empty() {
-            return Some(Ok(self.read_buf.split().freeze()));
+        if !self.rx.read_buf.is_empty() {
+            return Some(Ok(self.rx.read_buf.split().freeze()));
         }
-        self.rx.try_pop()
+        self.rx.rx.try_pop()
     }
 
     /// Send one framed [`Message`].
     pub fn send_msg(&self, msg: &Message) -> TdpResult<()> {
-        self.tx
-            .push(Instant::now() + self.latency, encode_frame(msg))
+        self.tx.send_msg(msg)
     }
 
     /// Blocking receive of one framed [`Message`], reassembling partial
     /// chunks.
     pub fn recv_msg(&mut self) -> TdpResult<Message> {
-        self.recv_msg_deadline(None)
+        self.rx.recv_msg()
     }
 
     /// Framed receive with a timeout.
     pub fn recv_msg_timeout(&mut self, timeout: Duration) -> TdpResult<Message> {
-        self.recv_msg_deadline(Some(Instant::now() + timeout))
-    }
-
-    fn recv_msg_deadline(&mut self, deadline: Option<Instant>) -> TdpResult<Message> {
-        loop {
-            match decode_frame(&mut self.read_buf) {
-                Ok(msg) => return Ok(msg),
-                Err(FrameError::Incomplete) => {}
-                Err(e) => return Err(TdpError::Protocol(e.to_string())),
-            }
-            let chunk = self.rx.pop(deadline)?;
-            self.read_buf.extend_from_slice(&chunk);
-        }
+        self.rx.recv_msg_timeout(timeout)
     }
 
     /// Non-blocking framed receive: `Ok(None)` when no complete message
     /// is deliverable yet.
     pub fn try_recv_msg(&mut self) -> TdpResult<Option<Message>> {
-        loop {
-            match decode_frame(&mut self.read_buf) {
-                Ok(msg) => return Ok(Some(msg)),
-                Err(FrameError::Incomplete) => {}
-                Err(e) => return Err(TdpError::Protocol(e.to_string())),
-            }
-            match self.rx.try_pop() {
-                Some(Ok(chunk)) => self.read_buf.extend_from_slice(&chunk),
-                Some(Err(e)) => return Err(e),
-                None => return Ok(None),
-            }
-        }
+        self.rx.try_recv_msg()
     }
 
     /// Push bytes back to the front of the read buffer (they will be the
     /// next bytes returned by any `recv*`). Used by protocol code that
     /// over-reads past its header.
     pub fn unread(&mut self, data: &[u8]) {
-        let mut buf = BytesMut::with_capacity(data.len() + self.read_buf.len());
+        let read_buf = &mut self.rx.read_buf;
+        let mut buf = BytesMut::with_capacity(data.len() + read_buf.len());
         buf.extend_from_slice(data);
-        buf.extend_from_slice(&self.read_buf);
-        self.read_buf = buf;
+        buf.extend_from_slice(read_buf);
+        *read_buf = buf;
     }
 
     /// Is the peer gone (and no buffered data remains)?
     pub fn is_disconnected(&self) -> bool {
-        self.read_buf.is_empty() && self.rx.at_eof()
+        self.rx.read_buf.is_empty() && self.rx.rx.at_eof()
     }
 
     /// True when a `recv` would not block.
     pub fn readable(&self) -> bool {
-        !self.read_buf.is_empty() || self.rx.readable()
+        !self.rx.read_buf.is_empty() || self.rx.rx.readable()
     }
 
     /// Half-close: the peer sees EOF after draining. Further sends fail.
     pub fn close(&self) {
         self.tx.close();
-        self.rx.close();
+        self.rx.rx.close();
     }
 
     /// Split into independently owned send and receive halves, so two
     /// threads can pump opposite directions (as the proxy relay does).
-    pub fn split(mut self) -> (ConnTx, ConnRx) {
-        let tx = ConnTx {
-            tx: self.tx.clone(),
-            latency: self.latency,
-        };
-        let rx = ConnRx {
-            rx: self.rx.clone(),
-            read_buf: std::mem::take(&mut self.read_buf),
-        };
-        // Suppress Conn::drop's close of both pipes: the halves now own
-        // shutdown (each closes its pipe when dropped).
-        std::mem::forget(self);
-        (tx, rx)
+    /// Each half closes its pipe when dropped.
+    pub fn split(self) -> (ConnTx, ConnRx) {
+        (self.tx, self.rx)
     }
 }
 
-/// Send half of a split [`Conn`].
+/// Send half of a [`Conn`].
 pub struct ConnTx {
     tx: Arc<Pipe>,
     latency: Duration,
@@ -344,7 +303,7 @@ impl Drop for ConnTx {
     }
 }
 
-/// Receive half of a split [`Conn`].
+/// Receive half of a [`Conn`].
 pub struct ConnRx {
     rx: Arc<Pipe>,
     read_buf: BytesMut,
@@ -407,12 +366,6 @@ impl ConnRx {
 impl Drop for ConnRx {
     fn drop(&mut self) {
         self.rx.close();
-    }
-}
-
-impl Drop for Conn {
-    fn drop(&mut self) {
-        self.close();
     }
 }
 

@@ -79,7 +79,23 @@ struct HostEntry {
     /// Pipes of live connections touching this host, so a host kill can
     /// sever them.
     pipes: Vec<Weak<Pipe>>,
+    /// `pipes.len()` after the last prune of dead entries.
+    pipes_pruned_len: usize,
     next_ephemeral: u16,
+}
+
+impl HostEntry {
+    /// Remember a new connection's pipes. Entries of connections since
+    /// dropped are pruned whenever the registry has doubled since the
+    /// last prune (and holds at least 16), so it stays within a constant
+    /// factor of the live connection count at amortised O(1) per dial.
+    fn register_pipes(&mut self, pipes: [Weak<Pipe>; 2]) {
+        if self.pipes.len() >= 2 * self.pipes_pruned_len.max(8) {
+            self.pipes.retain(|p| p.strong_count() > 0);
+            self.pipes_pruned_len = self.pipes.len();
+        }
+        self.pipes.extend(pipes);
+    }
 }
 
 struct ZoneEntry {
@@ -152,6 +168,7 @@ impl Network {
                 alive: true,
                 listeners: HashMap::new(),
                 pipes: Vec::new(),
+                pipes_pruned_len: 0,
                 next_ephemeral: 49152,
             },
         );
@@ -318,12 +335,9 @@ impl Network {
         };
         let (client, server) = Conn::pair_with(local, to, latency);
         // Register the pipes on both hosts for kill_host.
-        let (p1, p2) = (Arc::downgrade(&client.tx), Arc::downgrade(&client.rx));
-        dst.pipes.push(p1.clone());
-        dst.pipes.push(p2.clone());
+        dst.register_pipes(client.pipes());
         if let Some(src) = hosts.get_mut(&from) {
-            src.pipes.push(p1);
-            src.pipes.push(p2);
+            src.register_pipes(client.pipes());
         }
         drop(hosts);
         // A full backlog refuses like a closed port — never blocks the
@@ -406,6 +420,36 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn registered_pipes(net: &Network, host: HostId) -> usize {
+        net.inner.hosts.read()[&host].pipes.len()
+    }
+
+    #[test]
+    fn pipe_registry_stays_bounded_across_connection_churn() {
+        let net = Network::new();
+        let a = net.add_host();
+        let b = net.add_host();
+        let lis = net.listen(b, 5).unwrap();
+        // One connection outlives the churn (and every prune it causes).
+        let mut kept = net.connect(a, Addr::new(b, 5)).unwrap();
+        let _kept_server = lis.accept().unwrap();
+        for _ in 0..100_000 {
+            let c = net.connect(a, Addr::new(b, 5)).unwrap();
+            drop(lis.accept().unwrap());
+            drop(c);
+        }
+        for h in [a, b] {
+            let n = registered_pipes(&net, h);
+            assert!(n <= 20, "{n} pipes registered on {h} for one live conn");
+        }
+        // ...and a connection made after a prune is still severed.
+        let mut late = net.connect(a, Addr::new(b, 5)).unwrap();
+        let _late_server = lis.accept().unwrap();
+        net.kill_host(b);
+        assert_eq!(kept.recv(), Err(TdpError::Disconnected));
+        assert_eq!(late.recv(), Err(TdpError::Disconnected));
+    }
 
     #[test]
     fn listen_connect_accept() {

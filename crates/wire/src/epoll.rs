@@ -1,83 +1,60 @@
-//! The socket transport: framed [`Message`]s over loopback TCP, driven
-//! by a Linux `epoll` event loop — no per-connection threads.
+//! The socket transport: framed [`Message`]s over loopback TCP with no
+//! per-connection threads — and no thread on the put/get path at all.
 //!
 //! Observable contract (the same one the netsim adapter gives):
 //! `Hello` handshake carrying the dialler's logical host, streaming
 //! [`FrameDecoder`] reassembly across arbitrary segment boundaries,
 //! bounded-queue backpressure, fail-fast close (local sends fail at
 //! once, queued frames flush, then the peer sees EOF), and byte-relay
-//! proxy interop. *All* connections are served from a set of reactor
-//! shards (each one thread with its own epoll set and eventfd;
-//! connections hashed to a shard at accept/dial) — see
-//! [`crate::reactor`] for the ownership rule. Receivers either camp
-//! directly on their own fd or park on a condvar fed by the owning
-//! shard, so a process can hold thousands of sessions with a fixed,
-//! config-derived thread budget ([`EpollTransport::census`]).
+//! proxy interop.
+//!
+//! A connection's two halves are owned the way their types say. The
+//! send half is shared (`WireTx` is `Clone`): senders write inline under
+//! the connection's [`Flow`](crate::flow::Flow) lock and the transport's
+//! one `wire-reactor` thread finishes what a full socket buffer made
+//! them leave behind — see [`crate::reactor`]. The receive half is
+//! exclusive (`WireRx` is `&mut`, not `Clone`): [`EpollRx`] owns the
+//! decoder outright, reads its own fd and parks in `poll(2)` on it,
+//! taking no lock. So a process can hold thousands of sessions on one
+//! wire thread ([`EpollTransport::census`]).
 //!
 //! Listeners keep one blocking accept thread each (see
 //! [`crate::socket`]); only per-connection threads are gone.
 
 use crate::flow::ConnTuning;
 use crate::pool::BufferPool;
-use crate::reactor::{ConnState, ReactorSet};
+use crate::reactor::{ConnState, Reactor};
 use crate::socket::{dial_via_proxy, spawn_real_listener, DIAL_TIMEOUT};
 use crate::{
-    Endpoint, RxApi, Transport, TxApi, WireCensus, WireConn, WireListener, WireRx, WireTx,
+    protocol_err, Endpoint, RxApi, Transport, TxApi, WireCensus, WireConn, WireListener, WireRx,
+    WireTx,
 };
+use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::time::{Duration, Instant};
+use std::os::unix::io::AsRawFd;
+use std::time::Instant;
 use tdp_proto::{
-    encode_frame, encode_frame_into, Addr, FrameDecoder, HostId, Message, TdpError, TdpResult,
+    encode_frame, encode_frame_into, Addr, DecodeScratch, FrameDecoder, HostId, Message, TdpError,
+    TdpResult,
 };
 use tdp_sync::Arc;
 
-/// Inbound bound: decoded messages held per connection before `EPOLLIN`
-/// is paused and TCP flow control pushes back on the peer.
-const INBOX_MESSAGES: usize = 1024;
-
-/// Tunables for the epoll transport.
-#[derive(Debug, Clone)]
-pub struct EpollConfig {
-    /// Reactor shards. Each shard is one thread owning its own epoll
-    /// set, wake eventfd, and connection table; connections are hashed
-    /// to a shard at accept/dial time, so shards share no locks on the
-    /// put/get path and readiness scales across cores. Defaults to
-    /// `std::thread::available_parallelism()` (capped at 8).
-    pub reactors: usize,
-    /// How long a backpressured `send_msg` may wait on a peer that has
-    /// stopped draining before the connection is killed.
-    pub write_timeout: Duration,
-    /// Outbound bound, in bytes. A full outbox blocks `send_msg`
-    /// (backpressure).
-    pub outbox_bytes: usize,
-}
-
-impl Default for EpollConfig {
-    fn default() -> EpollConfig {
-        EpollConfig {
-            reactors: std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
-            write_timeout: Duration::from_secs(5),
-            outbox_bytes: 256 * 1024,
-        }
-    }
-}
-
 struct EpollShared {
     tuning: ConnTuning,
-    reactors: ReactorSet,
+    reactor: Arc<Reactor>,
     pool: Arc<BufferPool>,
 }
 
 impl Drop for EpollShared {
     fn drop(&mut self) {
-        self.reactors.shutdown();
+        self.reactor.shutdown();
     }
 }
 
-/// Transport over real loopback TCP sockets, multiplexed onto the epoll
-/// reactor shards. Cheap to clone; all clones share the reactors. Keep
-/// the transport alive while its connections are in use — connections
-/// outliving it stop receiving readiness service.
+/// Transport over real loopback TCP sockets. Cheap to clone; all clones
+/// share the one reactor thread. Keep the transport alive while its
+/// connections are in use — a connection outliving it can still send
+/// and receive, but a backed-up outbox is no longer drained.
 #[derive(Clone)]
 pub struct EpollTransport {
     shared: Arc<EpollShared>,
@@ -85,28 +62,24 @@ pub struct EpollTransport {
 
 impl EpollTransport {
     pub fn new() -> TdpResult<EpollTransport> {
-        EpollTransport::with_config(EpollConfig::default())
+        EpollTransport::with_tuning(ConnTuning::DEFAULT)
     }
 
-    pub fn with_config(cfg: EpollConfig) -> TdpResult<EpollTransport> {
+    fn with_tuning(tuning: ConnTuning) -> TdpResult<EpollTransport> {
         Ok(EpollTransport {
             shared: Arc::new(EpollShared {
-                tuning: ConnTuning {
-                    inbox_messages: INBOX_MESSAGES,
-                    outbox_bytes: cfg.outbox_bytes.max(1),
-                    write_stall: cfg.write_timeout,
-                },
-                reactors: ReactorSet::start(cfg.reactors)?,
+                tuning,
+                reactor: Reactor::start()?,
                 pool: BufferPool::new(),
             }),
         })
     }
 
-    /// The IO threads this transport owns and the connections currently
-    /// registered with them. The thread count is fixed at construction —
+    /// The IO thread this transport owns and the connections currently
+    /// registered with it. The thread count is fixed at construction —
     /// nothing here spawns per connection.
     pub fn census(&self) -> WireCensus {
-        self.shared.reactors.census()
+        self.shared.reactor.census()
     }
 
     /// Adopt an established, handshake-complete stream: register it
@@ -122,20 +95,32 @@ impl EpollTransport {
         stream.set_nodelay(true).map_err(sub)?;
         let local = Endpoint::Tcp(stream.local_addr().map_err(sub)?);
         let peer = Endpoint::Tcp(stream.peer_addr().map_err(sub)?);
-        let conn = self
-            .shared
-            .reactors
-            .register(stream, leftover, self.shared.tuning.clone())?;
+        let (tx, rx) = self.halves(stream, leftover)?;
         Ok(WireConn::from_parts(
-            WireTx::new(Arc::new(EpollTx {
-                conn: conn.clone(),
-                pool: self.shared.pool.clone(),
-            })),
-            WireRx::new(Box::new(EpollRx { conn })),
+            WireTx::new(Arc::new(tx)),
+            WireRx::new(Box::new(rx)),
             local,
             peer,
             peer_host,
         ))
+    }
+
+    fn halves(&self, stream: TcpStream, leftover: FrameDecoder) -> TdpResult<(EpollTx, EpollRx)> {
+        let conn = self
+            .shared
+            .reactor
+            .register(stream, self.shared.tuning.clone())?;
+        let tx = EpollTx {
+            conn: conn.clone(),
+            pool: self.shared.pool.clone(),
+        };
+        let rx = EpollRx {
+            conn,
+            dec: leftover,
+            scratch: DecodeScratch::new(),
+            err: None,
+        };
+        Ok((tx, rx))
     }
 
     /// Finish the client side on an established stream: introduce
@@ -212,21 +197,86 @@ impl Drop for EpollTx {
     }
 }
 
+/// The receive half: everything a read touches is owned here, behind
+/// the `&mut` of the one `WireRx`. Shared with the send side are only
+/// the fd and the flow's shut flag.
 struct EpollRx {
     conn: Arc<ConnState>,
+    /// Bytes read off the socket and not yet decoded — seeded with
+    /// whatever the handshake over-read, which no `read` will return
+    /// again.
+    dec: FrameDecoder,
+    /// Recycled-string storage: decoded string fields reuse capacity of
+    /// messages the consumer handed back through `recycle_msg`.
+    scratch: DecodeScratch,
+    /// Terminal receive condition, reported once `dec` holds no more
+    /// complete frames.
+    err: Option<TdpError>,
 }
 
 impl RxApi for EpollRx {
     fn recv_msg_deadline(&mut self, deadline: Option<Instant>) -> TdpResult<Message> {
-        self.conn.flow.recv(deadline)
+        loop {
+            if let Some(msg) = self.try_recv_msg()? {
+                return Ok(msg);
+            }
+            let timeout_ms = match deadline {
+                None => -1,
+                Some(d) => {
+                    let left = d.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Err(TdpError::Timeout);
+                    }
+                    // Round up so the final wait cannot spin at 0 ms.
+                    left.as_millis().saturating_add(1).min(i32::MAX as u128) as i32
+                }
+            };
+            // Data, EOF, an error or a local `shutdown` all report
+            // ready, and so does a timeout for our purposes: the next
+            // turn of the loop reads, or re-checks the deadline.
+            if crate::sys::poll_readable(self.conn.stream().as_raw_fd(), timeout_ms).is_err() {
+                // A failing poll cannot make progress; surface it as a
+                // dead connection rather than spinning.
+                self.err = Some(TdpError::Disconnected);
+            }
+        }
     }
 
+    /// The next buffered frame; else whatever a non-blocking read can
+    /// add to the decoder; else `None`. A terminal error is only ever
+    /// recorded with the decoder dry, so frames that arrived ahead of
+    /// it are delivered first, whichever side ended the stream.
     fn try_recv_msg(&mut self) -> TdpResult<Option<Message>> {
-        self.conn.flow.try_recv()
+        let mut stream = self.conn.stream();
+        let mut chunk = [0u8; 16 * 1024];
+        loop {
+            if let Some(e) = &self.err {
+                return Err(e.clone());
+            }
+            match self.dec.next_with(&mut self.scratch) {
+                Ok(Some(msg)) => return Ok(Some(msg)),
+                Ok(None) => {}
+                Err(e) => {
+                    self.err = Some(protocol_err(e));
+                    continue;
+                }
+            }
+            if self.conn.flow.is_shut() {
+                self.err = Some(TdpError::Disconnected);
+                continue;
+            }
+            match stream.read(&mut chunk) {
+                Ok(0) => self.err = Some(TdpError::Disconnected),
+                Ok(n) => self.dec.feed(&chunk[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(None),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => self.err = Some(TdpError::Disconnected),
+            }
+        }
     }
 
     fn recycle_msg(&mut self, msg: Message) {
-        self.conn.flow.recycle(msg);
+        self.scratch.recycle_message(msg);
     }
 }
 
@@ -241,18 +291,11 @@ mod tests {
     use super::*;
     use crate::socket::{spawn_proxy, ProxyResolver};
     use crate::wire_threads;
+    use std::time::Duration;
     use tdp_proto::ContextId;
 
     fn transport() -> EpollTransport {
         EpollTransport::new().unwrap()
-    }
-
-    fn sharded(reactors: usize) -> EpollTransport {
-        EpollTransport::with_config(EpollConfig {
-            reactors,
-            ..EpollConfig::default()
-        })
-        .unwrap()
     }
 
     fn pair(t: &EpollTransport) -> (WireConn, WireConn) {
@@ -261,6 +304,54 @@ mod tests {
         let server = lis.accept().unwrap();
         lis.close();
         (client, server)
+    }
+
+    /// A raw client socket and the transport-side halves of its peer,
+    /// unboxed so a test can look at the receiver's decoder.
+    fn raw_pair(t: &EpollTransport, lis: &TcpListener) -> (TcpStream, EpollTx, EpollRx) {
+        let client = TcpStream::connect(lis.local_addr().unwrap()).unwrap();
+        let (server, _) = lis.accept().unwrap();
+        let (tx, rx) = t.halves(server, FrameDecoder::new()).unwrap();
+        (client, tx, rx)
+    }
+
+    fn join(i: u64) -> Message {
+        Message::Join { ctx: ContextId(i) }
+    }
+
+    fn big_put() -> Message {
+        Message::Put {
+            ctx: ContextId(1),
+            key: "k".into(),
+            value: "x".repeat(8 * 1024),
+        }
+    }
+
+    /// How long a parked receiver may take to notice its release.
+    const RELEASE: Duration = Duration::from_secs(1);
+
+    /// Park a thread in an *untimed* `recv_msg` on `rx` and hand back
+    /// the channel its result arrives on.
+    fn blocked_recv(mut rx: WireRx) -> crossbeam::channel::Receiver<TdpResult<Message>> {
+        let (started_tx, started_rx) = crossbeam::channel::bounded(1);
+        let (done_tx, done_rx) = crossbeam::channel::bounded(1);
+        std::thread::spawn(move || {
+            let _ = started_tx.send(());
+            let _ = done_tx.send(rx.recv_msg());
+        });
+        started_rx.recv().unwrap();
+        // Time to get from running to parked on the fd. A release must
+        // work either way; this makes parked the case exercised.
+        std::thread::park_timeout(Duration::from_millis(20));
+        done_rx
+    }
+
+    fn wait_for(what: &str, within: Duration, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + within;
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::park_timeout(Duration::from_millis(1));
+        }
     }
 
     #[test]
@@ -345,30 +436,34 @@ mod tests {
     #[test]
     fn close_fails_fast_and_peer_sees_eof() {
         let t = transport();
-        let (mut client, mut server) = pair(&t);
-        let m = Message::Join { ctx: ContextId(1) };
-        client.send_msg(&m).unwrap();
-        client.close();
-        assert_eq!(client.send_msg(&m), Err(TdpError::Disconnected));
-        // Queued frame flushed before EOF.
-        assert_eq!(server.recv_msg().unwrap(), m);
+        let (client, mut server) = pair(&t);
+        let (tx, rx) = client.split();
+        for i in 0..200 {
+            tx.send_msg(&join(i)).unwrap();
+        }
+        let done = blocked_recv(rx);
+        tx.close();
+        assert_eq!(tx.send_msg(&join(0)), Err(TdpError::Disconnected));
+        // Every frame ahead of the close is delivered before EOF.
+        for i in 0..200 {
+            assert_eq!(server.recv_msg().unwrap(), join(i));
+        }
         assert_eq!(
             server.recv_msg_timeout(Duration::from_secs(2)),
             Err(TdpError::Disconnected)
         );
-        // The closing side's reader wakes too.
-        assert!(client.recv_msg_timeout(Duration::from_secs(2)).is_err());
+        // The closing side's own reader, parked untimed on another
+        // thread, is released too.
+        assert_eq!(done.recv_timeout(RELEASE), Ok(Err(TdpError::Disconnected)));
     }
 
     #[test]
     fn drop_releases_connection() {
         let t = transport();
-        let (client, mut server) = pair(&t);
+        let (client, server) = pair(&t);
+        let done = blocked_recv(server.split().1);
         drop(client);
-        assert_eq!(
-            server.recv_msg_timeout(Duration::from_secs(2)),
-            Err(TdpError::Disconnected)
-        );
+        assert_eq!(done.recv_timeout(RELEASE), Ok(Err(TdpError::Disconnected)));
     }
 
     #[test]
@@ -384,6 +479,36 @@ mod tests {
         ready_rx.recv().unwrap();
         lis.close();
         assert!(th.join().unwrap().is_err());
+    }
+
+    #[test]
+    fn dropped_listener_releases_its_port() {
+        let t = transport();
+        let lis = t.listen(HostId(0), 0).unwrap();
+        let addr = lis.local_endpoint().as_tcp().unwrap();
+        drop(lis);
+        // The join in `close` makes this synchronous; the loop only
+        // allows for the kernel tearing the socket down.
+        wait_for("the old port to refuse", RELEASE, || {
+            TcpStream::connect(addr).is_err()
+        });
+    }
+
+    #[test]
+    fn close_returns_with_the_accept_queue_full() {
+        let t = transport();
+        let lis = t.listen(HostId(0), 0).unwrap();
+        // More unaccepted sessions than the accept queue holds (64), so
+        // the accept thread is parked in `send`, not in `accept`.
+        let _clients: Vec<_> = (0..70)
+            .map(|_| t.connect(HostId(1), &lis.local_endpoint()).unwrap())
+            .collect();
+        let (done_tx, done_rx) = crossbeam::channel::bounded(1);
+        std::thread::spawn(move || {
+            lis.close();
+            let _ = done_tx.send(());
+        });
+        assert_eq!(done_rx.recv_timeout(Duration::from_secs(5)), Ok(()));
     }
 
     #[test]
@@ -439,16 +564,21 @@ mod tests {
             assert_eq!(server.recv_msg().unwrap(), m);
             conns.push((client, server));
         }
-        // The thread budget is a function of the config, never of the
+        // The thread budget is a constant, never a function of the
         // connection count: fifty sessions (a client and a server end
-        // each) and still one thread per shard.
+        // each) and still the one reactor thread.
         assert_eq!(
             t.census(),
             WireCensus {
-                threads: EpollConfig::default().reactors,
+                threads: 1,
                 conns: 100
             }
         );
+        // One reactor, not a numbered shard of several — in this
+        // transport or in any sibling test's.
+        assert!(wire_threads()
+            .iter()
+            .all(|n| !n.starts_with("wire-reactor-")));
         // Every connection still works after the census.
         for (i, (client, server)) in conns.iter_mut().enumerate() {
             let m = Message::Leave {
@@ -460,151 +590,66 @@ mod tests {
     }
 
     #[test]
-    fn sharded_reactors_route_connections_across_all_shards() {
-        let t = sharded(4);
-        assert_eq!(t.shared.reactors.shard_count(), 4);
-        assert_eq!(t.census().threads, 4);
-        let lis = t.listen(HostId(1), 0).unwrap();
-        let ep = lis.local_endpoint();
-        // 8 sessions = 16 registered connections → every shard (ids are
-        // assigned round-robin) carries traffic.
-        let mut conns = Vec::new();
-        for i in 0..8u64 {
-            let client = t.connect(HostId(0), &ep).unwrap();
-            let server = lis.accept().unwrap();
-            conns.push((i, client, server));
-        }
-        for (i, client, server) in &mut conns {
-            let m = Message::Join { ctx: ContextId(*i) };
-            client.send_msg(&m).unwrap();
-            assert_eq!(server.recv_msg().unwrap(), m);
-            let r = Message::Reply(tdp_proto::Reply::Ok);
-            server.send_msg(&r).unwrap();
-            assert_eq!(client.recv_msg().unwrap(), r);
-        }
-    }
-
-    /// A raw client socket and the reactor-side state of its peer,
-    /// registered on `t` with no `WireRx` attached. Nobody camps on the
-    /// fd and nobody calls `try_recv` (which drains an empty inbox
-    /// from the socket itself), so the shard thread is the only thing
-    /// that can move a frame from the socket into the inbox.
-    fn raw_pair(t: &EpollTransport, lis: &TcpListener) -> (TcpStream, Arc<ConnState>) {
-        let client = TcpStream::connect(lis.local_addr().unwrap()).unwrap();
-        let (server, _) = lis.accept().unwrap();
-        let conn = t
-            .shared
-            .reactors
-            .register(server, FrameDecoder::new(), t.shared.tuning.clone())
-            .unwrap();
-        (client, conn)
-    }
-
-    fn inbox_len(conn: &ConnState) -> usize {
-        conn.flow.snapshot().0
-    }
-
-    fn paused(conn: &ConnState) -> bool {
-        conn.flow.snapshot().1
-    }
-
-    fn wait_for(what: &str, within: Duration, cond: impl Fn() -> bool) {
-        let deadline = Instant::now() + within;
-        while !cond() {
-            assert!(Instant::now() < deadline, "timed out waiting for {what}");
-            std::thread::park_timeout(Duration::from_millis(1));
-        }
-    }
-
-    fn join(i: u64) -> Message {
-        Message::Join { ctx: ContextId(i) }
-    }
-
-    #[test]
-    fn one_shard_thread_delivers_a_wave() {
+    fn nothing_is_delivered_after_a_local_close() {
         use std::io::Write;
-        let t = sharded(1);
+        let t = transport();
         let lis = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let mut peers: Vec<_> = (0..64).map(|_| raw_pair(&t, &lis)).collect();
-        // The wave: every connection gets a frame before anyone looks.
-        for (i, (client, _)) in peers.iter_mut().enumerate() {
-            client.write_all(&encode_frame(&join(i as u64))).unwrap();
+        let (mut peer, tx, mut rx) = raw_pair(&t, &lis);
+        // Back the outbox up against a peer that is not reading, so
+        // `close` half-closes reads only (the write side flushes first)
+        // and the socket stays ESTABLISHED: the one state in which
+        // Linux still queues data arriving after `shutdown(SHUT_RD)`.
+        while !tx.conn.flow.snapshot().0 {
+            tx.send_msg(&big_put()).unwrap();
         }
-        wait_for("all 64 deliveries", Duration::from_secs(5), || {
-            peers.iter().all(|(_, conn)| inbox_len(conn) == 1)
-        });
-        for (i, (_, conn)) in peers.iter().enumerate() {
-            assert_eq!(conn.flow.try_recv().unwrap(), Some(join(i as u64)));
-        }
-        // One thread did that: the only `wire-epoll-*` names left in
-        // the process are listeners' accept threads.
-        assert_eq!(t.census().threads, 1);
-        assert!(wire_threads()
-            .iter()
-            .all(|n| !n.starts_with("wire-epoll-") || n.starts_with("wire-epoll-acc")));
+        tx.close();
+        peer.write_all(&encode_frame(&join(1))).unwrap();
+        // The late frame reaches the socket (readable within the
+        // second) and must still not be handed to the consumer.
+        assert!(crate::sys::poll_readable(rx.conn.stream().as_raw_fd(), 1000).unwrap());
+        assert_eq!(rx.try_recv_msg(), Err(TdpError::Disconnected));
+        assert_eq!(
+            rx.recv_msg_deadline(Some(Instant::now() + RELEASE)),
+            Err(TdpError::Disconnected)
+        );
     }
 
     #[test]
-    fn paused_connection_does_not_delay_its_shard_neighbour() {
-        use std::io::{Read, Write};
-        let t = sharded(1);
+    fn an_unread_burst_waits_in_the_kernel_and_delays_nobody() {
+        use std::io::Write;
+        let t = transport();
         let lis = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let (mut hog_client, hog) = raw_pair(&t, &lis);
-        let (mut client, neighbour) = raw_pair(&t, &lis);
+        let (mut hog_peer, _hog_tx, mut hog_rx) = raw_pair(&t, &lis);
+        let (mut client, mut server) = pair(&t);
 
-        // Drive one connection past its inbox bound and leave it
-        // unread: the shard thread pauses it (`EPOLLIN` withheld) with
-        // the rest of the burst still in the socket buffer.
+        // A burst to a connection nobody is receiving on. No thread of
+        // ours reads it: it is held by the socket buffer and nothing
+        // else, so the receiver's decoder stays empty.
         const BURST: u64 = 3000;
         for i in 0..BURST {
-            hog_client.write_all(&encode_frame(&join(i))).unwrap();
+            hog_peer.write_all(&encode_frame(&join(i))).unwrap();
         }
-        wait_for("the hog to pause", Duration::from_secs(5), || paused(&hog));
-        assert!(inbox_len(&hog) >= INBOX_MESSAGES);
+        assert!(crate::sys::poll_readable(hog_rx.conn.stream().as_raw_fd(), 1000).unwrap());
 
-        // A round trip on the neighbour, inbound half delivered by the
-        // same shard thread, is not held up by the paused connection.
+        // A neighbour's round trip is not held up meanwhile.
         let t0 = Instant::now();
-        client.write_all(&encode_frame(&join(7))).unwrap();
-        wait_for("the neighbour's delivery", Duration::from_secs(1), || {
-            inbox_len(&neighbour) == 1
-        });
-        assert_eq!(neighbour.flow.try_recv().unwrap(), Some(join(7)));
+        client.send_msg(&join(7)).unwrap();
+        assert_eq!(server.recv_msg_timeout(RELEASE), Ok(join(7)));
         let reply = Message::Reply(tdp_proto::Reply::Ok);
-        let mut frame = t.shared.pool.acquire();
-        encode_frame_into(&reply, frame.buf_mut());
-        neighbour.flow.send(frame).unwrap();
-        let want = encode_frame(&reply);
-        let mut got = vec![0u8; want.len()];
-        client
-            .set_read_timeout(Some(Duration::from_secs(1)))
-            .unwrap();
-        client.read_exact(&mut got).unwrap();
-        assert_eq!(got[..], want[..]);
-        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
-        assert!(paused(&hog), "the hog was read while its inbox was full");
+        server.send_msg(&reply).unwrap();
+        assert_eq!(client.recv_msg_timeout(RELEASE), Ok(reply));
+        assert!(t0.elapsed() < RELEASE, "{:?}", t0.elapsed());
+        assert_eq!(hog_rx.dec.buffered(), 0, "somebody read the hog's socket");
 
-        // Draining below half the bound resumes it: the shard thread
-        // refills the inbox, and the whole burst arrives in order.
-        let half = INBOX_MESSAGES / 2;
-        let mut next = 0;
-        for _ in half..inbox_len(&hog) {
-            assert_eq!(hog.flow.try_recv().unwrap(), Some(join(next)));
-            next += 1;
+        // Its owner asks: the whole burst arrives, in order.
+        assert_eq!(hog_rx.try_recv_msg(), Ok(Some(join(0))));
+        for i in 1..BURST {
+            assert_eq!(
+                hog_rx.recv_msg_deadline(Some(Instant::now() + RELEASE)),
+                Ok(join(i))
+            );
         }
-        wait_for("the shard thread to refill", Duration::from_secs(5), || {
-            inbox_len(&hog) > half
-        });
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while next < BURST {
-            match hog.flow.try_recv().unwrap() {
-                Some(m) => {
-                    assert_eq!(m, join(next));
-                    next += 1;
-                }
-                None => assert!(Instant::now() < deadline, "burst stalled at {next}"),
-            }
-        }
+        assert_eq!(hog_rx.try_recv_msg(), Ok(None));
     }
 
     #[test]
@@ -612,23 +657,19 @@ mod tests {
         // A tiny outbox against a reader that never drains: send_msg
         // must block (bounded memory) and then fail fast once the stall
         // exceeds the write budget — not wedge forever.
-        let t = EpollTransport::with_config(EpollConfig {
+        let t = EpollTransport::with_tuning(ConnTuning {
             outbox_bytes: 4 * 1024,
-            write_timeout: Duration::from_millis(200),
-            ..EpollConfig::default()
+            write_stall: Duration::from_millis(200),
         })
         .unwrap();
-        let lis = t.listen(HostId(1), 0).unwrap();
-        let client = t.connect(HostId(0), &lis.local_endpoint()).unwrap();
-        let _server = lis.accept().unwrap();
-        let big = Message::Put {
-            ctx: ContextId(1),
-            key: "k".into(),
-            value: "x".repeat(8 * 1024),
-        };
+        let (client, _server) = pair(&t);
+        let (tx, rx) = client.split();
+        let done = blocked_recv(rx);
         // Fill the socket buffer plus the outbox; eventually the stall
         // trips and the connection dies instead of hanging.
-        let r = (0..10_000).try_for_each(|_| client.send_msg(&big));
+        let r = (0..10_000).try_for_each(|_| tx.send_msg(&big_put()));
         assert_eq!(r, Err(TdpError::Disconnected));
+        // The kill also releases the connection's own parked receiver.
+        assert_eq!(done.recv_timeout(RELEASE), Ok(Err(TdpError::Disconnected)));
     }
 }

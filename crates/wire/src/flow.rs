@@ -1,45 +1,51 @@
-//! The per-connection state machine of the epoll transport, extracted
-//! from the reactor so it is generic over its IO — production wires it
-//! to a non-blocking `TcpStream` + `epoll_ctl` rearm
-//! (`reactor::SocketIo`); the `loom_` tests wire it to a scripted
-//! in-memory IO and drive every interleaving of senders, receivers,
-//! and the shard thread through the exact code that ships.
+//! The send side of an epoll connection: a bounded outbox with an
+//! inline-`writev` fast path, extracted from the reactor so it is
+//! generic over its IO — production wires it to a non-blocking
+//! `TcpStream` + `epoll_ctl` rearm (`reactor::SocketIo`); the `loom_`
+//! tests wire it to a scripted in-memory IO and drive every
+//! interleaving of senders, a closer and the reactor thread through the
+//! exact code that ships.
+//!
+//! There is no receive side here. A connection's reads belong to its
+//! one `WireRx` (`&mut self`, not clonable), which decodes off its own
+//! fd without a lock — see `epoll::EpollRx`. The only thing the two
+//! sides share is [`Flow::is_shut`], the flag a local close or a
+//! stall-kill raises so the receiver fails fast.
 //!
 //! All synchronization goes through `tdp-sync`, so under
-//! `RUSTFLAGS="--cfg loom"` the mutex/condvars here are loom's
+//! `RUSTFLAGS="--cfg loom"` the mutex/condvar/atomic here are loom's
 //! instrumented ones. See DESIGN.md "Concurrency invariants" for the
 //! lock-ordering and state-machine rules this module must uphold.
 
 use crate::pool::PooledBuf;
-use crate::protocol_err;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
-use tdp_proto::{DecodeScratch, FrameDecoder, Message, TdpError, TdpResult};
+use tdp_proto::{TdpError, TdpResult};
+use tdp_sync::atomic::{AtomicBool, Ordering};
 use tdp_sync::{Condvar, Mutex};
 
 /// Cap on slices gathered per [`FlowIo::writev`] call (mirrors
 /// [`crate::sys::WRITEV_BATCH`] without depending on the FFI module).
 pub(crate) const WRITEV_BATCH: usize = 64;
 
-/// Per-connection tunables, derived from [`crate::EpollConfig`].
+/// Per-connection bounds. Production uses [`ConnTuning::DEFAULT`]; only
+/// tests (the stall test, the loom models) build another.
 #[derive(Debug, Clone)]
 pub(crate) struct ConnTuning {
-    /// Pause `EPOLLIN` while this many decoded messages are undelivered.
-    pub inbox_messages: usize,
     /// `send_msg` blocks (backpressure) while the outbox holds this many
     /// bytes.
     pub outbox_bytes: usize,
-    /// How long a backpressured `send_msg` waits before declaring the
-    /// peer wedged and killing the connection
-    /// ([`crate::EpollConfig::write_timeout`]).
+    /// How long a backpressured `send_msg` waits on a peer that has
+    /// stopped draining before declaring it wedged and killing the
+    /// connection.
     pub write_stall: Duration,
 }
 
-/// The readiness the state machine currently wants from its IO.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Interest {
-    pub read: bool,
-    pub write: bool,
+impl ConnTuning {
+    pub const DEFAULT: ConnTuning = ConnTuning {
+        outbox_bytes: 256 * 1024,
+        write_stall: Duration::from_secs(5),
+    };
 }
 
 /// What [`Flow`] needs from a transport endpoint. The real
@@ -48,75 +54,34 @@ pub(crate) struct Interest {
 /// implementations must not block (beyond a non-blocking syscall) and
 /// must not call back into the flow.
 pub(crate) trait FlowIo {
-    /// Non-blocking read; `WouldBlock` when nothing is buffered.
-    fn read(&self, buf: &mut [u8]) -> std::io::Result<usize>;
-    /// Non-blocking write; `WouldBlock` when the send buffer is full.
-    fn write(&self, buf: &[u8]) -> std::io::Result<usize>;
     /// Non-blocking vectored write: push several frames in one syscall.
-    /// Returns bytes accepted (possibly a partial gather). The default
-    /// degenerates to a plain write of the first non-empty slice, so
-    /// scripted test IOs keep their one-write-per-step semantics.
-    fn writev(&self, bufs: &[&[u8]]) -> std::io::Result<usize> {
-        for b in bufs {
-            if !b.is_empty() {
-                return self.write(b);
-            }
-        }
-        Ok(0)
-    }
+    /// Returns bytes accepted (possibly a partial gather); `WouldBlock`
+    /// when the send buffer is full.
+    fn writev(&self, bufs: &[&[u8]]) -> std::io::Result<usize>;
     /// Half-close the receive side (local reads fail fast).
     fn shutdown_read(&self);
     /// Half-close the send side (peer sees EOF).
     fn shutdown_write(&self);
     /// Tear down both directions (wedged-peer kill path).
     fn shutdown_both(&self);
-    /// Re-register readiness interest. Only called with a non-empty
-    /// set; an empty interest leaves the registration disarmed until a
-    /// state change rearms it.
-    fn rearm(&self, interest: Interest);
-    /// Whether a blocked receiver may take over the read side and wait
-    /// on the endpoint directly ([`FlowIo::wait_readable`]) instead of
-    /// parking on the reactor-fed condvar. `false` for scripted IOs.
-    fn supports_direct_read(&self) -> bool {
-        false
-    }
-    /// Block until the endpoint is readable (data, EOF, or error) or
-    /// `timeout_ms` elapses (`< 0` = forever); returns whether it was
-    /// reported ready. Unlike every other method, this is called
-    /// *without* the flow lock — it parks the calling thread. Only
-    /// called when [`FlowIo::supports_direct_read`] returns true.
-    fn wait_readable(&self, timeout_ms: i32) -> std::io::Result<bool> {
-        let _ = timeout_ms;
-        Ok(true)
-    }
+    /// Ask for one writability report (the registration is oneshot):
+    /// the reactor owes this connection a drain.
+    fn arm_write(&self);
 }
 
 pub(crate) struct Flow<IO> {
     io: IO,
     tuning: ConnTuning,
     inner: Mutex<FlowInner>,
-    rx_cv: Condvar,
     tx_cv: Condvar,
+    /// Raised by a local [`Flow::close`] and by the stall-kill, *before*
+    /// the `shutdown` that wakes a receiver parked on the fd. Linux
+    /// keeps delivering data that arrives after `shutdown(SHUT_RD)`, so
+    /// this flag — not the socket — is what makes local reads fail fast.
+    shut: AtomicBool,
 }
 
 struct FlowInner {
-    // Receive side.
-    dec: FrameDecoder,
-    inbox: VecDeque<Message>,
-    /// Recycled-string storage: decoded string fields reuse capacity of
-    /// messages the consumer handed back through [`Flow::recycle`].
-    scratch: DecodeScratch,
-    /// Terminal receive condition, reported once the inbox drains.
-    rx_err: Option<TdpError>,
-    read_open: bool,
-    /// Read interest withheld because the inbox is at its bound.
-    paused: bool,
-    /// A consumer blocked in `recv` owns the read side: it waits on the
-    /// endpoint itself and drains in place, so readiness handlers must
-    /// neither read nor arm read interest (a reactor-side drain here
-    /// would strand the consumer in its endpoint wait — a lost wakeup).
-    direct_reader: bool,
-    // Send side.
     outbox: VecDeque<PooledBuf>,
     outbox_bytes: usize,
     /// Partial-write offset into the front outbox frame.
@@ -139,21 +104,12 @@ pub(crate) struct FlushPlan {
 }
 
 impl<IO: FlowIo> Flow<IO> {
-    /// Wrap an established endpoint. Frames the handshake over-read
-    /// (already sitting in `dec`) are pumped into the inbox here —
-    /// readiness will never re-report those bytes.
-    pub fn new(io: IO, tuning: ConnTuning, dec: FrameDecoder) -> Flow<IO> {
-        let flow = Flow {
+    /// Wrap an established endpoint.
+    pub fn new(io: IO, tuning: ConnTuning) -> Flow<IO> {
+        Flow {
             io,
             tuning,
             inner: Mutex::new(FlowInner {
-                dec,
-                inbox: VecDeque::new(),
-                scratch: DecodeScratch::new(),
-                rx_err: None,
-                read_open: true,
-                paused: false,
-                direct_reader: false,
                 outbox: VecDeque::new(),
                 outbox_bytes: 0,
                 head_off: 0,
@@ -161,14 +117,9 @@ impl<IO: FlowIo> Flow<IO> {
                 flush_then_shutdown: false,
                 closed: false,
             }),
-            rx_cv: Condvar::new(),
             tx_cv: Condvar::new(),
-        };
-        {
-            let mut inner = flow.inner.lock();
-            flow.pump_decoder(&mut inner);
+            shut: AtomicBool::new(false),
         }
-        flow
     }
 
     pub fn io(&self) -> &IO {
@@ -179,103 +130,26 @@ impl<IO: FlowIo> Flow<IO> {
         &self.tuning
     }
 
-    // ---- interest -----------------------------------------------------
-
-    fn interest(inner: &FlowInner) -> Interest {
-        Interest {
-            // No read interest while a direct reader camps on the
-            // endpoint: it sees readability itself, and a racing
-            // reactor drain would strand it.
-            read: inner.read_open && !inner.paused && !inner.direct_reader,
-            write: inner.want_write,
-        }
+    /// Whether a local close or a stall-kill has ended this connection:
+    /// the receiver delivers what it already buffered, then fails.
+    pub fn is_shut(&self) -> bool {
+        self.shut.load(Ordering::Acquire)
     }
 
-    /// Rearm the (oneshot) registration to the current interest set.
-    fn rearm(&self, inner: &FlowInner) {
-        let interest = Self::interest(inner);
-        if !interest.read && !interest.write {
-            return; // stay disarmed; a state change will rearm
-        }
-        self.io.rearm(interest);
-    }
+    // ---- event handling (the reactor thread) --------------------------
 
-    // ---- event handling (the shard thread) ----------------------------
-
-    /// One readiness report. Error/hangup conditions map to both flags:
-    /// the drains will surface the failure through the IO result.
-    pub fn on_ready(&self, readable: bool, writable: bool) {
+    /// One readiness report. The registration only ever asks for
+    /// `EPOLLOUT`; the kernel adds error/hangup unasked, and those are
+    /// ignored unless a drain is owed — the drain then surfaces the
+    /// failure through the IO result.
+    pub fn on_ready(&self) {
         let mut inner = self.inner.lock();
-        if readable && inner.read_open && !inner.direct_reader {
-            self.drain_read(&mut inner);
-        }
-        if writable && (inner.want_write || inner.flush_then_shutdown) {
+        if inner.want_write || inner.flush_then_shutdown {
             self.drain_write(&mut inner);
-        }
-        self.rearm(&inner);
-    }
-
-    /// Read until `EWOULDBLOCK`, EOF, error, or the inbox bound.
-    fn drain_read(&self, inner: &mut FlowInner) {
-        let mut chunk = [0u8; 16 * 1024];
-        let mut delivered = false;
-        loop {
-            if inner.inbox.len() >= self.tuning.inbox_messages {
-                inner.paused = true; // consumer will unpause + rearm
-                break;
-            }
-            match self.io.read(&mut chunk) {
-                Ok(0) => {
-                    inner.read_open = false;
-                    inner.rx_err.get_or_insert(TdpError::Disconnected);
-                    break;
-                }
-                Ok(n) => {
-                    inner.dec.feed(&chunk[..n]);
-                    if self.pump_decoder(inner) {
-                        delivered = true;
-                    }
-                    if !inner.read_open {
-                        break; // decoder hit a malformed frame
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    // Hard socket error kills both directions.
-                    inner.read_open = false;
-                    inner.rx_err.get_or_insert(TdpError::Disconnected);
-                    inner.closed = true;
-                    self.tx_cv.notify_all();
-                    break;
-                }
+            if inner.want_write {
+                self.io.arm_write();
             }
         }
-        if delivered || inner.rx_err.is_some() {
-            self.rx_cv.notify_all();
-        }
-    }
-
-    /// Move complete frames out of the decoder into the inbox. Returns
-    /// whether anything was delivered.
-    fn pump_decoder(&self, inner: &mut FlowInner) -> bool {
-        let mut delivered = false;
-        loop {
-            let FlowInner { dec, scratch, .. } = inner;
-            match dec.next_with(scratch) {
-                Ok(Some(msg)) => {
-                    inner.inbox.push_back(msg);
-                    delivered = true;
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    inner.read_open = false;
-                    inner.rx_err.get_or_insert(protocol_err(e));
-                    break;
-                }
-            }
-        }
-        delivered
     }
 
     /// Write outbox frames until empty or `EWOULDBLOCK` (which arms
@@ -385,11 +259,9 @@ impl<IO: FlowIo> Flow<IO> {
                         continue;
                     }
                     inner.closed = true;
-                    inner.read_open = false;
-                    inner.rx_err.get_or_insert(TdpError::Disconnected);
+                    self.shut.store(true, Ordering::Release);
                     crate::record_stall_kill();
                     self.io.shutdown_both();
-                    self.rx_cv.notify_all();
                     self.tx_cv.notify_all();
                     return Err(TdpError::Disconnected);
                 }
@@ -406,7 +278,7 @@ impl<IO: FlowIo> Flow<IO> {
             // interest on a partial write.
             self.drain_write(&mut inner);
             if inner.want_write {
-                self.rearm(&inner);
+                self.io.arm_write();
             }
         }
         Ok(())
@@ -418,10 +290,11 @@ impl<IO: FlowIo> Flow<IO> {
             return;
         }
         inner.closed = true;
-        // Local reads fail fast (after already-decoded frames drain),
+        // Local reads fail fast (after already-buffered frames drain),
         // matching netsim's `Conn::close`, which severs both directions.
-        inner.read_open = false;
-        inner.rx_err.get_or_insert(TdpError::Disconnected);
+        // The shutdown wakes a receiver parked on the fd; the flag is
+        // what it then finds.
+        self.shut.store(true, Ordering::Release);
         self.io.shutdown_read();
         if inner.outbox.is_empty() {
             self.io.shutdown_write();
@@ -431,155 +304,29 @@ impl<IO: FlowIo> Flow<IO> {
             if !inner.want_write {
                 self.drain_write(&mut inner);
                 if inner.want_write {
-                    self.rearm(&inner);
+                    self.io.arm_write();
                 }
             }
         }
-        self.rx_cv.notify_all();
         self.tx_cv.notify_all();
-    }
-
-    // ---- receive path -------------------------------------------------
-
-    pub fn recv(&self, deadline: Option<Instant>) -> TdpResult<Message> {
-        let mut inner = self.inner.lock();
-        if self.io.supports_direct_read() && !inner.direct_reader {
-            return self.recv_direct(inner, deadline);
-        }
-        loop {
-            if let Some(msg) = self.pop_inbox(&mut inner) {
-                return Ok(msg);
-            }
-            if let Some(e) = inner.rx_err.clone() {
-                return Err(e);
-            }
-            match deadline {
-                None => self.rx_cv.wait(&mut inner),
-                Some(d) => {
-                    if self.rx_cv.wait_until(&mut inner, d).timed_out() {
-                        return Err(TdpError::Timeout);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Blocking receive that owns the read side: instead of parking on
-    /// the condvar and paying a reactor wakeup plus a cross-thread
-    /// handoff per message, the consumer waits on the endpoint itself
-    /// (`poll(2)` on the production socket) and drains under the flow
-    /// lock. While `direct_reader` is set, readiness handlers skip the
-    /// read half entirely and the interest mask excludes reads — the
-    /// registration stays read-disarmed between camps, so a
-    /// request/reply loop never wakes the reactor at all. Data arriving
-    /// while nobody is receiving simply waits in the socket buffer
-    /// (TCP's window still backpressures the peer) until the next
-    /// `recv`/`try_recv` drains it.
-    fn recv_direct<'a>(
-        &'a self,
-        mut inner: tdp_sync::MutexGuard<'a, FlowInner>,
-        deadline: Option<Instant>,
-    ) -> TdpResult<Message> {
-        inner.direct_reader = true;
-        let res = loop {
-            if inner.read_open {
-                self.drain_read(&mut inner);
-            }
-            if let Some(msg) = self.pop_inbox(&mut inner) {
-                break Ok(msg);
-            }
-            if let Some(e) = inner.rx_err.clone() {
-                break Err(e);
-            }
-            let timeout_ms = match deadline {
-                None => -1,
-                Some(d) => {
-                    let now = Instant::now();
-                    if d <= now {
-                        break Err(TdpError::Timeout);
-                    }
-                    // Round up so the final wait cannot spin at 0 ms.
-                    d.duration_since(now)
-                        .as_millis()
-                        .saturating_add(1)
-                        .min(i32::MAX as u128) as i32
-                }
-            };
-            drop(inner);
-            let ready = self.io.wait_readable(timeout_ms);
-            inner = self.inner.lock();
-            match ready {
-                // Ready (or spurious): loop drains and re-checks.
-                Ok(true) => {}
-                // Timeout: loop re-checks the deadline (and anything a
-                // concurrent close delivered meanwhile).
-                Ok(false) => {}
-                Err(_) => {
-                    // A failing poll cannot make progress; surface it
-                    // as a dead connection rather than spinning.
-                    inner.read_open = false;
-                    inner.rx_err.get_or_insert(TdpError::Disconnected);
-                }
-            }
-        };
-        inner.direct_reader = false;
-        res
-    }
-
-    pub fn try_recv(&self) -> TdpResult<Option<Message>> {
-        let mut inner = self.inner.lock();
-        // With the registration read-disarmed between direct-read
-        // camps, arrived-but-unread bytes sit in the socket buffer; a
-        // non-blocking probe drains them here.
-        if inner.inbox.is_empty()
-            && inner.read_open
-            && !inner.direct_reader
-            && self.io.supports_direct_read()
-        {
-            self.drain_read(&mut inner);
-        }
-        if let Some(msg) = self.pop_inbox(&mut inner) {
-            return Ok(Some(msg));
-        }
-        match inner.rx_err.clone() {
-            Some(e) => Err(e),
-            None => Ok(None),
-        }
-    }
-
-    /// Hand a finished message's string capacity back for future
-    /// decodes (the zero-alloc receive loop's other half).
-    pub fn recycle(&self, msg: Message) {
-        self.inner.lock().scratch.recycle_message(msg);
-    }
-
-    fn pop_inbox(&self, inner: &mut FlowInner) -> Option<Message> {
-        let msg = inner.inbox.pop_front()?;
-        if inner.paused && inner.read_open && inner.inbox.len() * 2 <= self.tuning.inbox_messages {
-            inner.paused = false;
-            self.rearm(inner);
-        }
-        Some(msg)
     }
 
     // ---- lifecycle ----------------------------------------------------
 
-    /// First half of tearing the connection down: quiesce the state
-    /// machine (stale readiness reports and senders become no-ops) and
-    /// hand any unflushed outbox back to the caller, which flushes it
-    /// synchronously *outside* the flow lock. Quiescing before the
-    /// owner flips the socket to blocking mode is load-bearing: the
-    /// shard thread holding a stale readiness event must find
-    /// `read_open == false` here rather than enter `drain_read` on a
-    /// now-blocking socket and wedge the whole shard.
+    /// First half of tearing the connection down, run once both API
+    /// halves are gone (so no receiver is left to tell): quiesce the
+    /// state machine (stale readiness reports and senders become
+    /// no-ops) and hand any unflushed outbox back to the caller, which
+    /// flushes it synchronously *outside* the flow lock. Quiescing
+    /// before the owner flips the socket to blocking mode is
+    /// load-bearing: the reactor thread holding a stale readiness event
+    /// must find no drain owed here rather than enter `drain_write` on
+    /// a now-blocking socket and wedge every other connection's drain.
     pub fn begin_release(&self) -> Option<FlushPlan> {
         let mut inner = self.inner.lock();
         let flush = !inner.outbox.is_empty() && (!inner.closed || inner.flush_then_shutdown);
         inner.closed = true;
-        inner.read_open = false;
-        inner.paused = false;
         inner.want_write = false;
-        inner.rx_err.get_or_insert(TdpError::Disconnected);
         let shutdown_write_after = inner.flush_then_shutdown;
         inner.flush_then_shutdown = false;
         let frames = std::mem::take(&mut inner.outbox);
@@ -613,17 +360,12 @@ impl<IO: FlowIo> Flow<IO> {
         !inner.closed
     }
 
-    /// Test-only visibility into the state machine (loom assertions).
+    /// Test-only visibility into the state machine: `(want_write,
+    /// closed, outbox_bytes)`.
     #[cfg(test)]
-    pub fn snapshot(&self) -> (usize, bool, bool, bool, usize) {
+    pub fn snapshot(&self) -> (bool, bool, usize) {
         let inner = self.inner.lock();
-        (
-            inner.inbox.len(),
-            inner.paused,
-            inner.want_write,
-            inner.closed,
-            inner.outbox_bytes,
-        )
+        (inner.want_write, inner.closed, inner.outbox_bytes)
     }
 }
 
@@ -633,7 +375,7 @@ mod tests {
     use crate::pool::BufferPool;
     use proptest::prelude::*;
     use std::sync::Mutex as StdMutex;
-    use tdp_proto::{encode_frame, ContextId, Reply};
+    use tdp_proto::{encode_frame, ContextId, FrameDecoder, Message, Reply};
     use tdp_sync::Arc;
 
     /// A scripted endpoint for the writev-coalescing property: each
@@ -675,14 +417,6 @@ mod tests {
     }
 
     impl FlowIo for GatherIo {
-        fn read(&self, _buf: &mut [u8]) -> std::io::Result<usize> {
-            Err(std::io::ErrorKind::WouldBlock.into())
-        }
-
-        fn write(&self, buf: &[u8]) -> std::io::Result<usize> {
-            self.writev(&[buf])
-        }
-
         fn writev(&self, bufs: &[&[u8]]) -> std::io::Result<usize> {
             let mut st = self.inner.lock().unwrap();
             let mut allowance = match st.allowances.pop_front() {
@@ -709,7 +443,7 @@ mod tests {
         fn shutdown_read(&self) {}
         fn shutdown_write(&self) {}
         fn shutdown_both(&self) {}
-        fn rearm(&self, _interest: Interest) {}
+        fn arm_write(&self) {}
     }
 
     fn arb_string() -> impl Strategy<Value = String> {
@@ -747,11 +481,9 @@ mod tests {
             let flow = Flow::new(
                 io.clone(),
                 ConnTuning {
-                    inbox_messages: 64,
                     outbox_bytes: 1 << 20,
                     write_stall: Duration::from_secs(5),
                 },
-                FrameDecoder::new(),
             );
 
             let mut expected = Vec::new();
@@ -763,11 +495,11 @@ mod tests {
             // Flush whatever the scripted EWOULDBLOCKs left queued; the
             // exhausted script accepts everything, so this terminates.
             for _ in 0..allowances.len() + 2 {
-                let (_, _, _, _, outbox_bytes) = flow.snapshot();
+                let (_, _, outbox_bytes) = flow.snapshot();
                 if outbox_bytes == 0 {
                     break;
                 }
-                flow.on_ready(false, true);
+                flow.on_ready();
             }
 
             let written = io.written();

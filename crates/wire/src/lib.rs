@@ -9,15 +9,17 @@
 //!
 //! * [`sim`] — an adapter over `tdp-netsim`'s in-memory fabric, keeping
 //!   the simulated topology, firewalls and latency models;
-//! * [`epoll`] — real loopback TCP sockets multiplexed onto sharded
-//!   `epoll` reactors, one thread per shard (see [`reactor`]):
-//!   an incremental streaming decoder ([`tdp_proto::FrameDecoder`]),
-//!   a bounded outbox (backpressure) drained by coalescing `writev`,
-//!   fail-fast close semantics matching netsim's, and a buffer pool
-//!   making steady-state put/get allocation-free. Thread count stays
-//!   O(shards), not O(connections). [`socket`] holds what
-//!   happens to a stream before the reactor owns it (accept, `Hello`
-//!   handshake) and the §2.4 byte-relay proxy.
+//! * [`epoll`] — real loopback TCP sockets with no per-connection
+//!   thread. A receiver reads its own socket: an incremental streaming
+//!   decoder ([`tdp_proto::FrameDecoder`]) owned by the connection's one
+//!   `WireRx`, which parks in `poll(2)` on its own fd. A sender writes
+//!   inline into a bounded outbox (backpressure) drained by coalescing
+//!   `writev`; one `wire-reactor` thread per transport (see [`reactor`])
+//!   finishes the drain when a socket buffer fills. Fail-fast close
+//!   semantics match netsim's, and a buffer pool makes steady-state
+//!   put/get allocation-free. [`socket`] holds what happens to a stream
+//!   before it is registered (accept, `Hello` handshake) and the §2.4
+//!   byte-relay proxy.
 //!
 //! The two are observably equivalent to the layers above: the same
 //! scenario driven over either produces the same TDP call trace.
@@ -40,7 +42,7 @@ pub mod socket;
 pub mod sys;
 
 pub use endpoint::Endpoint;
-pub use epoll::{EpollConfig, EpollTransport};
+pub use epoll::EpollTransport;
 pub use sim::SimTransport;
 pub use socket::TcpProxy;
 
@@ -216,7 +218,8 @@ impl std::fmt::Debug for WireConn {
     }
 }
 
-/// Clonable listener handle.
+/// Clonable listener handle. Dropping the last clone closes the
+/// listener, on either transport.
 #[derive(Clone)]
 pub struct WireListener {
     inner: Arc<dyn ListenerApi>,
@@ -259,18 +262,19 @@ pub(crate) fn protocol_err(e: tdp_proto::FrameError) -> TdpError {
     TdpError::Protocol(e.to_string())
 }
 
-/// What one [`EpollTransport`] owns right now: its IO threads (one per
-/// reactor shard) and the connections registered with them. Per
-/// transport, so concurrent worlds never see each other.
+/// What one [`EpollTransport`] owns right now: its IO threads — always
+/// exactly one, the `wire-reactor` that drains backed-up outboxes — and
+/// the connections registered with it. Per transport, so concurrent
+/// worlds never see each other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireCensus {
     pub threads: usize,
     pub conns: usize,
 }
 
-/// Names of this process's live wire-layer OS threads (reactors,
-/// accept threads, proxies and their relay pumps — every
-/// thread this crate spawns is named `wire-…`). Linux-only by way of
+/// Names of this process's live wire-layer OS threads (each
+/// transport's reactor, accept threads, proxies and their relay pumps —
+/// every thread this crate spawns is named `wire-…`). Linux-only by way of
 /// `/proc`, which truncates names to 15 bytes.
 fn wire_threads() -> Vec<String> {
     let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
@@ -297,9 +301,9 @@ pub(crate) fn record_stall_kill() {
 }
 
 /// Process-wide count of connections this crate has killed because a
-/// peer stopped draining for longer than the write-stall timeout
-/// ([`EpollConfig::write_timeout`]). A monotone counter, never reset:
-/// ops KPI consumers diff successive samples.
+/// peer stopped draining for longer than the write-stall timeout (5 s).
+/// A monotone counter, never reset: ops KPI consumers diff successive
+/// samples.
 pub fn stall_kill_count() -> u64 {
     STALL_KILLS.load(std::sync::atomic::Ordering::Relaxed)
 }

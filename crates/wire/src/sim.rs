@@ -6,7 +6,8 @@ use crate::{
 };
 use std::time::Instant;
 use tdp_netsim::{Conn, ConnRx, ConnTx, Listener, Network};
-use tdp_proto::{HostId, Message, TdpError, TdpResult};
+use tdp_proto::{Addr, HostId, Message, TdpError, TdpResult};
+use tdp_sync::atomic::{AtomicBool, Ordering};
 use tdp_sync::Arc;
 
 /// Transport over the simulated fabric.
@@ -64,7 +65,8 @@ pub fn wrap_listener(net: Network, listener: Listener) -> WireListener {
     WireListener::new(Arc::new(SimListener {
         net,
         listener: tdp_sync::Mutex::new(listener),
-        addr: Endpoint::Sim(addr),
+        addr,
+        closed: AtomicBool::new(false),
     }))
 }
 
@@ -90,12 +92,11 @@ impl RxApi for SimRx {
     fn recv_msg_deadline(&mut self, deadline: Option<Instant>) -> TdpResult<Message> {
         match deadline {
             None => self.rx.recv_msg(),
-            Some(d) => {
-                let remaining = d
-                    .checked_duration_since(Instant::now())
-                    .ok_or(TdpError::Timeout)?;
-                self.rx.recv_msg_timeout(remaining)
-            }
+            // Saturating: an expired deadline still lets `pop` hand
+            // over a frame that is already deliverable.
+            Some(d) => self
+                .rx
+                .recv_msg_timeout(d.saturating_duration_since(Instant::now())),
         }
     }
 
@@ -107,7 +108,10 @@ impl RxApi for SimRx {
 struct SimListener {
     net: Network,
     listener: tdp_sync::Mutex<Listener>,
-    addr: Endpoint,
+    addr: Addr,
+    /// Unbind once: by the time a closed listener is dropped, the port
+    /// may belong to its successor.
+    closed: AtomicBool,
 }
 
 impl ListenerApi for SimListener {
@@ -120,22 +124,30 @@ impl ListenerApi for SimListener {
     }
 
     fn local_endpoint(&self) -> Endpoint {
-        self.addr
+        Endpoint::Sim(self.addr)
     }
 
     fn close(&self) {
-        if let Endpoint::Sim(addr) = self.addr {
+        if !self.closed.swap(true, Ordering::AcqRel) {
             // Unbinding drops the fabric-side sender; the blocked accept
             // wakes with `Disconnected`.
-            self.net.unbind(addr);
+            self.net.unbind(self.addr);
         }
+    }
+}
+
+/// Same contract as the socket listener: dropping the last handle
+/// releases the port.
+impl Drop for SimListener {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdp_proto::{Addr, ContextId};
+    use tdp_proto::ContextId;
 
     #[test]
     fn sim_roundtrip_over_wire_api() {
@@ -169,6 +181,25 @@ mod tests {
         ready_rx.recv().unwrap();
         lis.close();
         assert!(th.join().unwrap().is_err());
+    }
+
+    #[test]
+    fn dropped_listener_releases_its_port() {
+        let net = Network::new();
+        let h = net.add_host();
+        let t = SimTransport::new(net);
+        drop(t.listen(h, 7002).unwrap());
+        let successor = t.listen(h, 7002).unwrap();
+        // A closed listener's drop must not unbind whoever holds the
+        // port by then.
+        let closed = t.listen(h, 7003).unwrap();
+        closed.close();
+        let heir = t.listen(h, 7003).unwrap();
+        drop(closed);
+        for lis in [successor, heir] {
+            let _client = t.connect(h, &lis.local_endpoint()).unwrap();
+            lis.accept().unwrap();
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Loopback-socket plumbing under the epoll transport — everything
-//! that touches a `TcpStream` *before* the reactor owns it, plus the
+//! that touches a `TcpStream` *before* the transport adopts it, plus the
 //! byte-relay proxy that never frames a message at all:
 //!
 //! * **Listener** — one blocking accept thread per listener feeding a
@@ -52,6 +52,10 @@ impl ListenerApi for RealListener {
         if self.closed.swap(true, Ordering::AcqRel) {
             return;
         }
+        // The accept thread may be parked in `send` on a full queue; it
+        // sends at most once more after seeing `closed`, so emptying the
+        // queue here is enough for the join below to return.
+        while self.incoming.try_recv().is_ok() {}
         // `std::net::TcpListener::accept` cannot be interrupted; wake the
         // accept thread with a throwaway self-connection.
         let _ = TcpStream::connect_timeout(&self.local, Duration::from_millis(500));
@@ -61,9 +65,19 @@ impl ListenerApi for RealListener {
     }
 }
 
+/// A listener dropped without `close()` would otherwise leave its accept
+/// thread parked in `accept` for the life of the process, holding the
+/// bound socket and — through the thread's transport clone — the
+/// reactor.
+impl Drop for RealListener {
+    fn drop(&mut self) {
+        self.close();
+    }
+}
+
 /// Spawn the accept thread for a bound listener and wrap it as a
 /// [`WireListener`]. Each accepted stream is handshaken and registered
-/// with `transport`'s reactors inline on the accept thread.
+/// with `transport`'s reactor inline on the accept thread.
 pub(crate) fn spawn_real_listener(
     listener: TcpListener,
     transport: EpollTransport,

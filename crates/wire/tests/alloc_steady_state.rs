@@ -16,7 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tdp_proto::{ContextId, HostId, Message, Reply};
-use tdp_wire::{EpollConfig, EpollTransport, Transport};
+use tdp_wire::{EpollTransport, Transport};
 
 /// Forwards everything to [`System`], counting allocation entry points
 /// (alloc/realloc/alloc_zeroed — frees are irrelevant to the claim).
@@ -57,7 +57,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_put_get_round_trip_allocates_nothing() {
-    let t = EpollTransport::with_config(EpollConfig::default()).unwrap();
+    let t = EpollTransport::new().unwrap();
     let lis = t.listen(HostId(1), 0).unwrap();
     let client = t.connect(HostId(0), &lis.local_endpoint()).unwrap();
     let server = lis.accept().unwrap();

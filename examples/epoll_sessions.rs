@@ -8,8 +8,11 @@
 //!
 //! A thread-per-connection transport would spend ~1000 OS threads on
 //! 500 sessions before the tool has done any work. Over
-//! `World::new_epoll` all sockets share the reactor shards, one thread
-//! each.
+//! `World::new_epoll` the wire layer spends one: each receiver reads
+//! its own socket, and a single `wire-reactor` thread finishes writes a
+//! full socket buffer interrupted. (The attribute-space *server* above
+//! it still runs one session thread per client, parked in its own
+//! `recv` — those are not wire threads and are not counted here.)
 
 use std::time::Instant;
 use tdp::core::World;
@@ -57,5 +60,5 @@ fn main() {
     );
 
     drop(sessions);
-    println!("done: thread count stayed O(shards), not O(sessions)");
+    println!("done: one wire thread throughout, not O(sessions)");
 }

@@ -60,8 +60,8 @@ fn main() -> TdpResult<()> {
     let b = net.add_host();
     run("netsim", &SimTransport::new(net), b, a)?;
 
-    // Transport 2: real loopback TCP, every connection multiplexed
-    // onto the shared epoll reactors. Identical driver code — the
+    // Transport 2: real loopback TCP, no thread per connection — each
+    // receiver reads its own socket. Identical driver code — the
     // logical hosts ride the Hello handshake instead of the address.
     run("epoll", &EpollTransport::new()?, HostId(1), HostId(0))?;
 

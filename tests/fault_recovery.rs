@@ -10,27 +10,15 @@ use std::time::Duration;
 use tdp::core::{Role, TdpCreate, TdpHandle, World};
 use tdp::proto::{names, ContextId, HostId, ProcStatus, TdpError};
 use tdp::simos::{fn_program, ExecImage};
-use tdp::wire::EpollConfig;
 
 const CTX: ContextId = ContextId(1);
 const T: Duration = Duration::from_secs(10);
 
 /// Every transport: the recovery behaviour under test is
 /// transport-independent, so each scenario runs over netsim and over
-/// sockets at one and at four reactor shards (the same parameterization
-/// as the wire-transport suite).
+/// sockets (the same parameterization as the wire-transport suite).
 fn worlds() -> Vec<(&'static str, World)> {
-    let sharded = |reactors| {
-        World::new_epoll_with(EpollConfig {
-            reactors,
-            ..EpollConfig::default()
-        })
-    };
-    vec![
-        ("netsim", World::new()),
-        ("epoll×1", sharded(1)),
-        ("epoll×4", sharded(4)),
-    ]
+    vec![("netsim", World::new()), ("epoll", World::new_epoll())]
 }
 
 fn add_app_host(w: &World) -> HostId {

@@ -1,39 +1,22 @@
 //! The transport-equivalence suite: the Figure 2 (E2) and complete-
 //! framework (E11) scenarios run over both transports `tdp-wire` ships —
-//! the simulated fabric and real loopback sockets on the epoll reactors
-//! (`World::new_epoll`), the latter at one and at four reactor shards —
+//! the simulated fabric and real loopback sockets (`World::new_epoll`) —
 //! and produce the *same observable behaviour*, up to identical call
-//! traces. The socket transport additionally has to do it with a
-//! bounded thread count: the 500-session soak at the bottom asserts the
-//! exact budget.
+//! traces. The socket transport additionally has to do it on one wire
+//! thread: the 500-session soak at the bottom asserts the exact budget.
 
 use std::sync::Arc;
 use std::time::Duration;
 use tdp::condor::{CondorPool, JobState};
 use tdp::core::{Role, TdpHandle, TransportMode, World};
-use tdp::netsim::FirewallPolicy;
+use tdp::netsim::{FirewallPolicy, Network};
 use tdp::paradyn::{paradynd_image, ParadynFrontend, PerformanceConsultant};
-use tdp::proto::{names, Addr, ContextId, ProcStatus};
+use tdp::proto::{names, Addr, ContextId, Message, ProcStatus, TdpError};
 use tdp::simos::{fn_program, ExecImage};
-use tdp::wire::{EpollConfig, WireCensus};
+use tdp::wire::{EpollTransport, SimTransport, Transport, WireCensus};
 
 const CTX: ContextId = ContextId(1);
 const T: Duration = Duration::from_secs(30);
-
-/// The socket-backed worlds, labelled for assertion messages: the
-/// single-shard path and multi-shard routing, pinned so both run
-/// whatever the host's core count. Every scenario below runs over each
-/// of these plus the netsim default.
-fn socket_worlds() -> Vec<(&'static str, World)> {
-    vec![("epoll×1", sharded(1)), ("epoll×4", sharded(4))]
-}
-
-fn sharded(reactors: usize) -> World {
-    World::new_epoll_with(EpollConfig {
-        reactors,
-        ..EpollConfig::default()
-    })
-}
 
 /// The E2 Figure-2 scenario body, transport-agnostic. Returns the
 /// rendered call trace.
@@ -79,10 +62,9 @@ fn fig2_scenario(world: &World) -> String {
 
 #[test]
 fn fig2_runs_over_socket_backends() {
-    for (name, world) in socket_worlds() {
-        assert_ne!(world.transport_mode(), TransportMode::Netsim, "{name}");
-        fig2_scenario(&world);
-    }
+    let world = World::new_epoll();
+    assert_eq!(world.transport_mode(), TransportMode::Epoll);
+    fig2_scenario(&world);
 }
 
 #[test]
@@ -91,10 +73,8 @@ fn fig2_trace_identical_across_transports() {
     // traces must match byte for byte.
     let sim_trace = fig2_scenario(&World::new());
     assert!(!sim_trace.is_empty());
-    for (name, world) in socket_worlds() {
-        let trace = fig2_scenario(&world);
-        assert_eq!(sim_trace, trace, "trace diverged on the {name} backend");
-    }
+    let trace = fig2_scenario(&World::new_epoll());
+    assert_eq!(sim_trace, trace, "trace diverged on the epoll backend");
 }
 
 /// The §2.4 firewall crossing, with a real byte-relay proxy: the
@@ -126,9 +106,7 @@ fn proxy_crossing_scenario(world: &World) {
 
 #[test]
 fn fig2_proxy_crossing_over_socket_backends() {
-    for (_name, world) in socket_worlds() {
-        proxy_crossing_scenario(&world);
-    }
+    proxy_crossing_scenario(&World::new_epoll());
 }
 
 #[test]
@@ -136,20 +114,16 @@ fn socket_worlds_enforce_firewalls_without_a_proxy() {
     // No proxy advertised: the firewalled connect must fail fast with
     // the same error family as the simulated fabric, not hang on a
     // socket that was never reachable.
-    for (name, world) in socket_worlds() {
-        let fe_host = world.add_host();
-        let zone = world.add_private_zone(FirewallPolicy::STRICT);
-        let remote = world.add_host_in(zone);
-        let cass = world.ensure_cass(fe_host).unwrap();
-        let err = match world.attr_connect(remote, cass) {
-            Err(e) => e,
-            Ok(_) => panic!("firewalled connect must fail ({name})"),
-        };
-        assert!(
-            matches!(err, tdp::proto::TdpError::BlockedByFirewall { .. }),
-            "{name}: {err}"
-        );
-    }
+    let world = World::new_epoll();
+    let fe_host = world.add_host();
+    let zone = world.add_private_zone(FirewallPolicy::STRICT);
+    let remote = world.add_host_in(zone);
+    let cass = world.ensure_cass(fe_host).unwrap();
+    let err = match world.attr_connect(remote, cass) {
+        Err(e) => e,
+        Ok(_) => panic!("firewalled connect must fail"),
+    };
+    assert!(matches!(err, TdpError::BlockedByFirewall { .. }), "{err}");
 }
 
 fn app_image() -> ExecImage {
@@ -231,44 +205,72 @@ fn complete_framework_scenario(world: &World) -> std::collections::BTreeMap<Stri
 
 #[test]
 fn complete_framework_condor_over_socket_backends() {
-    for (name, world) in socket_worlds() {
-        let pool = CondorPool::build(&world, 2).unwrap();
-        pool.install_everywhere("/bin/app", app_image());
-        for h in pool.exec_hosts() {
-            world
-                .os()
-                .fs()
-                .install_exec(*h, "paradynd", paradynd_image(world.clone()));
-        }
-        let fe = ParadynFrontend::start(world.net(), pool.submit_host(), 0, 0).unwrap();
-        fe.advertise_via_cass(&world).unwrap();
-
-        let job = pool
-            .submit_str(
-                "executable = /bin/app\n+SuspendJobAtExec = True\n+ToolDaemonCmd = \"paradynd\"\n+ToolDaemonArgs = \"-zunix -a%pid\"\nqueue\n",
-            )
-            .unwrap();
-        let daemons = fe.wait_for_daemons(1, T).unwrap();
-        assert_eq!(daemons.len(), 1, "{name}");
-        fe.run_all().unwrap();
-        match pool.wait_job(job, T).unwrap() {
-            JobState::Completed(done) => assert_eq!(done[&0], ProcStatus::Exited(0), "{name}"),
-            other => panic!("{name}: {other:?}"),
-        }
-        fe.wait_done(1, T).unwrap();
-        let b = PerformanceConsultant::default()
-            .search(&fe.samples())
-            .unwrap();
-        assert_eq!(b.symbol, "kernel", "{name}");
+    let world = World::new_epoll();
+    let pool = CondorPool::build(&world, 2).unwrap();
+    pool.install_everywhere("/bin/app", app_image());
+    for h in pool.exec_hosts() {
+        world
+            .os()
+            .fs()
+            .install_exec(*h, "paradynd", paradynd_image(world.clone()));
     }
+    let fe = ParadynFrontend::start(world.net(), pool.submit_host(), 0, 0).unwrap();
+    fe.advertise_via_cass(&world).unwrap();
+
+    let job = pool
+        .submit_str(
+            "executable = /bin/app\n+SuspendJobAtExec = True\n+ToolDaemonCmd = \"paradynd\"\n+ToolDaemonArgs = \"-zunix -a%pid\"\nqueue\n",
+        )
+        .unwrap();
+    let daemons = fe.wait_for_daemons(1, T).unwrap();
+    assert_eq!(daemons.len(), 1);
+    fe.run_all().unwrap();
+    match pool.wait_job(job, T).unwrap() {
+        JobState::Completed(done) => assert_eq!(done[&0], ProcStatus::Exited(0)),
+        other => panic!("{other:?}"),
+    }
+    fe.wait_done(1, T).unwrap();
+    let b = PerformanceConsultant::default()
+        .search(&fe.samples())
+        .unwrap();
+    assert_eq!(b.symbol, "kernel");
 }
 
 #[test]
 fn complete_framework_trace_identical_across_transports() {
     let sim = complete_framework_scenario(&World::new());
-    for (name, world) in socket_worlds() {
-        let trace = complete_framework_scenario(&world);
-        assert_eq!(sim, trace, "E11 trace diverged on the {name} backend");
+    let trace = complete_framework_scenario(&World::new_epoll());
+    assert_eq!(sim, trace, "E11 trace diverged on the epoll backend");
+}
+
+/// An expired deadline means the same thing on both backends: what has
+/// already arrived is still delivered, and only then `Timeout`.
+#[test]
+fn zero_timeout_delivers_a_queued_frame_on_both_backends() {
+    let net = Network::new();
+    let (a, b) = (net.add_host(), net.add_host());
+    let backends: [(&str, Box<dyn Transport>); 2] = [
+        ("netsim", Box::new(SimTransport::new(net))),
+        ("epoll", Box::new(EpollTransport::new().unwrap())),
+    ];
+    for (name, t) in backends {
+        let lis = t.listen(b, 7000).unwrap();
+        let client = t.connect(a, &lis.local_endpoint()).unwrap();
+        let mut server = lis.accept().unwrap();
+        assert_eq!(
+            server.recv_msg_timeout(Duration::ZERO),
+            Err(TdpError::Timeout),
+            "{name}: nothing queued"
+        );
+        let msg = Message::Join { ctx: CTX };
+        client.send_msg(&msg).unwrap();
+        // Let the loopback segment land in the receiver's socket buffer.
+        std::thread::park_timeout(Duration::from_millis(50));
+        assert_eq!(
+            server.recv_msg_timeout(Duration::ZERO),
+            Ok(msg),
+            "{name}: a queued frame beats an expired deadline"
+        );
     }
 }
 
@@ -276,37 +278,32 @@ fn complete_framework_trace_identical_across_transports() {
 fn epoll_soak_500_sessions_bounded_threads() {
     // The scaling claim: a CASS front-end holding 500 live
     // attribute-space sessions must not cost 2×500 wire threads. All
-    // 1000 sockets (a client and a server end per session) share the
-    // reactor shards — one thread each — and the census is this world's
-    // own, so sibling tests' worlds cannot leak into it.
-    let worlds = [
-        (EpollConfig::default().reactors, World::new_epoll()),
-        (1, sharded(1)),
-        (4, sharded(4)),
-    ];
-    for (shards, world) in worlds {
-        let fe = world.add_host();
-        let cass = world.ensure_cass(fe).unwrap();
-        let mut sessions = Vec::with_capacity(500);
-        for i in 0..500u64 {
-            let mut c = world.attr_connect(fe, cass).unwrap();
-            let ctx = ContextId(i);
-            c.join(ctx).unwrap();
-            c.put(ctx, "session", &format!("s{i}")).unwrap();
-            sessions.push((ctx, c));
-        }
-        assert_eq!(
-            world.wire_census(),
-            Some(WireCensus {
-                threads: shards,
-                conns: 1000
-            })
-        );
-        // Every session is still live after the census — spot-check
-        // them all, not just the survivors of an LRU.
-        for (ctx, c) in sessions.iter_mut() {
-            let i = ctx.0;
-            assert_eq!(c.get(*ctx, "session").unwrap(), format!("s{i}"));
-        }
+    // 1000 sockets (a client and a server end per session) are read by
+    // their own receivers and share the world's one reactor thread —
+    // and the census is this world's own, so sibling tests' worlds
+    // cannot leak into it.
+    let world = World::new_epoll();
+    let fe = world.add_host();
+    let cass = world.ensure_cass(fe).unwrap();
+    let mut sessions = Vec::with_capacity(500);
+    for i in 0..500u64 {
+        let mut c = world.attr_connect(fe, cass).unwrap();
+        let ctx = ContextId(i);
+        c.join(ctx).unwrap();
+        c.put(ctx, "session", &format!("s{i}")).unwrap();
+        sessions.push((ctx, c));
+    }
+    assert_eq!(
+        world.wire_census(),
+        Some(WireCensus {
+            threads: 1,
+            conns: 1000
+        })
+    );
+    // Every session is still live after the census — spot-check
+    // them all, not just the survivors of an LRU.
+    for (ctx, c) in sessions.iter_mut() {
+        let i = ctx.0;
+        assert_eq!(c.get(*ctx, "session").unwrap(), format!("s{i}"));
     }
 }
