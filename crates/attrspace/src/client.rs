@@ -58,55 +58,9 @@ impl Default for ReconnectPolicy {
 }
 
 impl ReconnectPolicy {
-    /// Start from the default policy and override selected knobs —
-    /// the construction path for callers outside this crate that only
-    /// care about one or two fields (and stays source-compatible if
-    /// the policy ever grows private fields).
-    pub fn builder() -> ReconnectPolicyBuilder {
-        ReconnectPolicyBuilder {
-            policy: ReconnectPolicy::default(),
-        }
-    }
-
     /// The jittered delay sequence this policy paces dials with.
     pub fn backoff(&self) -> Backoff {
         Backoff::new(self.base, self.cap, self.seed)
-    }
-}
-
-/// Builder for [`ReconnectPolicy`] — see [`ReconnectPolicy::builder`].
-#[derive(Debug, Clone)]
-pub struct ReconnectPolicyBuilder {
-    policy: ReconnectPolicy,
-}
-
-impl ReconnectPolicyBuilder {
-    /// First retry delay; doubles per failed attempt.
-    pub fn base(mut self, base: Duration) -> Self {
-        self.policy.base = base;
-        self
-    }
-
-    /// Ceiling on a single delay.
-    pub fn cap(mut self, cap: Duration) -> Self {
-        self.policy.cap = cap;
-        self
-    }
-
-    /// Total time to keep trying before giving up with the dial error.
-    pub fn max_elapsed(mut self, max_elapsed: Duration) -> Self {
-        self.policy.max_elapsed = max_elapsed;
-        self
-    }
-
-    /// Seed for the jitter PRNG (deterministic tests inject their own).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.policy.seed = seed;
-        self
-    }
-
-    pub fn build(self) -> ReconnectPolicy {
-        self.policy
     }
 }
 

@@ -32,6 +32,6 @@ pub mod client;
 pub mod server;
 pub mod space;
 
-pub use client::{AttrClient, Dialer, ReconnectPolicy, ReconnectPolicyBuilder};
+pub use client::{AttrClient, Dialer, ReconnectPolicy};
 pub use server::{AttrSpaceServer, ServerKind};
 pub use space::{ClientId, Out, Space};

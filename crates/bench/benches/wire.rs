@@ -2,14 +2,14 @@
 //! operations over `tdp-wire`'s two transports, head to head.
 //!
 //! The netsim numbers bound what the protocol logic itself costs; the
-//! epoll numbers add real syscalls, the streaming frame decoder and the
-//! reactor. Both run the identical client and server code — only the
+//! epoll numbers add real syscalls and the streaming frame decoder.
+//! Both run the identical client and server code — only the
 //! `Transport` differs.
 //!
 //! **B8 — Connection scaling**: aggregate put rate across N concurrent
-//! sessions per transport. This is the reactor's reason to exist: as
-//! sessions grow the socket transport keeps its wire thread count flat
-//! (printed to stderr after each case).
+//! sessions per transport. As sessions grow the socket transport keeps
+//! its wire thread count flat — the listener's accept thread, nothing
+//! per connection or per transport (printed to stderr after each case).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -55,9 +55,8 @@ fn bench_latency(c: &mut Criterion) {
 }
 
 fn bench_throughput(c: &mut Criterion) {
-    // Streamed puts: the socket path exercises its outbound queueing
-    // (outbox draining); each put still waits for its Ok, so this is a
-    // pipelined request/reply rate, not raw socket bandwidth.
+    // Streamed puts over one session; each put still waits for its
+    // Ok, so this is a request/reply rate, not raw socket bandwidth.
     const BATCH: u64 = 256;
     let mut g = c.benchmark_group("wire_throughput");
     g.measurement_time(Duration::from_secs(2))

@@ -15,10 +15,11 @@
 //!   in-memory simulated fabric, with its latency model and firewall
 //!   enforcement on the connect path.
 //! * [`TransportMode::Epoll`] ([`World::new_epoll`]): connections are
-//!   real loopback TCP sockets with no per-connection wire thread —
-//!   each receiver reads its own socket and one `wire-reactor` thread
-//!   drains backed-up writes — so the wire thread count stays at one as
-//!   sessions scale ([`World::wire_census`]).
+//!   real loopback TCP sockets with no wire thread per connection or
+//!   per world — each receiver reads and each sender writes its own
+//!   socket, the kernel's socket buffer being the only queue — so
+//!   sessions scale without threads ([`World::wire_conns`] counts
+//!   them); a listener's accept thread is the only one spawned.
 //!
 //! In socket mode the netsim fabric is **kept** as the
 //! topology/policy source of truth — every logical address stays a
@@ -41,16 +42,15 @@ use tdp_proto::{Addr, HostId, TdpError, TdpResult};
 use tdp_simos::{Os, OsConfig};
 use tdp_sync::Mutex;
 use tdp_wire::socket::ProxyResolver;
-use tdp_wire::{EpollTransport, Transport, WireCensus, WireConn};
+use tdp_wire::{EpollTransport, Transport, WireConn};
 
 /// Which transport carries attribute-space traffic in this world.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportMode {
     /// In-memory simulated fabric (default).
     Netsim,
-    /// Real loopback TCP sockets, one wire thread per world however
-    /// many connections; netsim keeps the topology/firewall
-    /// bookkeeping.
+    /// Real loopback TCP sockets, no wire thread however many
+    /// connections; netsim keeps the topology/firewall bookkeeping.
     Epoll,
 }
 
@@ -93,7 +93,7 @@ impl World {
     }
 
     /// A world whose attribute-space traffic rides real loopback TCP
-    /// (one wire thread, however many sessions).
+    /// (no wire thread, however many sessions).
     pub fn new_epoll() -> World {
         World::with_mode(OsConfig::default(), TransportMode::Epoll)
     }
@@ -105,9 +105,9 @@ impl World {
     pub fn with_mode(cfg: OsConfig, mode: TransportMode) -> World {
         let socket = match mode {
             TransportMode::Netsim => None,
-            // Reactor startup only fails on fd/thread exhaustion, at
-            // which point this process is not running a world anyway.
-            TransportMode::Epoll => Some(EpollTransport::new().expect("start epoll reactor")),
+            // Nothing is left in there that can fail; the `Result` is
+            // the signature `tdpbench` links.
+            TransportMode::Epoll => Some(EpollTransport::new().expect("socket transport")),
         };
         World {
             inner: Arc::new(WorldInner {
@@ -146,10 +146,10 @@ impl World {
         }
     }
 
-    /// IO threads and registered connections of *this* world's socket
-    /// transport; `None` on netsim, which owns neither.
-    pub fn wire_census(&self) -> Option<WireCensus> {
-        self.inner.socket.as_ref().map(|t| t.census())
+    /// Open connections of *this* world's socket transport (a client
+    /// and a server end per session); `None` on netsim.
+    pub fn wire_conns(&self) -> Option<usize> {
+        self.inner.socket.as_ref().map(|t| t.conns())
     }
 
     /// Add a host on the public network.
@@ -473,13 +473,11 @@ mod tests {
         let dead = Addr::new(h, 4242); // nothing listens here
         let nominal = Duration::from_millis(200);
         let budget = nominal + Duration::from_millis(10);
-        let policy = |seed| {
-            ReconnectPolicy::builder()
-                .base(nominal)
-                .cap(nominal)
-                .max_elapsed(budget)
-                .seed(seed)
-                .build()
+        let policy = |seed| ReconnectPolicy {
+            base: nominal,
+            cap: nominal,
+            max_elapsed: budget,
+            seed,
         };
         let delays = |seed| {
             let mut b = policy(seed).backoff();

@@ -44,10 +44,11 @@ use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use tdp_sync::Mutex;
-use tdp_wire::sys::{poll_writable, Epoll, EpollEvent, EventFd, EPOLLIN, EPOLLONESHOT, EPOLLRDHUP};
+use tdp_wire::socket::write_all_stall;
+use tdp_wire::sys::{Epoll, EpollEvent, EventFd, EPOLLIN, EPOLLONESHOT, EPOLLRDHUP};
 
 /// Largest accepted head (request line + headers) in bytes.
 const MAX_HEAD: usize = 16 * 1024;
@@ -64,8 +65,11 @@ const READ_CHUNK: usize = 8 * 1024;
 /// large request must not pin megabytes for the life of a keep-alive
 /// connection.
 const KEEP_BUF: usize = 64 * 1024;
-/// How long a worker waits for a stalled client to make room for the
-/// rest of a response before it drops the connection.
+/// How long a worker waits, in total per response, for a stalled client
+/// to make room before it drops the connection. The wait is a
+/// `poll(2)` inside [`write_all_stall`] (the write loop the wire
+/// transport's senders use too) — we never register for `EPOLLOUT`: the
+/// worker owns the connection anyway.
 const WRITE_STALL: Duration = Duration::from_secs(5);
 
 const TOKEN_LISTENER: u64 = 0;
@@ -483,7 +487,7 @@ fn serve_conn(shared: &Shared, conn: &Conn, chunk: &mut [u8]) {
             } => {
                 (shared.handler)(&req).render_into(!close, &mut io.out);
                 at += consumed;
-                if !write_all(&conn.stream, &io.out) || close {
+                if write_all_stall(&conn.stream, &io.out, WRITE_STALL).is_err() || close {
                     break false;
                 }
             }
@@ -491,7 +495,7 @@ fn serve_conn(shared: &Shared, conn: &Conn, chunk: &mut [u8]) {
             Parsed::Bad(why) => {
                 HttpResponse::text(400, format!("bad request: {why}\n"))
                     .render_into(false, &mut io.out);
-                let _ = write_all(&conn.stream, &io.out);
+                let _ = write_all_stall(&conn.stream, &io.out, WRITE_STALL);
                 break false;
             }
         }
@@ -508,33 +512,6 @@ fn serve_conn(shared: &Shared, conn: &Conn, chunk: &mut [u8]) {
     io.out.shrink_to(KEEP_BUF);
     *conn.io.lock() = io;
     shared.rearm(conn);
-}
-
-/// Write the whole response. When the socket buffer is full, wait for
-/// the client to make room (we never register for `EPOLLOUT`: the
-/// worker owns the connection anyway) — for [`WRITE_STALL`] in total,
-/// after which the client counts as stalled and is dropped.
-fn write_all(mut stream: &TcpStream, mut data: &[u8]) -> bool {
-    let mut deadline = None;
-    while !data.is_empty() {
-        match stream.write(data) {
-            Ok(0) => return false,
-            Ok(n) => data = &data[n..],
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                let deadline = *deadline.get_or_insert_with(|| Instant::now() + WRITE_STALL);
-                let left = deadline.saturating_duration_since(Instant::now());
-                // At most WRITE_STALL, so it fits; rounded up, so a
-                // sub-millisecond remainder still waits.
-                let ms = left.as_millis() as i32 + 1;
-                if left.is_zero() || !matches!(poll_writable(stream.as_raw_fd(), ms), Ok(true)) {
-                    return false;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return false,
-        }
-    }
-    true
 }
 
 #[cfg(test)]

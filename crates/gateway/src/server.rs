@@ -93,11 +93,12 @@ impl GatewayCore {
         // Bridge sessions must survive daemon restarts: generous cap,
         // bounded total patience (a gateway with a dead world should
         // fail requests, not hang them forever).
-        let policy = ReconnectPolicy::builder()
-            .base(Duration::from_millis(5))
-            .cap(Duration::from_millis(200))
-            .max_elapsed(Duration::from_secs(10))
-            .build();
+        let policy = ReconnectPolicy {
+            base: Duration::from_millis(5),
+            cap: Duration::from_millis(200),
+            max_elapsed: Duration::from_secs(10),
+            ..ReconnectPolicy::default()
+        };
         let bridge = AttrBridge::connect(world, gw_host, lass, cfg.pool_size, policy)?;
         let supervisor = if cfg.supervise {
             Some(Arc::new(Supervisor::start(

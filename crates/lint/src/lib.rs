@@ -2,8 +2,8 @@
 //!
 //! PR 5's loom models found three real races in code that *looked*
 //! disciplined; the invariants those models guard (facade-only locking,
-//! no blocking under a guard, single-owner `PooledBuf`, bounded
-//! channels, named threads, checked FFI returns) were still enforced by
+//! no blocking under a guard, bounded channels, named threads, checked
+//! FFI returns) were still enforced by
 //! convention. This crate turns them into CI-gated errors *before* the
 //! CASS-sharding and MRNet fan-in work multiplies the lock sites.
 //!

@@ -37,7 +37,8 @@ const BLOCKING: &[(&[&str], &str)] = &[
     (&["thread", "::", "sleep"], "sleep"),
     (&["thread", "::", "park"], "park"),
     (&["park_timeout", "("], "park"),
-    (&["writev_fd", "("], "writev syscall"),
+    (&["write_all_stall", "("], "stall-bounded socket write"),
+    (&[".", "write_frame", "("], "stall-bounded socket write"),
     (&["poll_readable", "("], "poll syscall"),
     (&["poll_writable", "("], "poll syscall"),
     (&["TcpStream", "::", "connect"], "socket connect"),

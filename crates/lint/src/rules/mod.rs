@@ -10,7 +10,6 @@ mod blocking_under_guard;
 mod ffi_errno_check;
 mod lock_outside_sync;
 mod named_threads;
-mod pooledbuf_escape;
 mod sleep_in_loop;
 mod unbounded_channel;
 
@@ -36,7 +35,6 @@ pub fn all() -> Vec<Box<dyn Rule>> {
         Box::new(blocking_under_guard::BlockingUnderGuard),
         Box::new(unbounded_channel::UnboundedChannel),
         Box::new(named_threads::NamedThreads),
-        Box::new(pooledbuf_escape::PooledBufEscape),
         Box::new(ffi_errno_check::FfiErrnoCheck),
         Box::new(sleep_in_loop::SleepInLoop),
     ]

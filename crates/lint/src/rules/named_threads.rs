@@ -2,7 +2,7 @@
 //!
 //! `thread::Builder::new().name(…)` instead of bare `thread::spawn` —
 //! a panic message, a TSan report, a debugger thread list or an
-//! `/proc/<pid>/task` dump that says `wire-reactor` instead of
+//! `/proc/<pid>/task` dump that says `wire-proxy-pump` instead of
 //! `<unnamed>` is the difference between a bug report and an
 //! archaeology project. The chaos soak and the 500-session wire soak
 //! both assert on thread *names*, so unnamed threads also escape those

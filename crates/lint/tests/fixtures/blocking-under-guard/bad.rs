@@ -17,3 +17,13 @@ fn recv_after_manual_scope(m: &Mutex<u32>, rx: &crossbeam::channel::Receiver<u32
     let _v = rx.recv().unwrap(); // flagged: `held` not dropped yet
     drop(held);
 }
+
+fn socket_write_under_lock(m: &Mutex<Vec<u8>>, s: &std::net::TcpStream) {
+    let buf = m.lock();
+    let _ = write_all_stall(s, &buf, std::time::Duration::from_secs(5)); // flagged: parks in poll(2)
+}
+
+fn trait_write_under_lock(m: &Mutex<Vec<u8>>, io: &impl FlowIo) {
+    let buf = m.lock();
+    let _ = io.write_frame(&buf, std::time::Duration::from_secs(5)); // flagged: same, behind a trait
+}

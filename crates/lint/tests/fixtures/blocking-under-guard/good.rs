@@ -38,3 +38,9 @@ fn try_send_never_blocks(m: &Mutex<u32>, tx: &crossbeam::channel::Sender<u32>) {
     let g = m.lock();
     let _ = tx.try_send(*g);
 }
+
+fn socket_write_after_copy_out(m: &Mutex<Vec<u8>>, s: &std::net::TcpStream, io: &impl FlowIo) {
+    let frame = m.lock().clone(); // temporary guard dies at the `;`
+    let _ = write_all_stall(s, &frame, std::time::Duration::from_secs(5));
+    let _ = io.write_frame(&frame, std::time::Duration::from_secs(5));
+}

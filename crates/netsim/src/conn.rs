@@ -6,7 +6,9 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
-use tdp_proto::{decode_frame, encode_frame, Addr, FrameError, Message, TdpError, TdpResult};
+use tdp_proto::{
+    check_sendable, decode_frame, encode_frame, Addr, FrameError, Message, TdpError, TdpResult,
+};
 use tdp_sync::{Condvar, Mutex};
 
 /// One direction of a connection: a queue of byte chunks with a
@@ -286,9 +288,12 @@ impl ConnTx {
         self.tx.push(Instant::now() + self.latency, data)
     }
 
+    /// Framed send. A message over `MAX_FRAME` is refused here, the
+    /// connection untouched.
     pub fn send_msg(&self, msg: &Message) -> TdpResult<()> {
-        self.tx
-            .push(Instant::now() + self.latency, encode_frame(msg))
+        let frame = encode_frame(msg);
+        check_sendable(&frame)?;
+        self.tx.push(Instant::now() + self.latency, frame)
     }
 
     /// Signal EOF to the peer.

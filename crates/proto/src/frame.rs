@@ -231,6 +231,18 @@ pub fn encode_frame_into(msg: &Message, out: &mut BytesMut) {
     out[..4].copy_from_slice(&body_len.to_be_bytes());
 }
 
+/// The sender's half of the [`MAX_FRAME`] rule, for a frame
+/// [`encode_frame`]/[`encode_frame_into`] produced: refuse, before a
+/// byte is written, what the peer's decoder would answer by ending the
+/// session.
+pub fn check_sendable(frame: &[u8]) -> Result<(), TdpError> {
+    let body = frame.len() - 4;
+    if body > MAX_FRAME {
+        return Err(TdpError::Protocol(FrameError::TooLarge(body).to_string()));
+    }
+    Ok(())
+}
+
 fn encode_body(msg: &Message, buf: &mut BytesMut) {
     match msg {
         Message::Put { ctx, key, value } => {

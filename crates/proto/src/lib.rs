@@ -25,8 +25,8 @@ pub use attr::{names, AttrKey, AttrValue, OPS_CONTEXT};
 pub use backoff::Backoff;
 pub use error::{TdpError, TdpResult};
 pub use frame::{
-    decode_frame, decode_frame_with, encode_frame, encode_frame_into, DecodeScratch, FrameDecoder,
-    FrameError, MAX_FRAME,
+    check_sendable, decode_frame, decode_frame_with, encode_frame, encode_frame_into,
+    DecodeScratch, FrameDecoder, FrameError, MAX_FRAME,
 };
 pub use ids::{Addr, ContextId, HostId, JobId, Pid, Port, Rank};
 pub use json::{Json, JsonError};

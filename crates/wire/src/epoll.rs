@@ -1,89 +1,78 @@
 //! The socket transport: framed [`Message`]s over loopback TCP with no
-//! per-connection threads — and no thread on the put/get path at all.
+//! thread of its own per connection or per transport — every send and
+//! every receive is done by the thread that asked for it, on the
+//! connection's own fd.
 //!
 //! Observable contract (the same one the netsim adapter gives):
 //! `Hello` handshake carrying the dialler's logical host, streaming
 //! [`FrameDecoder`] reassembly across arbitrary segment boundaries,
-//! bounded-queue backpressure, fail-fast close (local sends fail at
-//! once, queued frames flush, then the peer sees EOF), and byte-relay
-//! proxy interop.
+//! bounded-queue backpressure (the kernel's socket buffer is the queue;
+//! a peer that stops reading for 5 s is killed), fail-fast close (local
+//! sends and reads fail at once, every frame already sent arrives, then
+//! the peer sees EOF), and byte-relay proxy interop.
 //!
 //! A connection's two halves are owned the way their types say. The
-//! send half is shared (`WireTx` is `Clone`): senders write inline under
-//! the connection's [`Flow`](crate::flow::Flow) lock and the transport's
-//! one `wire-reactor` thread finishes what a full socket buffer made
-//! them leave behind — see [`crate::reactor`]. The receive half is
-//! exclusive (`WireRx` is `&mut`, not `Clone`): [`EpollRx`] owns the
-//! decoder outright, reads its own fd and parks in `poll(2)` on it,
-//! taking no lock. So a process can hold thousands of sessions on one
-//! wire thread ([`EpollTransport::census`]).
+//! send half is shared (`WireTx` is `Clone`): senders take turns under
+//! the connection's [`Flow`](crate::flow::Flow) and each writes its own
+//! frame to the socket, parking in `poll(2)` if the buffer is full. The
+//! receive half is exclusive (`WireRx` is `&mut`, not `Clone`):
+//! [`EpollRx`] owns the decoder outright, reads its own fd and parks in
+//! `poll(2)` on it, taking no lock. So a process can hold thousands of
+//! sessions and the wire layer adds no thread to it
+//! ([`EpollTransport::conns`]).
 //!
 //! Listeners keep one blocking accept thread each (see
-//! [`crate::socket`]); only per-connection threads are gone.
+//! [`crate::socket`]); those are the only threads this transport
+//! spawns.
 
-use crate::flow::ConnTuning;
-use crate::pool::BufferPool;
-use crate::reactor::{ConnState, Reactor};
+use crate::flow::{Flow, WRITE_STALL};
 use crate::socket::{dial_via_proxy, spawn_real_listener, DIAL_TIMEOUT};
 use crate::{
-    protocol_err, Endpoint, RxApi, Transport, TxApi, WireCensus, WireConn, WireListener, WireRx,
-    WireTx,
+    protocol_err, Endpoint, RxApi, Transport, TxApi, WireConn, WireListener, WireRx, WireTx,
 };
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use tdp_proto::{
-    encode_frame, encode_frame_into, Addr, DecodeScratch, FrameDecoder, HostId, Message, TdpError,
-    TdpResult,
+    encode_frame, Addr, DecodeScratch, FrameDecoder, HostId, Message, TdpError, TdpResult,
 };
+use tdp_sync::atomic::{AtomicUsize, Ordering};
 use tdp_sync::Arc;
 
-struct EpollShared {
-    tuning: ConnTuning,
-    reactor: Arc<Reactor>,
-    pool: Arc<BufferPool>,
-}
-
-impl Drop for EpollShared {
-    fn drop(&mut self) {
-        self.reactor.shutdown();
-    }
-}
-
-/// Transport over real loopback TCP sockets. Cheap to clone; all clones
-/// share the one reactor thread. Keep the transport alive while its
-/// connections are in use — a connection outliving it can still send
-/// and receive, but a backed-up outbox is no longer drained.
+/// Transport over real loopback TCP sockets. Cheap to clone; clones
+/// share nothing but the connection count. The name is historical: no
+/// epoll set is left behind it (the rename rides with the `benchmark`
+/// issue, since `tdpbench` links this type).
 #[derive(Clone)]
 pub struct EpollTransport {
-    shared: Arc<EpollShared>,
+    stall: Duration,
+    conns: Arc<AtomicUsize>,
 }
 
 impl EpollTransport {
     pub fn new() -> TdpResult<EpollTransport> {
-        EpollTransport::with_tuning(ConnTuning::DEFAULT)
+        Ok(EpollTransport::with_stall(WRITE_STALL))
     }
 
-    fn with_tuning(tuning: ConnTuning) -> TdpResult<EpollTransport> {
-        Ok(EpollTransport {
-            shared: Arc::new(EpollShared {
-                tuning,
-                reactor: Reactor::start()?,
-                pool: BufferPool::new(),
-            }),
-        })
+    /// A transport whose sends give a stalled peer `stall` instead of
+    /// [`WRITE_STALL`] — for the stall tests, which cannot wait 5 s.
+    fn with_stall(stall: Duration) -> EpollTransport {
+        EpollTransport {
+            stall,
+            conns: Arc::new(AtomicUsize::new(0)),
+        }
     }
 
-    /// The IO thread this transport owns and the connections currently
-    /// registered with it. The thread count is fixed at construction —
-    /// nothing here spawns per connection.
-    pub fn census(&self) -> WireCensus {
-        self.shared.reactor.census()
+    /// Connections of this transport that are currently open (either
+    /// half still held). Per transport, so concurrent worlds never see
+    /// each other.
+    pub fn conns(&self) -> usize {
+        self.conns.load(Ordering::Relaxed)
     }
 
-    /// Adopt an established, handshake-complete stream: register it
-    /// with the reactor and wrap it as a [`WireConn`]. `leftover` holds
+    /// Adopt an established, handshake-complete stream: make it
+    /// non-blocking and wrap it as a [`WireConn`]. `leftover` holds
     /// bytes the handshake over-read past its frame.
     pub(crate) fn adopt(
         &self,
@@ -106,14 +95,14 @@ impl EpollTransport {
     }
 
     fn halves(&self, stream: TcpStream, leftover: FrameDecoder) -> TdpResult<(EpollTx, EpollRx)> {
-        let conn = self
-            .shared
-            .reactor
-            .register(stream, self.shared.tuning.clone())?;
-        let tx = EpollTx {
-            conn: conn.clone(),
-            pool: self.shared.pool.clone(),
-        };
+        crate::sys::set_nonblocking(stream.as_raw_fd())
+            .map_err(|e| TdpError::Substrate(format!("epoll setup: {e}")))?;
+        self.conns.fetch_add(1, Ordering::Relaxed);
+        let conn = Arc::new(ConnState {
+            flow: Flow::new(stream, self.stall),
+            conns: self.conns.clone(),
+        });
+        let tx = EpollTx { conn: conn.clone() };
         let rx = EpollRx {
             conn,
             dec: leftover,
@@ -125,10 +114,10 @@ impl EpollTransport {
 
     /// Finish the client side on an established stream: introduce
     /// ourselves with `Hello` (still blocking — the socket goes
-    /// non-blocking when it joins the reactor), then adopt.
+    /// non-blocking on adoption), then adopt.
     fn client_over(&self, stream: TcpStream, from: HostId) -> TdpResult<WireConn> {
         stream
-            .set_write_timeout(Some(self.shared.tuning.write_stall))
+            .set_write_timeout(Some(self.stall))
             .map_err(|e| TdpError::Substrate(format!("epoll set timeout: {e}")))?;
         use std::io::Write;
         (&stream)
@@ -137,8 +126,8 @@ impl EpollTransport {
         self.adopt(stream, None, FrameDecoder::new())
     }
 
-    /// Open a reactor-managed [`WireConn`] to the logical `target`
-    /// through the byte-relay proxy at `proxy` (the §2.4 crossing — see
+    /// Open a [`WireConn`] to the logical `target` through the
+    /// byte-relay proxy at `proxy` (the §2.4 crossing — see
     /// [`crate::socket::spawn_proxy`]).
     pub fn connect_via(
         &self,
@@ -170,30 +159,42 @@ impl Transport for EpollTransport {
     }
 }
 
+/// What a connection's two halves share: the socket under its send
+/// turn. Dropping the last half drops this, which closes the socket —
+/// every frame a `send` returned `Ok` for is already in the kernel, so
+/// the peer reads them all and then EOF.
+struct ConnState {
+    flow: Flow<TcpStream>,
+    /// The owning transport's open-connection count.
+    conns: Arc<AtomicUsize>,
+}
+
+impl ConnState {
+    /// The socket, for the receive half to read and park on.
+    fn stream(&self) -> &TcpStream {
+        self.flow.io()
+    }
+}
+
+impl Drop for ConnState {
+    fn drop(&mut self) {
+        self.conns.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 // --------------------------------------------------------- API adapters
 
 struct EpollTx {
     conn: Arc<ConnState>,
-    pool: Arc<BufferPool>,
 }
 
 impl TxApi for EpollTx {
     fn send_msg(&self, msg: &Message) -> TdpResult<()> {
-        // Encode into a recycled buffer; the frame rides the outbox as a
-        // `PooledBuf` and returns to the pool when fully written.
-        let mut frame = self.pool.acquire();
-        encode_frame_into(msg, frame.buf_mut());
-        self.conn.flow.send(frame)
+        self.conn.flow.send(msg)
     }
 
     fn close(&self) {
         self.conn.flow.close();
-    }
-}
-
-impl Drop for EpollTx {
-    fn drop(&mut self) {
-        self.conn.handle_dropped();
     }
 }
 
@@ -227,8 +228,7 @@ impl RxApi for EpollRx {
                     if left.is_zero() {
                         return Err(TdpError::Timeout);
                     }
-                    // Round up so the final wait cannot spin at 0 ms.
-                    left.as_millis().saturating_add(1).min(i32::MAX as u128) as i32
+                    crate::sys::poll_timeout_ms(left)
                 }
             };
             // Data, EOF, an error or a local `shutdown` all report
@@ -280,18 +280,11 @@ impl RxApi for EpollRx {
     }
 }
 
-impl Drop for EpollRx {
-    fn drop(&mut self) {
-        self.conn.handle_dropped();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::socket::{spawn_proxy, ProxyResolver};
-    use crate::wire_threads;
-    use std::time::Duration;
+    use crate::{stall_kill_count, wire_threads};
     use tdp_proto::ContextId;
 
     fn transport() -> EpollTransport {
@@ -564,22 +557,15 @@ mod tests {
             assert_eq!(server.recv_msg().unwrap(), m);
             conns.push((client, server));
         }
-        // The thread budget is a constant, never a function of the
-        // connection count: fifty sessions (a client and a server end
-        // each) and still the one reactor thread.
-        assert_eq!(
-            t.census(),
-            WireCensus {
-                threads: 1,
-                conns: 100
-            }
-        );
-        // One reactor, not a numbered shard of several — in this
-        // transport or in any sibling test's.
+        // Fifty sessions are a hundred connections (a client and a
+        // server end each) and no wire thread: every send and receive
+        // above ran on this one. No transport in this process — this
+        // one or a sibling test's — has a reactor.
+        assert_eq!(t.conns(), 100);
         assert!(wire_threads()
             .iter()
-            .all(|n| !n.starts_with("wire-reactor-")));
-        // Every connection still works after the census.
+            .all(|n| !n.starts_with("wire-reactor")));
+        // Every connection still works after the count.
         for (i, (client, server)) in conns.iter_mut().enumerate() {
             let m = Message::Leave {
                 ctx: ContextId(i as u64),
@@ -595,17 +581,18 @@ mod tests {
         let t = transport();
         let lis = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let (mut peer, tx, mut rx) = raw_pair(&t, &lis);
-        // Back the outbox up against a peer that is not reading, so
-        // `close` half-closes reads only (the write side flushes first)
-        // and the socket stays ESTABLISHED: the one state in which
-        // Linux still queues data arriving after `shutdown(SHUT_RD)`.
-        while !tx.conn.flow.snapshot().0 {
+        // Leave frames of ours unread in the peer's socket, so the
+        // close's FIN queues behind data and the late frame below meets
+        // a connection that is shut down locally but not yet gone.
+        // Linux queues data arriving after `shutdown(SHUT_RD)` in some
+        // states and resets in others; the flag makes both the same.
+        for _ in 0..16 {
             tx.send_msg(&big_put()).unwrap();
         }
         tx.close();
         peer.write_all(&encode_frame(&join(1))).unwrap();
-        // The late frame reaches the socket (readable within the
-        // second) and must still not be handed to the consumer.
+        // The socket reads as ready (shut down, late frame or reset)
+        // and nothing is handed to the consumer.
         assert!(crate::sys::poll_readable(rx.conn.stream().as_raw_fd(), 1000).unwrap());
         assert_eq!(rx.try_recv_msg(), Err(TdpError::Disconnected));
         assert_eq!(
@@ -652,24 +639,143 @@ mod tests {
         assert_eq!(hog_rx.try_recv_msg(), Ok(None));
     }
 
+    /// Send 8 KiB puts until one fails; how many were accepted, and
+    /// the error that ended it.
+    fn send_until_err(tx: &EpollTx) -> (usize, TdpError) {
+        let mut sent = 0;
+        loop {
+            match tx.send_msg(&big_put()) {
+                Ok(()) => sent += 1,
+                Err(e) => return (sent, e),
+            }
+        }
+    }
+
+    /// Park a thread in `send_msg` on `tx`, whose peer never reads:
+    /// returns once the socket is full, with the channel the sender's
+    /// eventual result arrives on.
+    fn parked_sender(tx: &Arc<EpollTx>) -> crossbeam::channel::Receiver<(usize, TdpError)> {
+        let (done_tx, done_rx) = crossbeam::channel::bounded(1);
+        let sender = tx.clone();
+        std::thread::spawn(move || {
+            let _ = done_tx.send(send_until_err(&sender));
+        });
+        let fd = tx.conn.stream().as_raw_fd();
+        wait_for("the socket to fill", Duration::from_secs(10), || {
+            !crate::sys::poll_writable(fd, 0).unwrap()
+        });
+        // From full to parked on it — as in `blocked_recv`.
+        std::thread::park_timeout(Duration::from_millis(20));
+        assert!(done_rx.is_empty(), "the sender gave up before any close");
+        done_rx
+    }
+
     #[test]
-    fn backpressure_bounds_the_outbox() {
-        // A tiny outbox against a reader that never drains: send_msg
-        // must block (bounded memory) and then fail fast once the stall
-        // exceeds the write budget — not wedge forever.
-        let t = EpollTransport::with_tuning(ConnTuning {
-            outbox_bytes: 4 * 1024,
-            write_stall: Duration::from_millis(200),
-        })
-        .unwrap();
-        let (client, _server) = pair(&t);
-        let (tx, rx) = client.split();
-        let done = blocked_recv(rx);
-        // Fill the socket buffer plus the outbox; eventually the stall
-        // trips and the connection dies instead of hanging.
-        let r = (0..10_000).try_for_each(|_| tx.send_msg(&big_put()));
-        assert_eq!(r, Err(TdpError::Disconnected));
+    fn a_peer_that_never_reads_is_killed_after_the_stall_budget() {
+        let stall = Duration::from_millis(200);
+        let t = EpollTransport::with_stall(stall);
+        let lis = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let (_peer, tx, rx) = raw_pair(&t, &lis);
+        let done = blocked_recv(WireRx::new(Box::new(rx)));
+        let kills = stall_kill_count();
+        // The kernel's socket buffer is the queue: it takes a good deal
+        // (how much is the host's business), then `send_msg` blocks —
+        // bounded memory — and fails once the stall budget is spent.
+        let (sent, err) = send_until_err(&tx);
+        assert!(sent > 16, "only {sent} frames fit the socket buffers");
+        assert_eq!(err, TdpError::Disconnected);
+        assert!(stall_kill_count() > kills);
+        // Dead for good, without another wait.
+        let t0 = Instant::now();
+        assert_eq!(tx.send_msg(&join(0)), Err(TdpError::Disconnected));
+        assert!(t0.elapsed() < stall, "{:?}", t0.elapsed());
         // The kill also releases the connection's own parked receiver.
         assert_eq!(done.recv_timeout(RELEASE), Ok(Err(TdpError::Disconnected)));
+    }
+
+    #[test]
+    fn close_returns_at_once_behind_a_parked_sender_and_releases_it() {
+        let t = EpollTransport::with_stall(Duration::from_secs(30));
+        let lis = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let (_peer, tx, _rx) = raw_pair(&t, &lis);
+        let tx = Arc::new(tx);
+        let done = parked_sender(&tx);
+        let t0 = Instant::now();
+        tx.close();
+        assert!(t0.elapsed() < RELEASE, "close waited for the send turn");
+        let (_, err) = done.recv_timeout(RELEASE).expect("sender still parked");
+        assert_eq!(err, TdpError::Disconnected);
+        assert!(t0.elapsed() < RELEASE, "{:?}", t0.elapsed());
+    }
+
+    #[test]
+    fn a_sender_parked_on_a_stalled_peer_delays_no_neighbour() {
+        let t = EpollTransport::with_stall(Duration::from_secs(30));
+        let lis = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let (_stalled_peer, stalled_tx, _stalled_rx) = raw_pair(&t, &lis);
+        let stalled_tx = Arc::new(stalled_tx);
+        let (mut client, mut server) = pair(&t);
+        let done = parked_sender(&stalled_tx);
+
+        // The sentence the outbox was kept for, as a test: one tool has
+        // stopped reading and a thread is parked sending to it; a
+        // round trip on another connection of the same transport does
+        // not notice.
+        let t0 = Instant::now();
+        client.send_msg(&join(7)).unwrap();
+        assert_eq!(server.recv_msg_timeout(RELEASE), Ok(join(7)));
+        let reply = Message::Reply(tdp_proto::Reply::Ok);
+        server.send_msg(&reply).unwrap();
+        assert_eq!(client.recv_msg_timeout(RELEASE), Ok(reply));
+        assert!(t0.elapsed() < RELEASE, "{:?}", t0.elapsed());
+        assert!(done.is_empty(), "the stalled sender is still parked");
+
+        stalled_tx.close();
+        assert!(done.recv_timeout(RELEASE).is_ok());
+    }
+
+    #[test]
+    fn concurrent_senders_frames_arrive_whole_and_in_sender_order() {
+        // Four senders share one connection; the big frames overrun the
+        // socket buffer while the receiver is busy, so sends are cut
+        // into partial writes with other senders waiting for the turn.
+        const SIZES: [usize; 4] = [3, 900, 40_000, 17];
+        const FRAMES: u64 = 300;
+        let t = transport();
+        let (client, mut server) = pair(&t);
+        let senders: Vec<_> = SIZES
+            .iter()
+            .enumerate()
+            .map(|(who, &size)| {
+                let tx = client.sender();
+                std::thread::spawn(move || {
+                    for seq in 0..FRAMES {
+                        tx.send_msg(&Message::Put {
+                            ctx: ContextId(who as u64),
+                            key: seq.to_string(),
+                            value: "v".repeat(size),
+                        })
+                        .unwrap();
+                    }
+                })
+            })
+            .collect();
+        let mut next = [0u64; 4];
+        for _ in 0..FRAMES * 4 {
+            match server.recv_msg_timeout(Duration::from_secs(10)).unwrap() {
+                Message::Put { ctx, key, value } => {
+                    let who = ctx.0 as usize;
+                    assert_eq!(key, next[who].to_string(), "sender {who} out of order");
+                    assert!(value.len() == SIZES[who] && value.bytes().all(|b| b == b'v'));
+                    next[who] += 1;
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(next, [FRAMES; 4]);
+        for s in senders {
+            s.join().unwrap();
+        }
+        assert_eq!(server.try_recv_msg(), Ok(None));
     }
 }

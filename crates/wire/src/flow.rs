@@ -1,123 +1,117 @@
-//! The send side of an epoll connection: a bounded outbox with an
-//! inline-`writev` fast path, extracted from the reactor so it is
-//! generic over its IO — production wires it to a non-blocking
-//! `TcpStream` + `epoll_ctl` rearm (`reactor::SocketIo`); the `loom_`
-//! tests wire it to a scripted in-memory IO and drive every
-//! interleaving of senders, a closer and the reactor thread through the
-//! exact code that ships.
+//! The send side of a socket connection: a *send turn*. The thread
+//! that wants a frame sent takes the connection's turn (one mutex),
+//! encodes into the connection's own buffer and writes its own socket;
+//! the kernel's socket buffer is the only queue. Generic over its IO so
+//! the `loom_` tests drive the exact code that ships against a scripted
+//! socket; production binds it to a non-blocking `TcpStream`.
 //!
 //! There is no receive side here. A connection's reads belong to its
 //! one `WireRx` (`&mut self`, not clonable), which decodes off its own
 //! fd without a lock — see `epoll::EpollRx`. The only thing the two
-//! sides share is [`Flow::is_shut`], the flag a local close or a
-//! stall-kill raises so the receiver fails fast.
+//! sides share is [`Flow::is_shut`].
+//!
+//! # Why no outbox, and no thread to drain one
+//!
+//! Until PR 19 a sender that met a full socket left its frames in a
+//! 256 KiB per-connection outbox, and a `wire-reactor` thread per
+//! transport finished the write on `EPOLLOUT` — kept because
+//! `attrspace::server::route` fans replies out to *other* sessions'
+//! connections, "and a sender parked on one stalled tool would block
+//! the LASS thread serving another". Measured rather than repeated: on
+//! a Linux 6.18 loopback (`tcp_wmem` max 4 MiB) a peer that never reads
+//! absorbs 3 909 744 B — within 1 % for 64 B, 300 B and 8 200 B frames
+//! — before the first `EWOULDBLOCK`. The outbox then took 256 KiB more
+//! (6.7 %), after which `send` parked that same LASS thread for the
+//! same 5 s and killed the connection the same way. The kernel's buffer
+//! already was the bounded outbox; moving the threshold from 3.8 to
+//! 4.07 MiB cost a thread, an epoll set and an eventfd per world, a
+//! buffer pool (a queued frame outlived its sender), flush-on-release
+//! and four loom models of sender-vs-drainer races. Recipe: non-blocking
+//! loopback socket, peer never reads, count bytes until `EWOULDBLOCK`.
+//!
+//! So the slow-peer outcome is unchanged and stated once: a send that
+//! cannot finish within [`WRITE_STALL`] kills the connection
+//! ([`crate::stall_kill_count`]). A neighbour connection is untouched —
+//! it has its own turn and its own socket.
 //!
 //! All synchronization goes through `tdp-sync`, so under
-//! `RUSTFLAGS="--cfg loom"` the mutex/condvar/atomic here are loom's
-//! instrumented ones. See DESIGN.md "Concurrency invariants" for the
-//! lock-ordering and state-machine rules this module must uphold.
+//! `RUSTFLAGS="--cfg loom"` the mutex and atomic here are loom's
+//! instrumented ones. See DESIGN.md "Concurrency invariants".
 
-use crate::pool::PooledBuf;
-use std::collections::VecDeque;
-use std::time::{Duration, Instant};
-use tdp_proto::{TdpError, TdpResult};
+use bytes::BytesMut;
+use std::io;
+use std::net::{Shutdown, TcpStream};
+use std::time::Duration;
+use tdp_proto::{check_sendable, encode_frame_into, Message, TdpError, TdpResult};
 use tdp_sync::atomic::{AtomicBool, Ordering};
-use tdp_sync::{Condvar, Mutex};
+use tdp_sync::Mutex;
 
-/// Cap on slices gathered per [`FlowIo::writev`] call (mirrors
-/// [`crate::sys::WRITEV_BATCH`] without depending on the FFI module).
-pub(crate) const WRITEV_BATCH: usize = 64;
+/// How long one `send` waits, in total, on a peer that has stopped
+/// reading before declaring it wedged and killing the connection.
+pub(crate) const WRITE_STALL: Duration = Duration::from_secs(5);
 
-/// Per-connection bounds. Production uses [`ConnTuning::DEFAULT`]; only
-/// tests (the stall test, the loom models) build another.
-#[derive(Debug, Clone)]
-pub(crate) struct ConnTuning {
-    /// `send_msg` blocks (backpressure) while the outbox holds this many
-    /// bytes.
-    pub outbox_bytes: usize,
-    /// How long a backpressured `send_msg` waits on a peer that has
-    /// stopped draining before declaring it wedged and killing the
-    /// connection.
-    pub write_stall: Duration,
-}
+/// Encode-buffer capacity a connection keeps between sends — one
+/// pathological frame must not pin its footprint for the connection's
+/// life (the gateway's `KEEP_BUF` states the same rule).
+const MAX_RETAINED_CAP: usize = 64 * 1024;
 
-impl ConnTuning {
-    pub const DEFAULT: ConnTuning = ConnTuning {
-        outbox_bytes: 256 * 1024,
-        write_stall: Duration::from_secs(5),
-    };
-}
-
-/// What [`Flow`] needs from a transport endpoint. The real
-/// implementation is a non-blocking socket; the loom models script
-/// results. Every method is called *with the flow lock held*, so
-/// implementations must not block (beyond a non-blocking syscall) and
-/// must not call back into the flow.
+/// What [`Flow`] needs from a transport endpoint — the seam the loom
+/// models substitute a scripted socket at.
 pub(crate) trait FlowIo {
-    /// Non-blocking vectored write: push several frames in one syscall.
-    /// Returns bytes accepted (possibly a partial gather); `WouldBlock`
-    /// when the send buffer is full.
-    fn writev(&self, bufs: &[&[u8]]) -> std::io::Result<usize>;
-    /// Half-close the receive side (local reads fail fast).
-    fn shutdown_read(&self);
-    /// Half-close the send side (peer sees EOF).
-    fn shutdown_write(&self);
-    /// Tear down both directions (wedged-peer kill path).
-    fn shutdown_both(&self);
-    /// Ask for one writability report (the registration is oneshot):
-    /// the reactor owes this connection a drain.
-    fn arm_write(&self);
+    /// Write the whole frame, waiting at most `stall` in total for a
+    /// full socket to make room; `TimedOut` means it did not, with
+    /// part of the frame possibly written. Called with the send turn
+    /// held.
+    fn write_frame(&self, frame: &[u8], stall: Duration) -> io::Result<()>;
+    /// Tear down both directions: the peer sees EOF behind whatever was
+    /// written, and every local thread parked on the socket wakes.
+    /// Never called under the send turn's lock by anyone but its holder.
+    fn shutdown(&self);
+}
+
+impl FlowIo for TcpStream {
+    fn write_frame(&self, frame: &[u8], stall: Duration) -> io::Result<()> {
+        crate::socket::write_all_stall(self, frame, stall)
+    }
+
+    fn shutdown(&self) {
+        let _ = TcpStream::shutdown(self, Shutdown::Both);
+    }
 }
 
 pub(crate) struct Flow<IO> {
     io: IO,
-    tuning: ConnTuning,
-    inner: Mutex<FlowInner>,
-    tx_cv: Condvar,
+    stall: Duration,
+    /// The send turn. Only senders to this connection ever take it;
+    /// `close`, the receiver and `Drop` do not.
+    tx: Mutex<Tx>,
     /// Raised by a local [`Flow::close`] and by the stall-kill, *before*
-    /// the `shutdown` that wakes a receiver parked on the fd. Linux
-    /// keeps delivering data that arrives after `shutdown(SHUT_RD)`, so
-    /// this flag — not the socket — is what makes local reads fail fast.
+    /// the `shutdown` that wakes whoever is parked on the fd. Fails
+    /// sends fast, and local reads too: Linux keeps delivering data
+    /// that arrives after `shutdown(SHUT_RD)`, so this flag — not the
+    /// socket — is what ends the receive side.
     shut: AtomicBool,
 }
 
-struct FlowInner {
-    outbox: VecDeque<PooledBuf>,
-    outbox_bytes: usize,
-    /// Partial-write offset into the front outbox frame.
-    head_off: usize,
-    /// Write interest armed: the reactor owes us a drain.
-    want_write: bool,
-    /// `close()` ran with frames still queued: half-close after flush.
-    flush_then_shutdown: bool,
-    /// Local close or fatal socket error: sends fail fast.
-    closed: bool,
-}
-
-/// Outbox contents handed back by [`Flow::begin_release`] for the
-/// owner to flush synchronously (outside the flow lock).
-pub(crate) struct FlushPlan {
-    pub frames: VecDeque<PooledBuf>,
-    pub head_off: usize,
-    /// `close()` had requested a half-close once the queue drained.
-    pub shutdown_write_after: bool,
+struct Tx {
+    /// The connection's encode buffer, reused send after send.
+    buf: BytesMut,
+    /// A write failed (`EPIPE`, reset): sends fail fast. Reads do not —
+    /// the peer's last reply may still be in our receive buffer, and
+    /// the receiver finds the EOF behind it on its own.
+    dead: bool,
 }
 
 impl<IO: FlowIo> Flow<IO> {
     /// Wrap an established endpoint.
-    pub fn new(io: IO, tuning: ConnTuning) -> Flow<IO> {
+    pub fn new(io: IO, stall: Duration) -> Flow<IO> {
         Flow {
             io,
-            tuning,
-            inner: Mutex::new(FlowInner {
-                outbox: VecDeque::new(),
-                outbox_bytes: 0,
-                head_off: 0,
-                want_write: false,
-                flush_then_shutdown: false,
-                closed: false,
+            stall,
+            tx: Mutex::new(Tx {
+                buf: BytesMut::new(),
+                dead: false,
             }),
-            tx_cv: Condvar::new(),
             shut: AtomicBool::new(false),
         }
     }
@@ -126,401 +120,51 @@ impl<IO: FlowIo> Flow<IO> {
         &self.io
     }
 
-    pub fn tuning(&self) -> &ConnTuning {
-        &self.tuning
-    }
-
     /// Whether a local close or a stall-kill has ended this connection:
     /// the receiver delivers what it already buffered, then fails.
     pub fn is_shut(&self) -> bool {
         self.shut.load(Ordering::Acquire)
     }
 
-    // ---- event handling (the reactor thread) --------------------------
-
-    /// One readiness report. The registration only ever asks for
-    /// `EPOLLOUT`; the kernel adds error/hangup unasked, and those are
-    /// ignored unless a drain is owed — the drain then surfaces the
-    /// failure through the IO result.
-    pub fn on_ready(&self) {
-        let mut inner = self.inner.lock();
-        if inner.want_write || inner.flush_then_shutdown {
-            self.drain_write(&mut inner);
-            if inner.want_write {
-                self.io.arm_write();
-            }
-        }
-    }
-
-    /// Write outbox frames until empty or `EWOULDBLOCK` (which arms
-    /// write interest — so the reactor resumes the drain when the
-    /// socket buffer empties). Queued frames are coalesced into
-    /// vectored writes: a burst of small puts leaves in one `writev`
-    /// instead of one syscall per frame.
-    fn drain_write(&self, inner: &mut FlowInner) {
-        // Whether this drain freed any outbox space: backpressured
-        // senders must be woken even when the drain ends in
-        // `EWOULDBLOCK`, or a partial drain strands them until the
-        // write-stall timer kills the connection (found by the loom
-        // model `loom_outbox_partial_drain_wakes_sender`).
-        let mut freed = false;
-        while !inner.outbox.is_empty() {
-            let res = {
-                let mut iovs: [&[u8]; WRITEV_BATCH] = [&[]; WRITEV_BATCH];
-                let mut n = 0;
-                for (slot, frame) in iovs.iter_mut().zip(inner.outbox.iter()) {
-                    *slot = if n == 0 {
-                        &frame[inner.head_off..]
-                    } else {
-                        frame
-                    };
-                    n += 1;
-                }
-                self.io.writev(&iovs[..n])
-            };
-            match res {
-                Ok(mut written) => {
-                    if written > 0 {
-                        freed = true;
-                    }
-                    inner.outbox_bytes -= written;
-                    // Retire fully-written frames; a partial tail frame
-                    // keeps its offset for the next pass. Dropping a
-                    // retired frame returns its buffer to the pool.
-                    while written > 0 {
-                        let front_rem = inner.outbox.front().expect("bytes imply a frame").len()
-                            - inner.head_off;
-                        if written >= front_rem {
-                            written -= front_rem;
-                            inner.outbox.pop_front();
-                            inner.head_off = 0;
-                        } else {
-                            inner.head_off += written;
-                            written = 0;
-                        }
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    inner.want_write = true;
-                    if freed {
-                        self.tx_cv.notify_all();
-                    }
-                    return;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    // Peer gone: fail fast.
-                    inner.closed = true;
-                    inner.want_write = false;
-                    inner.outbox.clear();
-                    inner.outbox_bytes = 0;
-                    inner.head_off = 0;
-                    self.io.shutdown_write();
-                    self.tx_cv.notify_all();
-                    return;
-                }
-            }
-        }
-        inner.want_write = false;
-        self.tx_cv.notify_all(); // backpressured senders may proceed
-        if inner.flush_then_shutdown {
-            inner.flush_then_shutdown = false;
-            self.io.shutdown_write();
-        }
-    }
-
-    // ---- send path ----------------------------------------------------
-
-    pub fn send(&self, frame: PooledBuf) -> TdpResult<()> {
-        let mut inner = self.inner.lock();
-        if inner.closed {
+    /// Send one message, on the calling thread. When this returns `Ok`
+    /// the whole frame is in the kernel, so a later `close` or drop
+    /// cannot lose it. A message over `MAX_FRAME` is refused before a
+    /// byte is written — the peer's decoder would answer it by ending
+    /// the session.
+    pub fn send(&self, msg: &Message) -> TdpResult<()> {
+        let mut tx = self.tx.lock();
+        if tx.dead || self.is_shut() {
             return Err(TdpError::Disconnected);
         }
-        // Backpressure: wait for outbox space (a lone oversized frame is
-        // admitted so progress is always possible). A peer that stops
-        // draining for `write_stall` kills the connection instead of
-        // wedging the sender.
-        if inner.outbox_bytes + frame.len() > self.tuning.outbox_bytes && !inner.outbox.is_empty() {
-            let deadline = Instant::now() + self.tuning.write_stall;
-            while inner.outbox_bytes + frame.len() > self.tuning.outbox_bytes
-                && !inner.outbox.is_empty()
-                && !inner.closed
-            {
-                if self.tx_cv.wait_until(&mut inner, deadline).timed_out() {
-                    // The stall timer races the reactor's drain: space
-                    // may have been freed concurrently with the
-                    // deadline. Kill only if the stall is still real —
-                    // otherwise loop, recheck, and proceed (found by
-                    // the loom stall/kill model).
-                    if inner.outbox_bytes + frame.len() <= self.tuning.outbox_bytes
-                        || inner.outbox.is_empty()
-                        || inner.closed
-                    {
-                        continue;
-                    }
-                    inner.closed = true;
-                    self.shut.store(true, Ordering::Release);
+        encode_frame_into(msg, &mut tx.buf);
+        let res = check_sendable(&tx.buf).and_then(|()| {
+            self.io.write_frame(&tx.buf, self.stall).map_err(|e| {
+                if e.kind() != io::ErrorKind::TimedOut {
+                    tx.dead = true;
+                } else if !self.shut.swap(true, Ordering::AcqRel) {
+                    // The peer is wedged and the kill is ours; a
+                    // `close` that won the race has already shut the
+                    // socket down, and its stall is not a kill.
                     crate::record_stall_kill();
-                    self.io.shutdown_both();
-                    self.tx_cv.notify_all();
-                    return Err(TdpError::Disconnected);
+                    self.io.shutdown();
                 }
-            }
-            if inner.closed {
-                return Err(TdpError::Disconnected);
-            }
+                TdpError::Disconnected
+            })
+        });
+        if tx.buf.capacity() > MAX_RETAINED_CAP {
+            tx.buf = BytesMut::new();
         }
-        inner.outbox_bytes += frame.len();
-        inner.outbox.push_back(frame);
-        if !inner.want_write {
-            // Fast path: the socket was writable last we knew — drain
-            // inline, no reactor round trip. Falls back to armed write
-            // interest on a partial write.
-            self.drain_write(&mut inner);
-            if inner.want_write {
-                self.io.arm_write();
-            }
-        }
-        Ok(())
+        res
     }
 
+    /// End the connection from this side: local sends and reads fail
+    /// fast, the peer sees EOF behind every frame a `send` returned
+    /// `Ok` for. Never takes the send turn, so it returns at once while
+    /// a sender is parked on a stalled peer — and releases it.
+    /// Idempotent.
     pub fn close(&self) {
-        let mut inner = self.inner.lock();
-        if inner.closed {
-            return;
-        }
-        inner.closed = true;
-        // Local reads fail fast (after already-buffered frames drain),
-        // matching netsim's `Conn::close`, which severs both directions.
-        // The shutdown wakes a receiver parked on the fd; the flag is
-        // what it then finds.
-        self.shut.store(true, Ordering::Release);
-        self.io.shutdown_read();
-        if inner.outbox.is_empty() {
-            self.io.shutdown_write();
-        } else {
-            // Queued frames flush first, then the peer sees EOF.
-            inner.flush_then_shutdown = true;
-            if !inner.want_write {
-                self.drain_write(&mut inner);
-                if inner.want_write {
-                    self.io.arm_write();
-                }
-            }
-        }
-        self.tx_cv.notify_all();
-    }
-
-    // ---- lifecycle ----------------------------------------------------
-
-    /// First half of tearing the connection down, run once both API
-    /// halves are gone (so no receiver is left to tell): quiesce the
-    /// state machine (stale readiness reports and senders become
-    /// no-ops) and hand any unflushed outbox back to the caller, which
-    /// flushes it synchronously *outside* the flow lock. Quiescing
-    /// before the owner flips the socket to blocking mode is
-    /// load-bearing: the reactor thread holding a stale readiness event
-    /// must find no drain owed here rather than enter `drain_write` on
-    /// a now-blocking socket and wedge every other connection's drain.
-    pub fn begin_release(&self) -> Option<FlushPlan> {
-        let mut inner = self.inner.lock();
-        let flush = !inner.outbox.is_empty() && (!inner.closed || inner.flush_then_shutdown);
-        inner.closed = true;
-        inner.want_write = false;
-        let shutdown_write_after = inner.flush_then_shutdown;
-        inner.flush_then_shutdown = false;
-        let frames = std::mem::take(&mut inner.outbox);
-        let head_off = std::mem::take(&mut inner.head_off);
-        inner.outbox_bytes = 0;
-        if !flush {
-            return None;
-        }
-        Some(FlushPlan {
-            frames,
-            head_off,
-            shutdown_write_after,
-        })
-    }
-
-    /// Test-only: block *untimed* on the same condvar and predicate as
-    /// `send`'s backpressure wait. The loom models use this to prove
-    /// the notify side of the protocol without the stall timeout as an
-    /// escape hatch — a drain that frees space but fails to notify
-    /// leaves this parked forever, which the checker reports as a
-    /// deadlock. Returns whether the connection was still open.
-    #[cfg(all(loom, test))]
-    pub fn await_outbox_space(&self, frame_len: usize) -> bool {
-        let mut inner = self.inner.lock();
-        while inner.outbox_bytes + frame_len > self.tuning.outbox_bytes
-            && !inner.outbox.is_empty()
-            && !inner.closed
-        {
-            self.tx_cv.wait(&mut inner);
-        }
-        !inner.closed
-    }
-
-    /// Test-only visibility into the state machine: `(want_write,
-    /// closed, outbox_bytes)`.
-    #[cfg(test)]
-    pub fn snapshot(&self) -> (bool, bool, usize) {
-        let inner = self.inner.lock();
-        (inner.want_write, inner.closed, inner.outbox_bytes)
-    }
-}
-
-#[cfg(all(test, not(loom)))]
-mod tests {
-    use super::*;
-    use crate::pool::BufferPool;
-    use proptest::prelude::*;
-    use std::sync::Mutex as StdMutex;
-    use tdp_proto::{encode_frame, ContextId, FrameDecoder, Message, Reply};
-    use tdp_sync::Arc;
-
-    /// A scripted endpoint for the writev-coalescing property: each
-    /// `writev` call consumes one allowance from the script — `0` means
-    /// `EWOULDBLOCK`, `n` accepts up to `n` bytes gathered across the
-    /// iovec in order. Once the script runs dry the socket accepts
-    /// everything, so every run terminates with a full flush.
-    #[derive(Clone)]
-    struct GatherIo {
-        inner: Arc<StdMutex<GatherState>>,
-    }
-
-    struct GatherState {
-        allowances: VecDeque<usize>,
-        written: Vec<u8>,
-        /// writev calls that gathered more than one frame (coalescing
-        /// actually exercised, not just frame-at-a-time).
-        gathers: usize,
-    }
-
-    impl GatherIo {
-        fn new(allowances: Vec<usize>) -> GatherIo {
-            GatherIo {
-                inner: Arc::new(StdMutex::new(GatherState {
-                    allowances: allowances.into_iter().collect(),
-                    written: Vec::new(),
-                    gathers: 0,
-                })),
-            }
-        }
-
-        fn written(&self) -> Vec<u8> {
-            self.inner.lock().unwrap().written.clone()
-        }
-
-        fn gathers(&self) -> usize {
-            self.inner.lock().unwrap().gathers
-        }
-    }
-
-    impl FlowIo for GatherIo {
-        fn writev(&self, bufs: &[&[u8]]) -> std::io::Result<usize> {
-            let mut st = self.inner.lock().unwrap();
-            let mut allowance = match st.allowances.pop_front() {
-                Some(0) => return Err(std::io::ErrorKind::WouldBlock.into()),
-                Some(n) => n,
-                None => usize::MAX, // script exhausted: accept all
-            };
-            if bufs.iter().filter(|b| !b.is_empty()).count() > 1 {
-                st.gathers += 1;
-            }
-            let mut accepted = 0;
-            for b in bufs {
-                if allowance == 0 {
-                    break;
-                }
-                let n = b.len().min(allowance);
-                st.written.extend_from_slice(&b[..n]);
-                accepted += n;
-                allowance -= n;
-            }
-            Ok(accepted)
-        }
-
-        fn shutdown_read(&self) {}
-        fn shutdown_write(&self) {}
-        fn shutdown_both(&self) {}
-        fn arm_write(&self) {}
-    }
-
-    fn arb_string() -> impl Strategy<Value = String> {
-        proptest::string::string_regex(".{0,64}").unwrap()
-    }
-
-    fn arb_message() -> impl Strategy<Value = Message> {
-        let ctx = any::<u64>().prop_map(ContextId);
-        prop_oneof![
-            (ctx.clone(), arb_string(), arb_string())
-                .prop_map(|(ctx, key, value)| { Message::Put { ctx, key, value } }),
-            (ctx.clone(), arb_string(), any::<bool>())
-                .prop_map(|(ctx, key, blocking)| { Message::Get { ctx, key, blocking } }),
-            ctx.prop_map(|ctx| Message::Join { ctx }),
-            Just(Message::Reply(Reply::Ok)),
-            (arb_string(), arb_string())
-                .prop_map(|(key, value)| Message::Reply(Reply::Value { key, value })),
-        ]
-    }
-
-    proptest! {
-        /// ISSUE 9: frames pushed through the pooled outbox and drained
-        /// by partial, gathering `writev` calls come out as the exact
-        /// byte stream of their individual encodings — and that stream
-        /// re-decodes to the original messages under arbitrary read
-        /// chunk boundaries.
-        #[test]
-        fn writev_coalesced_frames_decode_byte_identically(
-            msgs in proptest::collection::vec(arb_message(), 1..12),
-            allowances in proptest::collection::vec(0usize..48, 0..32),
-            cuts in proptest::collection::vec(1usize..17, 0..96),
-        ) {
-            let io = GatherIo::new(allowances.clone());
-            let pool = BufferPool::new();
-            let flow = Flow::new(
-                io.clone(),
-                ConnTuning {
-                    outbox_bytes: 1 << 20,
-                    write_stall: Duration::from_secs(5),
-                },
-            );
-
-            let mut expected = Vec::new();
-            for m in &msgs {
-                let frame = encode_frame(m);
-                expected.extend_from_slice(&frame);
-                flow.send(pool.pooled(&frame)).unwrap();
-            }
-            // Flush whatever the scripted EWOULDBLOCKs left queued; the
-            // exhausted script accepts everything, so this terminates.
-            for _ in 0..allowances.len() + 2 {
-                let (_, _, outbox_bytes) = flow.snapshot();
-                if outbox_bytes == 0 {
-                    break;
-                }
-                flow.on_ready();
-            }
-
-            let written = io.written();
-            prop_assert_eq!(&written, &expected, "byte stream diverged");
-            let _ = io.gathers(); // coalescing path is schedule-dependent
-
-            // Re-decode under unrelated chunk boundaries.
-            let mut dec = FrameDecoder::new();
-            let mut got = Vec::new();
-            let mut off = 0;
-            let mut cuts = cuts.into_iter();
-            while off < written.len() {
-                let n = cuts.next().unwrap_or(written.len()).min(written.len() - off);
-                dec.feed(&written[off..off + n]);
-                off += n;
-                while let Some(msg) = dec.next().expect("stream is well-formed") {
-                    got.push(msg);
-                }
-            }
-            prop_assert_eq!(&got, &msgs);
-            prop_assert_eq!(pool.live(), 0, "flushed frames must return to the pool");
+        if !self.shut.swap(true, Ordering::AcqRel) {
+            self.io.shutdown();
         }
     }
 }

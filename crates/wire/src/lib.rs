@@ -9,23 +9,25 @@
 //!
 //! * [`sim`] — an adapter over `tdp-netsim`'s in-memory fabric, keeping
 //!   the simulated topology, firewalls and latency models;
-//! * [`epoll`] — real loopback TCP sockets with no per-connection
-//!   thread. A receiver reads its own socket: an incremental streaming
-//!   decoder ([`tdp_proto::FrameDecoder`]) owned by the connection's one
-//!   `WireRx`, which parks in `poll(2)` on its own fd. A sender writes
-//!   inline into a bounded outbox (backpressure) drained by coalescing
-//!   `writev`; one `wire-reactor` thread per transport (see [`reactor`])
-//!   finishes the drain when a socket buffer fills. Fail-fast close
-//!   semantics match netsim's, and a buffer pool makes steady-state
-//!   put/get allocation-free. [`socket`] holds what happens to a stream
-//!   before it is registered (accept, `Hello` handshake) and the §2.4
-//!   byte-relay proxy.
+//! * [`epoll`] — real loopback TCP sockets with no thread per
+//!   connection or per transport. A receiver reads its own socket: an
+//!   incremental streaming decoder ([`tdp_proto::FrameDecoder`]) owned
+//!   by the connection's one `WireRx`, which parks in `poll(2)` on its
+//!   own fd. A sender writes its own socket: it takes the connection's
+//!   send turn (`flow.rs`), encodes into the connection's buffer and
+//!   writes, parking in `poll(2)` if the kernel's socket buffer — the
+//!   only queue — is full; a peer that stops reading for 5 s is killed.
+//!   Fail-fast close semantics match netsim's, and the per-connection
+//!   encode buffer and decode scratch make steady-state put/get
+//!   allocation-free. [`socket`] holds what happens to a stream before
+//!   it is adopted (accept, `Hello` handshake), the write loop it is
+//!   sent through afterwards, and the §2.4 byte-relay proxy.
 //!
 //! The two are observably equivalent to the layers above: the same
 //! scenario driven over either produces the same TDP call trace.
 
 // The only crate in the workspace allowed to use `unsafe` (the raw
-// epoll/eventfd/fcntl FFI in `sys`); every unsafe operation must be
+// poll/epoll/eventfd/fcntl FFI in `sys`); every unsafe operation must be
 // explicit even inside unsafe fns, and every block carries a
 // `// SAFETY:` comment (clippy::undocumented_unsafe_blocks).
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -35,8 +37,6 @@ pub mod epoll;
 pub(crate) mod flow;
 #[cfg(all(loom, test))]
 mod loom_models;
-pub(crate) mod pool;
-pub(crate) mod reactor;
 pub mod sim;
 pub mod socket;
 pub mod sys;
@@ -52,8 +52,9 @@ use tdp_sync::Arc;
 
 /// Send half of a connection. Object-safe; shared behind [`WireTx`].
 pub trait TxApi: Send + Sync {
-    /// Queue one framed message. May block for backpressure; fails fast
-    /// once the connection is closed.
+    /// Send one framed message. May block for backpressure; fails fast
+    /// once the connection is closed, and with `Protocol` — the
+    /// connection untouched — for a message over `MAX_FRAME`.
     fn send_msg(&self, msg: &Message) -> TdpResult<()>;
     /// Close the connection. Pending sends are abandoned; the peer sees
     /// EOF. Idempotent.
@@ -262,20 +263,10 @@ pub(crate) fn protocol_err(e: tdp_proto::FrameError) -> TdpError {
     TdpError::Protocol(e.to_string())
 }
 
-/// What one [`EpollTransport`] owns right now: its IO threads — always
-/// exactly one, the `wire-reactor` that drains backed-up outboxes — and
-/// the connections registered with it. Per transport, so concurrent
-/// worlds never see each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireCensus {
-    pub threads: usize,
-    pub conns: usize,
-}
-
-/// Names of this process's live wire-layer OS threads (each
-/// transport's reactor, accept threads, proxies and their relay pumps —
-/// every thread this crate spawns is named `wire-…`). Linux-only by way of
-/// `/proc`, which truncates names to 15 bytes.
+/// Names of this process's live wire-layer OS threads (accept threads,
+/// proxies and their relay pumps — every thread this crate spawns is
+/// named `wire-…`). Linux-only by way of `/proc`, which truncates names
+/// to 15 bytes.
 fn wire_threads() -> Vec<String> {
     let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
         return Vec::new();
@@ -288,8 +279,7 @@ fn wire_threads() -> Vec<String> {
 }
 
 /// Process-wide count of live wire-layer OS threads, across every
-/// transport and proxy in the process (the benches' headline number;
-/// for one transport's own budget see [`EpollTransport::census`]).
+/// transport and proxy in the process (the benches' headline number).
 pub fn wire_thread_count() -> usize {
     wire_threads().len()
 }

@@ -1,6 +1,7 @@
-//! Loopback-socket plumbing under the epoll transport — everything
-//! that touches a `TcpStream` *before* the transport adopts it, plus the
-//! byte-relay proxy that never frames a message at all:
+//! Loopback-socket plumbing under the socket transport — everything
+//! that touches a `TcpStream` *before* the transport adopts it, the one
+//! write loop an adopted (non-blocking) stream is sent through, plus
+//! the byte-relay proxy that never frames a message at all:
 //!
 //! * **Listener** — one blocking accept thread per listener feeding a
 //!   bounded channel; it runs the `Hello` handshake inline and hands the
@@ -9,14 +10,18 @@
 //! * **Hello handshake** — TCP carries no logical host identity, so the
 //!   dialling side's first frame is [`Message::Hello`]; the accept side
 //!   consumes it and records `peer_host` for the LASS locality rule.
+//! * **[`write_all_stall`]** — the tree's one non-blocking write path:
+//!   a wire connection's send turn (`flow.rs`) and the gateway's HTTP
+//!   workers both call it, each with its own stall budget.
 //! * **Relay proxy** — the §2.4 firewall crossing: a one-line
 //!   `CONNECT host:port\n` exchange, then two byte pumps.
 
 use crate::epoll::EpollTransport;
 use crate::{protocol_err, Endpoint, ListenerApi, WireConn, WireListener};
 use crossbeam::channel::{bounded, Receiver, Sender};
-use std::io::{Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::thread;
 use std::time::{Duration, Instant};
 use tdp_proto::{Addr, FrameDecoder, HostId, Message, TdpError, TdpResult};
@@ -28,6 +33,33 @@ use tdp_sync::Arc;
 pub(crate) const DIAL_TIMEOUT: Duration = Duration::from_secs(2);
 /// How long the accept side waits for the `Hello` frame.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Write all of `data` to a non-blocking `stream`, by the calling
+/// thread. When the socket buffer is full, park in `poll(2)` until the
+/// peer makes room — for `stall` in total across the call, after which
+/// the peer counts as stalled and the call fails [`ErrorKind::TimedOut`]
+/// with part of `data` possibly written. Any other error is the
+/// socket's own (`EPIPE`, reset, a local `shutdown`).
+pub fn write_all_stall(mut stream: &TcpStream, mut data: &[u8], stall: Duration) -> io::Result<()> {
+    let mut deadline = None;
+    while !data.is_empty() {
+        match stream.write(data) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => data = &data[n..],
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                let deadline = *deadline.get_or_insert_with(|| Instant::now() + stall);
+                let left = deadline.saturating_duration_since(Instant::now());
+                let ms = crate::sys::poll_timeout_ms(left);
+                if left.is_zero() || !crate::sys::poll_writable(stream.as_raw_fd(), ms)? {
+                    return Err(ErrorKind::TimedOut.into());
+                }
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
 
 /// A bound loopback listener: a blocking accept thread feeding a
 /// bounded channel, with the self-connection trick to unblock `accept`
@@ -67,8 +99,7 @@ impl ListenerApi for RealListener {
 
 /// A listener dropped without `close()` would otherwise leave its accept
 /// thread parked in `accept` for the life of the process, holding the
-/// bound socket and — through the thread's transport clone — the
-/// reactor.
+/// bound socket.
 impl Drop for RealListener {
     fn drop(&mut self) {
         self.close();
@@ -76,8 +107,8 @@ impl Drop for RealListener {
 }
 
 /// Spawn the accept thread for a bound listener and wrap it as a
-/// [`WireListener`]. Each accepted stream is handshaken and registered
-/// with `transport`'s reactor inline on the accept thread.
+/// [`WireListener`]. Each accepted stream is handshaken and adopted by
+/// `transport` inline on the accept thread.
 pub(crate) fn spawn_real_listener(
     listener: TcpListener,
     transport: EpollTransport,
@@ -336,6 +367,50 @@ pub(crate) fn dial_via_proxy(proxy: SocketAddr, target: Addr) -> TdpResult<TcpSt
 mod tests {
     use super::*;
     use crate::Transport;
+
+    /// A connected pair whose first end is non-blocking and full: the
+    /// second has read none of the bytes (their count is returned) that
+    /// it took to reach `EWOULDBLOCK`.
+    fn full_socket() -> (TcpStream, TcpStream, usize) {
+        let l = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let a = TcpStream::connect(l.local_addr().unwrap()).unwrap();
+        let (b, _) = l.accept().unwrap();
+        a.set_nonblocking(true).unwrap();
+        let block = [0u8; 64 * 1024];
+        let mut filled = 0;
+        while let Ok(n) = (&a).write(&block) {
+            filled += n;
+        }
+        (a, b, filled)
+    }
+
+    #[test]
+    fn write_all_stall_times_out_on_a_full_socket() {
+        let (a, _b, _) = full_socket();
+        let stall = Duration::from_millis(200);
+        let t0 = Instant::now();
+        let err = write_all_stall(&a, &[1u8; 1024], stall).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::TimedOut);
+        assert!(t0.elapsed() >= stall, "{:?}", t0.elapsed());
+        assert!(t0.elapsed() < stall + Duration::from_secs(1));
+    }
+
+    #[test]
+    fn write_all_stall_completes_when_the_peer_drains_mid_wait() {
+        let (a, mut b, filled) = full_socket();
+        let payload: Vec<u8> = (0..256 * 1024).map(|i| (i % 251) as u8).collect();
+        let want = payload.clone();
+        let drain = thread::spawn(move || {
+            // Time for the writer to get from called to parked; it must
+            // complete either way, this makes parked the case exercised.
+            thread::park_timeout(Duration::from_millis(50));
+            let mut got = vec![0u8; filled + want.len()];
+            b.read_exact(&mut got).unwrap();
+            assert!(got[filled..] == want[..], "payload torn or reordered");
+        });
+        write_all_stall(&a, &payload, Duration::from_secs(10)).unwrap();
+        drain.join().unwrap();
+    }
 
     #[test]
     fn trickled_hello_cannot_hold_the_accept_thread() {

@@ -1,6 +1,8 @@
-//! Minimal unsafe FFI shim over the Linux syscalls the reactor backend
-//! needs: `epoll_create1` / `epoll_ctl` / `epoll_wait`, `eventfd` for
-//! cross-thread wakeups, and `fcntl` for `O_NONBLOCK`.
+//! Minimal unsafe FFI shim over the Linux syscalls the socket transport
+//! and the gateway's HTTP loop need: `poll` for one fd and `fcntl` for
+//! `O_NONBLOCK` (both), `epoll_create1` / `epoll_ctl` / `epoll_wait` and
+//! `eventfd` for cross-thread wakeups (the gateway's leader/follower
+//! loop — the tree's one epoll loop).
 //!
 //! This build environment has no crates.io access (see
 //! `stubs/README.md`), so instead of pulling in `libc`/`mio` we declare
@@ -18,7 +20,6 @@ use std::os::unix::io::RawFd;
 // (asm-generic); x86_64 additionally packs `epoll_event` (see below).
 
 pub const EPOLLIN: u32 = 0x001;
-pub const EPOLLOUT: u32 = 0x004;
 pub const EPOLLRDHUP: u32 = 0x2000;
 pub const EPOLLONESHOT: u32 = 1 << 30;
 
@@ -46,13 +47,6 @@ pub struct EpollEvent {
     pub token: u64,
 }
 
-/// The kernel's `struct iovec` for [`writev`].
-#[repr(C)]
-struct IoVec {
-    iov_base: *const core::ffi::c_void,
-    iov_len: usize,
-}
-
 /// The kernel's `struct pollfd` for [`poll`].
 #[repr(C)]
 struct PollFd {
@@ -71,7 +65,6 @@ extern "C" {
     fn eventfd(initval: u32, flags: i32) -> i32;
     fn close(fd: i32) -> i32;
     fn write(fd: i32, buf: *const core::ffi::c_void, count: usize) -> isize;
-    fn writev(fd: i32, iov: *const IoVec, iovcnt: i32) -> isize;
     fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
     fn fcntl(fd: i32, cmd: i32, ...) -> i32;
 }
@@ -102,36 +95,6 @@ fn close_fd(fd: RawFd) {
     }
 }
 
-/// How many slices one [`writev_fd`] call gathers at most; callers
-/// batch in chunks of this size.
-pub const WRITEV_BATCH: usize = 64;
-
-/// Vectored write: push up to [`WRITEV_BATCH`] byte slices through one
-/// `writev(2)` syscall. Returns the number of bytes accepted (possibly
-/// a partial gather — the kernel stops wherever the socket buffer
-/// fills). Empty slices are legal and contribute nothing.
-pub fn writev_fd(fd: RawFd, bufs: &[&[u8]]) -> io::Result<usize> {
-    let mut iov = [const {
-        IoVec {
-            iov_base: std::ptr::null(),
-            iov_len: 0,
-        }
-    }; WRITEV_BATCH];
-    let n = bufs.len().min(WRITEV_BATCH);
-    for (slot, b) in iov.iter_mut().zip(bufs.iter()) {
-        slot.iov_base = b.as_ptr().cast();
-        slot.iov_len = b.len();
-    }
-    // SAFETY: `iov[..n]` points at live slices borrowed for this whole
-    // call; the kernel only reads from them.
-    let ret = unsafe { writev(fd, iov.as_ptr(), n as i32) };
-    if ret < 0 {
-        Err(io::Error::last_os_error())
-    } else {
-        Ok(ret as usize)
-    }
-}
-
 /// Block until `fd` is readable (or in an error/hangup state — those
 /// also wake the poll, and the subsequent read surfaces them), or until
 /// `timeout_ms` elapses (`< 0` waits forever). Returns whether the fd
@@ -147,6 +110,12 @@ pub fn poll_readable(fd: RawFd, timeout_ms: i32) -> io::Result<bool> {
 /// hangup for the write to surface), or until `timeout_ms` elapses.
 pub fn poll_writable(fd: RawFd, timeout_ms: i32) -> io::Result<bool> {
     poll_one(fd, POLLOUT, timeout_ms)
+}
+
+/// What is left of a wait, as a `poll` timeout: rounded up, so a
+/// sub-millisecond remainder still waits instead of spinning at 0 ms.
+pub(crate) fn poll_timeout_ms(left: std::time::Duration) -> i32 {
+    left.as_millis().saturating_add(1).min(i32::MAX as u128) as i32
 }
 
 fn poll_one(fd: RawFd, events: i16, timeout_ms: i32) -> io::Result<bool> {
@@ -324,21 +293,6 @@ mod tests {
         // Level-triggered and never drained: it stays readable, which
         // is what lets one signal stop every loop that watches it.
         assert_eq!(ep.wait(&mut buf, 0).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn writev_gathers_multiple_slices() {
-        use std::io::Read;
-        use std::os::unix::io::AsRawFd;
-        let l = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let a = std::net::TcpStream::connect(l.local_addr().unwrap()).unwrap();
-        let (mut b, _) = l.accept().unwrap();
-        let parts: [&[u8]; 4] = [b"he", b"", b"llo ", b"world"];
-        let n = writev_fd(a.as_raw_fd(), &parts).unwrap();
-        assert_eq!(n, 11);
-        let mut got = [0u8; 11];
-        b.read_exact(&mut got).unwrap();
-        assert_eq!(&got, b"hello world");
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! ISSUE 9 acceptance: a steady-state put/get round trip over the
 //! epoll backend performs **zero heap allocations**.
 //!
-//! The whole hot path is built to recycle: `send_msg` encodes into a
-//! [`BufferPool`]ed buffer that returns to the pool once `writev` has
-//! flushed it; the receive side drains into a retained decoder buffer,
-//! decodes key/value strings out of a per-connection scratch pool, and
-//! `recycle_msg` puts consumed strings back. This test pins the claim
+//! The whole hot path is built to recycle: `send_msg` encodes into
+//! the connection's own buffer, which is free again the moment the
+//! frame is in the kernel — when `send_msg` returns; the receive side
+//! drains into a retained decoder buffer, decodes key/value strings out
+//! of a per-connection scratch pool, and `recycle_msg` puts consumed
+//! strings back. This test pins the claim
 //! with a counting `#[global_allocator]`: after a warm-up phase grows
 //! every pool to its steady footprint, a measured window of full
 //! request/reply round trips must not touch the allocator at all.

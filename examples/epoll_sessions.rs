@@ -1,6 +1,6 @@
 //! `epoll_sessions` — the socket transport's scaling story: hold
 //! hundreds of live attribute-space sessions in one process and watch
-//! the world's wire-thread census stay flat.
+//! the wire-thread count stay flat.
 //!
 //! ```text
 //! cargo run -q --release --example epoll_sessions
@@ -8,11 +8,12 @@
 //!
 //! A thread-per-connection transport would spend ~1000 OS threads on
 //! 500 sessions before the tool has done any work. Over
-//! `World::new_epoll` the wire layer spends one: each receiver reads
-//! its own socket, and a single `wire-reactor` thread finishes writes a
-//! full socket buffer interrupted. (The attribute-space *server* above
-//! it still runs one session thread per client, parked in its own
-//! `recv` — those are not wire threads and are not counted here.)
+//! `World::new_epoll` the wire layer spends none beyond the listener's
+//! accept thread: each receiver reads and each sender writes its own
+//! socket, and the kernel's socket buffer is the only queue. (The
+//! attribute-space *server* above it still runs one session thread per
+//! client, parked in its own `recv` — those are not wire threads and
+//! are not counted here.)
 
 use std::time::Instant;
 use tdp::core::World;
@@ -20,11 +21,11 @@ use tdp::proto::ContextId;
 
 const SESSIONS: u64 = 500;
 
-fn census(world: &World, label: &str) {
-    let c = world.wire_census().expect("socket world");
+fn count(world: &World, label: &str) {
     println!(
-        "  {label:<28} {} wire threads, {} registered connections",
-        c.threads, c.conns
+        "  {label:<28} {} wire threads, {} open connections",
+        tdp::wire::wire_thread_count(),
+        world.wire_conns().expect("socket world")
     );
 }
 
@@ -32,7 +33,7 @@ fn main() {
     let world = World::new_epoll();
     let fe = world.add_host();
     let cass = world.ensure_cass(fe).unwrap();
-    census(&world, "before any session");
+    count(&world, "before any session");
 
     let t0 = Instant::now();
     let mut sessions = Vec::new();
@@ -47,7 +48,7 @@ fn main() {
         "  opened {SESSIONS} sessions (join+put each) in {:.1?}",
         t0.elapsed()
     );
-    census(&world, &format!("with {SESSIONS} live sessions"));
+    count(&world, &format!("with {SESSIONS} live sessions"));
 
     // Every session stays serviceable.
     let t1 = Instant::now();
@@ -60,5 +61,5 @@ fn main() {
     );
 
     drop(sessions);
-    println!("done: one wire thread throughout, not O(sessions)");
+    println!("done: the accept thread throughout, not O(sessions)");
 }

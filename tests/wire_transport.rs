@@ -2,18 +2,19 @@
 //! framework (E11) scenarios run over both transports `tdp-wire` ships —
 //! the simulated fabric and real loopback sockets (`World::new_epoll`) —
 //! and produce the *same observable behaviour*, up to identical call
-//! traces. The socket transport additionally has to do it on one wire
-//! thread: the 500-session soak at the bottom asserts the exact budget.
+//! traces. The socket transport additionally has to do it without a
+//! wire thread of its own: the 500-session soak at the bottom counts
+//! the world's connections and looks for the thread that used to be.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tdp::condor::{CondorPool, JobState};
 use tdp::core::{Role, TdpHandle, TransportMode, World};
 use tdp::netsim::{FirewallPolicy, Network};
 use tdp::paradyn::{paradynd_image, ParadynFrontend, PerformanceConsultant};
 use tdp::proto::{names, Addr, ContextId, Message, ProcStatus, TdpError};
 use tdp::simos::{fn_program, ExecImage};
-use tdp::wire::{EpollTransport, SimTransport, Transport, WireCensus};
+use tdp::wire::{EpollTransport, SimTransport, Transport};
 
 const CTX: ContextId = ContextId(1);
 const T: Duration = Duration::from_secs(30);
@@ -274,14 +275,40 @@ fn zero_timeout_delivers_a_queued_frame_on_both_backends() {
     }
 }
 
+/// A message over `MAX_FRAME` is refused by the sender, before a byte
+/// is written: shipped whole it is answered by the server's decoder
+/// ending the session (`TooLarge`), which a redial-armed client reads as
+/// a server crash — reconnect, resend, forever.
+#[test]
+fn oversize_message_is_refused_by_the_sender_on_both_backends() {
+    let huge = "x".repeat(tdp::proto::MAX_FRAME + 1);
+    for world in [World::new(), World::new_epoll()] {
+        let mode = world.transport_mode();
+        let fe = world.add_host();
+        let cass = world.ensure_cass(fe).unwrap();
+        let policy = tdp::attrspace::ReconnectPolicy::default();
+        let plain = world.attr_connect(fe, cass).unwrap();
+        let armed = world.attr_connect_reliable(fe, cass, policy).unwrap();
+        for mut c in [plain, armed] {
+            c.join(CTX).unwrap();
+            let err = c.put(CTX, "k", &huge).unwrap_err();
+            assert!(matches!(err, TdpError::Protocol(_)), "{mode:?}: {err:?}");
+            // Refused, not sent: the session is where it was.
+            c.put(CTX, "k", "v").unwrap();
+            assert_eq!(c.get(CTX, "k").unwrap(), "v", "{mode:?}");
+            assert_eq!(c.reconnects(), 0, "{mode:?}");
+        }
+    }
+}
+
 #[test]
 fn epoll_soak_500_sessions_bounded_threads() {
     // The scaling claim: a CASS front-end holding 500 live
-    // attribute-space sessions must not cost 2×500 wire threads. All
-    // 1000 sockets (a client and a server end per session) are read by
-    // their own receivers and share the world's one reactor thread —
-    // and the census is this world's own, so sibling tests' worlds
-    // cannot leak into it.
+    // attribute-space sessions must not cost 2×500 wire threads — or
+    // any. All 1000 sockets (a client and a server end per session) are
+    // read and written by whoever is receiving or sending on them, and
+    // the count is this world's own, so sibling tests' worlds cannot
+    // leak into it.
     let world = World::new_epoll();
     let fe = world.add_host();
     let cass = world.ensure_cass(fe).unwrap();
@@ -293,17 +320,35 @@ fn epoll_soak_500_sessions_bounded_threads() {
         c.put(ctx, "session", &format!("s{i}")).unwrap();
         sessions.push((ctx, c));
     }
-    assert_eq!(
-        world.wire_census(),
-        Some(WireCensus {
-            threads: 1,
-            conns: 1000
-        })
-    );
-    // Every session is still live after the census — spot-check
+    assert_eq!(world.wire_conns(), Some(1000));
+    // Every session is still live after the count — spot-check
     // them all, not just the survivors of an LRU.
     for (ctx, c) in sessions.iter_mut() {
         let i = ctx.0;
         assert_eq!(c.get(*ctx, "session").unwrap(), format!("s{i}"));
+    }
+    // No transport in this process, this world's or a sibling test's,
+    // runs a reactor thread.
+    let threads: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+        .collect();
+    assert!(
+        !threads.iter().any(|n| n.starts_with("wire-reactor")),
+        "{threads:?}"
+    );
+    // A connection is counted for as long as either half is held: the
+    // client ends go with the sessions, the server ends once the CASS
+    // has seen every EOF (or been stopped).
+    drop(sessions);
+    world.kill_cass();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while world.wire_conns() != Some(0) {
+        assert!(
+            Instant::now() < deadline,
+            "connections never released: {:?}",
+            world.wire_conns()
+        );
+        std::thread::park_timeout(Duration::from_millis(5));
     }
 }
