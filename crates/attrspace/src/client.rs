@@ -22,7 +22,7 @@
 //! they own.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tdp_netsim::{Conn, Network};
 use tdp_proto::{Addr, Backoff, ContextId, HostId, Message, Reply, TdpError, TdpResult};
 use tdp_wire::WireConn;
@@ -303,12 +303,9 @@ impl AttrClient {
         if let Some(n) = self.pending.pop_front() {
             return Ok(n);
         }
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         loop {
-            let remaining = deadline
-                .checked_duration_since(std::time::Instant::now())
-                .ok_or(TdpError::Timeout)?;
-            match self.conn.recv_msg_timeout(remaining)? {
+            match self.recv_until(deadline)? {
                 Message::Reply(Reply::Notify { token, key, value }) => {
                     self.sub_fired(token);
                     return Ok(Notification { token, key, value });
@@ -442,21 +439,27 @@ impl AttrClient {
         }
     }
 
+    /// The next message off the connection, waiting until `deadline` —
+    /// `None`, which is also what a timeout too large for `Instant` to
+    /// hold (`Duration::MAX`) comes to, waits for as long as it takes.
+    fn recv_until(&mut self, deadline: Option<Instant>) -> TdpResult<Message> {
+        match deadline {
+            Some(d) => {
+                let remaining = d
+                    .checked_duration_since(Instant::now())
+                    .ok_or(TdpError::Timeout)?;
+                self.conn.recv_msg_timeout(remaining)
+            }
+            None => self.conn.recv_msg(),
+        }
+    }
+
     /// Read the next direct (non-notify) reply, queueing notifications
     /// and discarding orphaned replies from abandoned gets.
     fn read_reply(&mut self, timeout: Option<Duration>) -> TdpResult<Reply> {
-        let deadline = timeout.map(|t| std::time::Instant::now() + t);
+        let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
         loop {
-            let msg = match deadline {
-                Some(d) => {
-                    let remaining = d
-                        .checked_duration_since(std::time::Instant::now())
-                        .ok_or(TdpError::Timeout)?;
-                    self.conn.recv_msg_timeout(remaining)?
-                }
-                None => self.conn.recv_msg()?,
-            };
-            match msg {
+            match self.recv_until(deadline)? {
                 Message::Reply(Reply::Notify { token, key, value }) => {
                     self.sub_fired(token);
                     self.pending.push_back(Notification { token, key, value });

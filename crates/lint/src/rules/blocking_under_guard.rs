@@ -41,6 +41,8 @@ const BLOCKING: &[(&[&str], &str)] = &[
     (&[".", "write_frame", "("], "stall-bounded socket write"),
     (&["poll_readable", "("], "poll syscall"),
     (&["poll_writable", "("], "poll syscall"),
+    // `recv_dontwait` and `send_dontwait` never park, by their flag.
+    (&["recv_blocking", "("], "blocking recv syscall"),
     (&["TcpStream", "::", "connect"], "socket connect"),
 ];
 

@@ -27,3 +27,8 @@ fn trait_write_under_lock(m: &Mutex<Vec<u8>>, io: &impl FlowIo) {
     let buf = m.lock();
     let _ = io.write_frame(&buf, std::time::Duration::from_secs(5)); // flagged: same, behind a trait
 }
+
+fn parked_recv_under_lock(m: &Mutex<Vec<u8>>, fd: std::os::unix::io::RawFd) {
+    let mut buf = m.lock();
+    let _ = recv_blocking(fd, &mut buf); // flagged: parks in recv(2) until the peer speaks
+}

@@ -326,16 +326,17 @@ impl ConnRx {
         if !self.read_buf.is_empty() {
             return Ok(self.read_buf.split().freeze());
         }
-        self.rx.pop(Some(Instant::now() + timeout))
+        self.rx.pop(Instant::now().checked_add(timeout))
     }
 
     pub fn recv_msg(&mut self) -> TdpResult<Message> {
         self.recv_msg_deadline(None)
     }
 
-    /// Framed receive with a timeout.
+    /// Framed receive with a timeout; one too large for `Instant` to
+    /// hold (`Duration::MAX`) is no deadline at all.
     pub fn recv_msg_timeout(&mut self, timeout: Duration) -> TdpResult<Message> {
-        self.recv_msg_deadline(Some(Instant::now() + timeout))
+        self.recv_msg_deadline(Instant::now().checked_add(timeout))
     }
 
     fn recv_msg_deadline(&mut self, deadline: Option<Instant>) -> TdpResult<Message> {

@@ -377,66 +377,119 @@ pub fn decode_frame_with(
     buf: &mut BytesMut,
     scratch: &mut DecodeScratch,
 ) -> Result<Message, FrameError> {
-    if buf.len() < 4 {
-        return Err(FrameError::Incomplete);
-    }
-    let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-    if len > MAX_FRAME {
-        return Err(FrameError::TooLarge(len));
-    }
-    if buf.len() < 4 + len {
-        return Err(FrameError::Incomplete);
-    }
-    let res = {
-        let mut cur = Cursor {
-            b: &buf[4..4 + len],
-            pos: 0,
-        };
-        // The whole declared body is in hand: a field that still runs
-        // out of bytes is corruption, not a torn read. Reporting it as
-        // `Incomplete` would make a streaming caller wait for bytes
-        // that can never help (the frame is consumed below either way)
-        // — a silent desync.
-        let res = decode_body(&mut cur, scratch).map_err(|e| match e {
-            FrameError::Incomplete => FrameError::Malformed,
-            other => other,
-        });
-        match res {
-            Ok(msg) if cur.remaining() > 0 => {
-                let trailing = cur.remaining();
-                scratch.recycle_message(msg);
-                Err(FrameError::TrailingBytes(trailing))
-            }
-            other => other,
-        }
-    };
-    // Consumed on success *and* on body corruption — the length prefix
-    // was honest, so the stream position stays framed either way.
-    buf.advance(4 + len);
+    let (used, res) = decode_front(buf, scratch);
+    buf.advance(used);
     res
 }
 
-/// Incremental streaming decoder: feed byte chunks as they arrive off a
-/// socket (in any fragmentation), poll complete messages out.
+/// Decode the frame at the front of `buf`: how many bytes of `buf` it
+/// used up, and what it held. Nothing is used (0) while the frame is
+/// still incomplete or when its declared length is over [`MAX_FRAME`];
+/// a complete frame is used whole on success *and* on body corruption —
+/// the length prefix was honest, so the stream position stays framed
+/// either way.
+fn decode_front(buf: &[u8], scratch: &mut DecodeScratch) -> (usize, Result<Message, FrameError>) {
+    let Some((header, rest)) = buf.split_first_chunk::<4>() else {
+        return (0, Err(FrameError::Incomplete));
+    };
+    let len = u32::from_be_bytes(*header) as usize;
+    if len > MAX_FRAME {
+        return (0, Err(FrameError::TooLarge(len)));
+    }
+    let Some(body) = rest.get(..len) else {
+        return (0, Err(FrameError::Incomplete));
+    };
+    let mut cur = Cursor { b: body, pos: 0 };
+    // The whole declared body is in hand: a field that still runs out
+    // of bytes is corruption, not a torn read. Reporting it as
+    // `Incomplete` would make a streaming caller wait for bytes that
+    // can never help (the frame is used up either way) — a silent
+    // desync.
+    let res = match decode_body(&mut cur, scratch) {
+        Ok(msg) if cur.remaining() > 0 => {
+            scratch.recycle_message(msg);
+            Err(FrameError::TrailingBytes(cur.remaining()))
+        }
+        Err(FrameError::Incomplete) => Err(FrameError::Malformed),
+        other => other,
+    };
+    (4 + len, res)
+}
+
+/// Storage a [`FrameDecoder`] starts with, on its first byte.
+const INITIAL_BUF: usize = 4 * 1024;
+/// The least room [`FrameDecoder::read_with`] offers a reader.
+const MIN_ROOM: usize = 1024;
+/// Storage a decoder keeps once its window is dry — one pathological
+/// frame must not pin its footprint for the connection's life (the
+/// wire's encode buffer and the gateway's `KEEP_BUF` state the same
+/// rule).
+const MAX_RETAINED_CAP: usize = 64 * 1024;
+
+/// Incremental streaming decoder: bytes go in as they arrive off a
+/// socket (in any fragmentation), complete messages come out.
 ///
 /// Unlike calling [`decode_frame`] directly, the decoder separates "need
 /// more bytes" (`Ok(None)`) from wire corruption (`Err`), so transport
 /// loops never spin on an unrecoverable stream.
+///
+/// The decoder owns its storage, so a transport reads *into* it
+/// ([`FrameDecoder::read_with`]) instead of into a chunk of its own that
+/// [`FrameDecoder::feed`] would then copy. Storage grows with bytes
+/// that arrived, never to a length a header merely declares.
 #[derive(Default)]
 pub struct FrameDecoder {
-    buf: BytesMut,
+    /// Every byte is initialised. `buf[start..end]` is the window —
+    /// bytes received and not yet decoded — and `buf[end..]` the room
+    /// the next read lands in. A dry window sits at the front:
+    /// `start == end` only at 0.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
 impl FrameDecoder {
     pub fn new() -> FrameDecoder {
-        FrameDecoder {
-            buf: BytesMut::new(),
-        }
+        FrameDecoder::default()
     }
 
     /// Append raw bytes read from the transport.
     pub fn feed(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
+        self.room(data.len())[..data.len()].copy_from_slice(data);
+        self.end += data.len();
+    }
+
+    /// Let `read` put bytes straight into the decoder's own storage:
+    /// it is handed the room (at least 1 KiB, and at least as much
+    /// again as the partial frame already held, so a large frame takes
+    /// a logarithmic number of reads) and returns how much of it, from
+    /// the front, it filled. The count or the error is passed through.
+    pub fn read_with(
+        &mut self,
+        read: impl FnOnce(&mut [u8]) -> std::io::Result<usize>,
+    ) -> std::io::Result<usize> {
+        let room = self.room(self.buffered().max(MIN_ROOM));
+        let n = read(room)?;
+        assert!(n <= room.len(), "reader claims {n} bytes of {}", room.len());
+        self.end += n;
+        Ok(n)
+    }
+
+    /// At least `want` bytes of room behind the window.
+    fn room(&mut self, want: usize) -> &mut [u8] {
+        if self.buf.len() - self.end < want && self.start > 0 {
+            // Slide the window to the front: at most one copy per
+            // consumed frame (it leaves `start` at 0), and of a partial
+            // frame only — whole frames are decoded before more is read.
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.buf.len() - self.end < want {
+            let len = (self.end + want).next_power_of_two();
+            self.buf.resize(len.max(INITIAL_BUF), 0);
+        }
+        &mut self.buf[self.end..]
     }
 
     /// Try to decode the next complete message. `Ok(None)` means more
@@ -453,7 +506,16 @@ impl FrameDecoder {
         &mut self,
         scratch: &mut DecodeScratch,
     ) -> Result<Option<Message>, FrameError> {
-        match decode_frame_with(&mut self.buf, scratch) {
+        let (used, res) = decode_front(&self.buf[self.start..self.end], scratch);
+        self.start += used;
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+            if self.buf.len() > MAX_RETAINED_CAP {
+                self.buf = Vec::new();
+            }
+        }
+        match res {
             Ok(msg) => Ok(Some(msg)),
             Err(FrameError::Incomplete) => Ok(None),
             Err(e) => Err(e),
@@ -462,12 +524,17 @@ impl FrameDecoder {
 
     /// Bytes buffered but not yet decoded.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.end - self.start
     }
 
     /// No partial frame is pending.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.start == self.end
+    }
+
+    /// Bytes of storage held, window and room together.
+    pub fn capacity(&self) -> usize {
+        self.buf.len()
     }
 }
 

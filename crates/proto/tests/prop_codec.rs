@@ -4,7 +4,7 @@ use bytes::BytesMut;
 use proptest::prelude::*;
 use tdp_proto::ids::{ContextId, HostId};
 use tdp_proto::message::{Message, Reply};
-use tdp_proto::{attr, decode_frame, encode_frame, FrameDecoder, FrameError};
+use tdp_proto::{attr, decode_frame, encode_frame, FrameDecoder, FrameError, MAX_FRAME};
 
 fn arb_string() -> impl Strategy<Value = String> {
     // Any unicode, bounded length; includes empty.
@@ -140,6 +140,57 @@ proptest! {
     }
 
     #[test]
+    fn decoder_read_with_matches_feed(
+        msgs in proptest::collection::vec(arb_message(), 1..8),
+        pad in 0usize..20_000,
+        reads in proptest::collection::vec(
+            (prop_oneof![1usize..17, 1000usize..9000], any::<bool>()),
+            0..64,
+        ),
+    ) {
+        // A transport that reads into the decoder, in pieces from one
+        // byte to more than the room it is offered, now and then handing
+        // over a chunk of its own instead: the same messages in the same
+        // order as the whole stream fed at once.
+        let mut stream = encode_frame(&Message::Put {
+            ctx: ContextId(0),
+            key: "pad".into(),
+            value: "x".repeat(pad),
+        })
+        .to_vec();
+        for m in &msgs {
+            stream.extend_from_slice(&encode_frame(m));
+        }
+        let mut whole = FrameDecoder::new();
+        whole.feed(&stream);
+        let mut want = Vec::new();
+        while let Some(msg) = whole.next().expect("stream is well-formed") {
+            want.push(msg);
+        }
+        prop_assert_eq!(&want[1..], &msgs[..]);
+
+        let mut dec = FrameDecoder::new();
+        let mut got = Vec::new();
+        let mut off = 0;
+        let mut reads = reads.into_iter();
+        while off < stream.len() {
+            let (n, fed) = reads.next().unwrap_or((stream.len(), false));
+            let n = n.min(stream.len() - off);
+            if fed {
+                dec.feed(&stream[off..off + n]);
+                off += n;
+            } else {
+                off += read_into(&mut dec, &stream[off..], n);
+            }
+            while let Some(msg) = dec.next().expect("stream is well-formed") {
+                got.push(msg);
+            }
+        }
+        prop_assert_eq!(&got, &want);
+        prop_assert!(dec.is_empty());
+    }
+
+    #[test]
     fn decoder_survives_random_bytes(data in proptest::collection::vec(any::<u8>(), 0..512)) {
         // Arbitrary garbage must never panic, and after an error the
         // decoder keeps returning without looping forever.
@@ -161,4 +212,85 @@ proptest! {
         let joined = attr::join_multi_value(&parts);
         prop_assert_eq!(attr::split_multi_value(&joined), parts);
     }
+}
+
+/// One read off a socket holding `bytes`, by a reader that takes at most
+/// `limit` of them: through `read_with`, so into the decoder's own room
+/// and no more than fits it. Returns how many bytes went in.
+fn read_into(dec: &mut FrameDecoder, bytes: &[u8], limit: usize) -> usize {
+    dec.read_with(|room| {
+        let n = bytes.len().min(limit).min(room.len());
+        room[..n].copy_from_slice(&bytes[..n]);
+        Ok(n)
+    })
+    .expect("the reader does not fail")
+}
+
+/// Everything in `bytes`, as much per read as the room takes. Returns
+/// the number of reads it took.
+fn read_all_into(dec: &mut FrameDecoder, mut bytes: &[u8]) -> usize {
+    let mut reads = 0;
+    while !bytes.is_empty() {
+        bytes = &bytes[read_into(dec, bytes, usize::MAX)..];
+        reads += 1;
+    }
+    reads
+}
+
+#[test]
+fn a_corrupt_frame_read_into_the_decoder_is_consumed_and_surfaced_once() {
+    let good = Message::Join { ctx: ContextId(1) };
+    let mut stream = vec![0, 0, 0, 1, 0xEE]; // complete frame, unknown tag
+    stream.extend_from_slice(&encode_frame(&good));
+    let mut dec = FrameDecoder::new();
+    read_all_into(&mut dec, &stream);
+    assert_eq!(dec.next(), Err(FrameError::BadTag(0xEE)));
+    assert_eq!(dec.next(), Ok(Some(good)));
+    assert_eq!(dec.next(), Ok(None));
+    assert!(dec.is_empty());
+}
+
+#[test]
+fn a_declared_length_allocates_nothing_until_the_bytes_arrive() {
+    // A header that promises the largest frame there is, then silence:
+    // storage follows what arrived (4 bytes), not what was declared.
+    let mut dec = FrameDecoder::new();
+    read_all_into(&mut dec, &(MAX_FRAME as u32).to_be_bytes());
+    for _ in 0..8 {
+        assert_eq!(dec.next(), Ok(None));
+        let idle = dec.read_with(|_| Err(std::io::ErrorKind::WouldBlock.into()));
+        assert_eq!(idle.unwrap_err().kind(), std::io::ErrorKind::WouldBlock);
+    }
+    assert_eq!(dec.buffered(), 4);
+    assert!(dec.capacity() <= 8 * 1024, "{} B held", dec.capacity());
+}
+
+#[test]
+fn a_large_frame_takes_few_reads_and_its_storage_is_given_back() {
+    const KEEP: usize = 64 * 1024;
+    let big = Message::Put {
+        ctx: ContextId(1),
+        key: "k".into(),
+        value: "v".repeat(100 * 1024),
+    };
+    let small = Message::Join { ctx: ContextId(2) };
+    let mut stream = encode_frame(&big).to_vec();
+    stream.extend_from_slice(&encode_frame(&small));
+    let mut dec = FrameDecoder::new();
+    // The room doubles with the partial frame held, so the reads are
+    // logarithmic in its size, not one per fixed-size chunk.
+    let reads = read_all_into(&mut dec, &stream);
+    assert!(reads <= 8, "{reads} reads for a 100 KiB frame");
+    assert!(dec.capacity() > KEEP);
+    // Consuming the big frame leaves a window: nothing is given back
+    // from under it.
+    assert_eq!(dec.next(), Ok(Some(big)));
+    assert!(dec.capacity() > KEEP);
+    assert_eq!(dec.next(), Ok(Some(small.clone())));
+    // Dry: one pathological frame does not pin its footprint.
+    assert!(dec.is_empty());
+    assert!(dec.capacity() <= KEEP, "{} B retained", dec.capacity());
+    // And the decoder works on.
+    read_all_into(&mut dec, &encode_frame(&small));
+    assert_eq!(dec.next(), Ok(Some(small)));
 }

@@ -16,21 +16,31 @@
 //! the connection's [`Flow`](crate::flow::Flow) and each writes its own
 //! frame to the socket, parking in `poll(2)` if the buffer is full. The
 //! receive half is exclusive (`WireRx` is `&mut`, not `Clone`):
-//! [`EpollRx`] owns the decoder outright, reads its own fd and parks in
-//! `poll(2)` on it, taking no lock. So a process can hold thousands of
-//! sessions and the wire layer adds no thread to it
+//! [`EpollRx`] owns the decoder outright and receives from its own fd
+//! straight into the decoder's buffer, taking no lock. So a process can
+//! hold thousands of sessions and the wire layer adds no thread to it
 //! ([`EpollTransport::conns`]).
+//!
+//! The socket stays in *blocking* mode; not waiting is a property of a
+//! call (`MSG_DONTWAIT`), not of the fd. A receiver with no deadline
+//! therefore parks in the `recv` itself — one syscall per parked
+//! receive — one with a deadline does `poll(remaining)` then a
+//! non-waiting `recv`, and every `send` is non-waiting (a full buffer
+//! is waited out in `poll`, under the stall budget). `close` and the
+//! stall-kill release whoever is parked with `shutdown(2)`.
 //!
 //! Listeners keep one blocking accept thread each (see
 //! [`crate::socket`]); those are the only threads this transport
 //! spawns.
 
 use crate::flow::{Flow, WRITE_STALL};
-use crate::socket::{dial_via_proxy, spawn_real_listener, DIAL_TIMEOUT};
+use crate::socket::{
+    dial_via_proxy, spawn_real_listener, write_all_stall, DIAL_TIMEOUT, HANDSHAKE_TIMEOUT,
+};
 use crate::{
     protocol_err, Endpoint, RxApi, Transport, TxApi, WireConn, WireListener, WireRx, WireTx,
 };
-use std::io::Read;
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::time::{Duration, Instant};
@@ -71,32 +81,29 @@ impl EpollTransport {
         self.conns.load(Ordering::Relaxed)
     }
 
-    /// Adopt an established, handshake-complete stream: make it
-    /// non-blocking and wrap it as a [`WireConn`]. `leftover` holds
-    /// bytes the handshake over-read past its frame.
-    pub(crate) fn adopt(
-        &self,
-        stream: TcpStream,
-        peer_host: Option<HostId>,
-        leftover: FrameDecoder,
-    ) -> TdpResult<WireConn> {
+    /// Wrap an established stream as a [`WireConn`]. The socket stays
+    /// in blocking mode, so it must carry no timeout of its own: a
+    /// leftover `SO_RCVTIMEO` (the proxy dial arms one) would wake a
+    /// parked receiver for nothing every time it ran out. Both are left
+    /// cleared here, whoever armed them.
+    fn adopt(&self, stream: TcpStream) -> TdpResult<WireConn> {
         let sub = |e: std::io::Error| TdpError::Substrate(format!("epoll setup: {e}"));
         stream.set_nodelay(true).map_err(sub)?;
+        stream.set_read_timeout(None).map_err(sub)?;
+        stream.set_write_timeout(None).map_err(sub)?;
         let local = Endpoint::Tcp(stream.local_addr().map_err(sub)?);
         let peer = Endpoint::Tcp(stream.peer_addr().map_err(sub)?);
-        let (tx, rx) = self.halves(stream, leftover)?;
+        let (tx, rx) = self.halves(stream);
         Ok(WireConn::from_parts(
             WireTx::new(Arc::new(tx)),
             WireRx::new(Box::new(rx)),
             local,
             peer,
-            peer_host,
+            None,
         ))
     }
 
-    fn halves(&self, stream: TcpStream, leftover: FrameDecoder) -> TdpResult<(EpollTx, EpollRx)> {
-        crate::sys::set_nonblocking(stream.as_raw_fd())
-            .map_err(|e| TdpError::Substrate(format!("epoll setup: {e}")))?;
+    fn halves(&self, stream: TcpStream) -> (EpollTx, EpollRx) {
         self.conns.fetch_add(1, Ordering::Relaxed);
         let conn = Arc::new(ConnState {
             flow: Flow::new(stream, self.stall),
@@ -105,25 +112,37 @@ impl EpollTransport {
         let tx = EpollTx { conn: conn.clone() };
         let rx = EpollRx {
             conn,
-            dec: leftover,
+            dec: FrameDecoder::new(),
             scratch: DecodeScratch::new(),
             err: None,
         };
-        Ok((tx, rx))
+        (tx, rx)
     }
 
     /// Finish the client side on an established stream: introduce
-    /// ourselves with `Hello` (still blocking — the socket goes
-    /// non-blocking on adoption), then adopt.
+    /// ourselves with `Hello` — TCP carries no logical host identity —
+    /// then adopt.
     fn client_over(&self, stream: TcpStream, from: HostId) -> TdpResult<WireConn> {
-        stream
-            .set_write_timeout(Some(self.stall))
-            .map_err(|e| TdpError::Substrate(format!("epoll set timeout: {e}")))?;
-        use std::io::Write;
-        (&stream)
-            .write_all(&encode_frame(&Message::Hello { host: from }))
-            .map_err(|_| TdpError::Disconnected)?;
-        self.adopt(stream, None, FrameDecoder::new())
+        let hello = encode_frame(&Message::Hello { host: from });
+        write_all_stall(&stream, &hello, self.stall).map_err(|_| TdpError::Disconnected)?;
+        self.adopt(stream)
+    }
+
+    /// Finish the accept side: adopt, then take the dialler's `Hello`
+    /// off the connection's own receive half and record `peer_host` for
+    /// the LASS locality rule. Frames the client pipelined behind its
+    /// `Hello` stay in the decoder for the session.
+    ///
+    /// [`HANDSHAKE_TIMEOUT`] bounds the whole handshake, not each
+    /// `recv`: the accept thread is serial, so a client that trickles a
+    /// byte at a time must not hold it past the one deadline.
+    pub(crate) fn accept_over(&self, stream: TcpStream) -> TdpResult<WireConn> {
+        let mut conn = self.adopt(stream)?;
+        match conn.recv_msg_timeout(HANDSHAKE_TIMEOUT)? {
+            Message::Hello { host } => conn.peer_host = Some(host),
+            other => return Err(TdpError::Protocol(format!("expected Hello, got {other:?}"))),
+        }
+        Ok(conn)
     }
 
     /// Open a [`WireConn`] to the logical `target` through the
@@ -198,14 +217,12 @@ impl TxApi for EpollTx {
     }
 }
 
-/// The receive half: everything a read touches is owned here, behind
+/// The receive half: everything a receive touches is owned here, behind
 /// the `&mut` of the one `WireRx`. Shared with the send side are only
 /// the fd and the flow's shut flag.
 struct EpollRx {
     conn: Arc<ConnState>,
-    /// Bytes read off the socket and not yet decoded — seeded with
-    /// whatever the handshake over-read, which no `read` will return
-    /// again.
+    /// Bytes received and not yet decoded; `recv` lands in its buffer.
     dec: FrameDecoder,
     /// Recycled-string storage: decoded string fields reuse capacity of
     /// messages the consumer handed back through `recycle_msg`.
@@ -215,62 +232,89 @@ struct EpollRx {
     err: Option<TdpError>,
 }
 
+impl EpollRx {
+    /// The next frame the decoder already holds, `None` if it needs
+    /// more bytes, or the terminal error. That is only ever recorded
+    /// with the decoder dry, so frames that arrived ahead of it are
+    /// delivered first, whichever side ended the stream.
+    fn buffered_msg(&mut self) -> TdpResult<Option<Message>> {
+        if let Some(e) = &self.err {
+            return Err(e.clone());
+        }
+        let err = match self.dec.next_with(&mut self.scratch) {
+            Ok(Some(msg)) => return Ok(Some(msg)),
+            Ok(None) if !self.conn.flow.is_shut() => return Ok(None),
+            Ok(None) => TdpError::Disconnected,
+            Err(e) => protocol_err(e),
+        };
+        self.err = Some(err.clone());
+        Err(err)
+    }
+
+    /// One `recv` into the decoder's own buffer, parked in the call if
+    /// `park`. False when nothing had arrived (only without `park`, or
+    /// after a wake-up that brought nothing); EOF and errors are
+    /// recorded for [`EpollRx::buffered_msg`] to report.
+    fn fill(&mut self, park: bool) -> bool {
+        let fd = self.conn.stream().as_raw_fd();
+        let res = self.dec.read_with(|room| {
+            if park {
+                crate::sys::recv_blocking(fd, room)
+            } else {
+                crate::sys::recv_dontwait(fd, room)
+            }
+        });
+        match res {
+            Ok(0) => self.err = Some(TdpError::Disconnected),
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return false,
+            Err(_) => self.err = Some(TdpError::Disconnected),
+        }
+        true
+    }
+}
+
 impl RxApi for EpollRx {
     fn recv_msg_deadline(&mut self, deadline: Option<Instant>) -> TdpResult<Message> {
         loop {
-            if let Some(msg) = self.try_recv_msg()? {
+            if let Some(msg) = self.buffered_msg()? {
                 return Ok(msg);
             }
-            let timeout_ms = match deadline {
-                None => -1,
-                Some(d) => {
-                    let left = d.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return Err(TdpError::Timeout);
-                    }
-                    crate::sys::poll_timeout_ms(left)
-                }
+            let Some(deadline) = deadline else {
+                // Data, EOF, an error and a local `shutdown` all end
+                // the `recv`; the next turn of the loop reports which.
+                self.fill(true);
+                continue;
             };
-            // Data, EOF, an error or a local `shutdown` all report
-            // ready, and so does a timeout for our purposes: the next
-            // turn of the loop reads, or re-checks the deadline.
-            if crate::sys::poll_readable(self.conn.stream().as_raw_fd(), timeout_ms).is_err() {
-                // A failing poll cannot make progress; surface it as a
-                // dead connection rather than spinning.
-                self.err = Some(TdpError::Disconnected);
+            let left = deadline.saturating_duration_since(Instant::now());
+            if !left.is_zero() {
+                let fd = self.conn.stream().as_raw_fd();
+                match crate::sys::poll_readable(fd, crate::sys::poll_timeout_ms(left)) {
+                    Ok(true) => {}
+                    Ok(false) => continue,
+                    // A failing poll cannot make progress; surface it
+                    // as a dead connection rather than spinning.
+                    Err(_) => {
+                        self.err = Some(TdpError::Disconnected);
+                        continue;
+                    }
+                }
+            }
+            // An expired deadline still looks once: what has already
+            // arrived is delivered, and only then `Timeout`.
+            if !self.fill(false) && left.is_zero() {
+                return Err(TdpError::Timeout);
             }
         }
     }
 
-    /// The next buffered frame; else whatever a non-blocking read can
-    /// add to the decoder; else `None`. A terminal error is only ever
-    /// recorded with the decoder dry, so frames that arrived ahead of
-    /// it are delivered first, whichever side ended the stream.
     fn try_recv_msg(&mut self) -> TdpResult<Option<Message>> {
-        let mut stream = self.conn.stream();
-        let mut chunk = [0u8; 16 * 1024];
         loop {
-            if let Some(e) = &self.err {
-                return Err(e.clone());
+            if let Some(msg) = self.buffered_msg()? {
+                return Ok(Some(msg));
             }
-            match self.dec.next_with(&mut self.scratch) {
-                Ok(Some(msg)) => return Ok(Some(msg)),
-                Ok(None) => {}
-                Err(e) => {
-                    self.err = Some(protocol_err(e));
-                    continue;
-                }
-            }
-            if self.conn.flow.is_shut() {
-                self.err = Some(TdpError::Disconnected);
-                continue;
-            }
-            match stream.read(&mut chunk) {
-                Ok(0) => self.err = Some(TdpError::Disconnected),
-                Ok(n) => self.dec.feed(&chunk[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(None),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => self.err = Some(TdpError::Disconnected),
+            if !self.fill(false) {
+                return Ok(None);
             }
         }
     }
@@ -304,7 +348,7 @@ mod tests {
     fn raw_pair(t: &EpollTransport, lis: &TcpListener) -> (TcpStream, EpollTx, EpollRx) {
         let client = TcpStream::connect(lis.local_addr().unwrap()).unwrap();
         let (server, _) = lis.accept().unwrap();
-        let (tx, rx) = t.halves(server, FrameDecoder::new()).unwrap();
+        let (tx, rx) = t.halves(server);
         (client, tx, rx)
     }
 
@@ -406,7 +450,11 @@ mod tests {
     fn try_recv_msg_nonblocking() {
         let t = transport();
         let (client, mut server) = pair(&t);
+        // The socket is in blocking mode; this call still must not park.
+        let t0 = Instant::now();
         assert_eq!(server.try_recv_msg().unwrap(), None);
+        let took = t0.elapsed();
+        assert!(took < Duration::from_millis(50), "{took:?}");
         let msg = Message::Leave { ctx: ContextId(5) };
         client.send_msg(&msg).unwrap();
         let deadline = Instant::now() + Duration::from_secs(2);
@@ -541,6 +589,55 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, TdpError::Substrate(_)), "{err}");
         proxy.shutdown();
+    }
+
+    #[test]
+    fn a_parked_receiver_outlasts_every_setup_timeout() {
+        let t = transport();
+        let lis = t.listen(HostId(9), 0).unwrap();
+        let real = lis.local_endpoint().as_tcp().unwrap();
+        let proxy = spawn_proxy(Arc::new(move |_| Ok(real))).unwrap();
+        let dialled = t.connect(HostId(0), &lis.local_endpoint()).unwrap();
+        let accepted = lis.accept().unwrap();
+        let relayed = t
+            .connect_via(proxy.local_addr(), Addr::new(HostId(9), 1), HostId(3))
+            .unwrap();
+        let relay_peer = lis.accept().unwrap();
+
+        // One receiver per way a connection comes to be, each parked
+        // untimed for longer than any timeout its set-up armed (the
+        // handshake's, the proxy dial's): none of them returns before
+        // its frame, and each then gets it.
+        let (dialled_tx, dialled_rx) = dialled.split();
+        let (accepted_tx, accepted_rx) = accepted.split();
+        let (_relayed_tx, relayed_rx) = relayed.split();
+        let parked = [accepted_rx, dialled_rx, relayed_rx].map(blocked_recv);
+        std::thread::sleep(HANDSHAKE_TIMEOUT.max(DIAL_TIMEOUT) + Duration::from_millis(300));
+        for (i, done) in parked.iter().enumerate() {
+            assert!(done.is_empty(), "receiver {i} returned with no frame sent");
+        }
+        for tx in [&dialled_tx, &accepted_tx, &relay_peer.sender()] {
+            tx.send_msg(&join(7)).unwrap();
+        }
+        for done in &parked {
+            assert_eq!(done.recv_timeout(RELEASE), Ok(Ok(join(7))));
+        }
+        proxy.shutdown();
+    }
+
+    #[test]
+    fn adoption_clears_leftover_socket_timeouts() {
+        let t = transport();
+        let lis = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let _client = TcpStream::connect(lis.local_addr().unwrap()).unwrap();
+        let (server, _) = lis.accept().unwrap();
+        server.set_read_timeout(Some(DIAL_TIMEOUT)).unwrap();
+        server.set_write_timeout(Some(DIAL_TIMEOUT)).unwrap();
+        // Socket options belong to the socket, not the descriptor.
+        let probe = server.try_clone().unwrap();
+        let _conn = t.adopt(server).unwrap();
+        assert_eq!(probe.read_timeout().unwrap(), None);
+        assert_eq!(probe.write_timeout().unwrap(), None);
     }
 
     #[test]

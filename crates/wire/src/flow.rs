@@ -3,7 +3,8 @@
 //! encodes into the connection's own buffer and writes its own socket;
 //! the kernel's socket buffer is the only queue. Generic over its IO so
 //! the `loom_` tests drive the exact code that ships against a scripted
-//! socket; production binds it to a non-blocking `TcpStream`.
+//! socket; production binds it to a `TcpStream` whose every `send` is
+//! `MSG_DONTWAIT`.
 //!
 //! There is no receive side here. A connection's reads belong to its
 //! one `WireRx` (`&mut self`, not clonable), which decodes off its own

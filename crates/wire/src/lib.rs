@@ -12,22 +12,23 @@
 //! * [`epoll`] — real loopback TCP sockets with no thread per
 //!   connection or per transport. A receiver reads its own socket: an
 //!   incremental streaming decoder ([`tdp_proto::FrameDecoder`]) owned
-//!   by the connection's one `WireRx`, which parks in `poll(2)` on its
-//!   own fd. A sender writes its own socket: it takes the connection's
-//!   send turn (`flow.rs`), encodes into the connection's buffer and
-//!   writes, parking in `poll(2)` if the kernel's socket buffer — the
-//!   only queue — is full; a peer that stops reading for 5 s is killed.
-//!   Fail-fast close semantics match netsim's, and the per-connection
-//!   encode buffer and decode scratch make steady-state put/get
-//!   allocation-free. [`socket`] holds what happens to a stream before
-//!   it is adopted (accept, `Hello` handshake), the write loop it is
-//!   sent through afterwards, and the §2.4 byte-relay proxy.
+//!   by the connection's one `WireRx`, which parks in `recv(2)` on its
+//!   own fd — one syscall, straight into the decoder's buffer — or,
+//!   with a deadline, in `poll(2)`. A sender writes its own socket: it
+//!   takes the connection's send turn (`flow.rs`), encodes into the
+//!   connection's buffer and writes, parking in `poll(2)` if the
+//!   kernel's socket buffer — the only queue — is full; a peer that
+//!   stops reading for 5 s is killed. Fail-fast close semantics match
+//!   netsim's, and the per-connection encode buffer and decode scratch
+//!   make steady-state put/get allocation-free. [`socket`] holds the
+//!   accept thread, the write loop an adopted stream is sent through,
+//!   and the §2.4 byte-relay proxy.
 //!
 //! The two are observably equivalent to the layers above: the same
 //! scenario driven over either produces the same TDP call trace.
 
 // The only crate in the workspace allowed to use `unsafe` (the raw
-// poll/epoll/eventfd/fcntl FFI in `sys`); every unsafe operation must be
+// poll/recv/send/epoll/eventfd FFI in `sys`); every unsafe operation must be
 // explicit even inside unsafe fns, and every block carries a
 // `// SAFETY:` comment (clippy::undocumented_unsafe_blocks).
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -122,8 +123,11 @@ impl WireRx {
         self.inner.recv_msg_deadline(None)
     }
 
+    /// A `timeout` too large for `Instant` to hold (`Duration::MAX`,
+    /// the natural "wait forever") is no deadline at all.
     pub fn recv_msg_timeout(&mut self, timeout: Duration) -> TdpResult<Message> {
-        self.inner.recv_msg_deadline(Some(Instant::now() + timeout))
+        self.inner
+            .recv_msg_deadline(Instant::now().checked_add(timeout))
     }
 
     pub fn try_recv_msg(&mut self) -> TdpResult<Option<Message>> {

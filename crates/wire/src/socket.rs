@@ -1,15 +1,13 @@
 //! Loopback-socket plumbing under the socket transport — everything
 //! that touches a `TcpStream` *before* the transport adopts it, the one
-//! write loop an adopted (non-blocking) stream is sent through, plus
-//! the byte-relay proxy that never frames a message at all:
+//! write loop an adopted stream is sent through, plus the byte-relay
+//! proxy that never frames a message at all:
 //!
 //! * **Listener** — one blocking accept thread per listener feeding a
-//!   bounded channel; it runs the `Hello` handshake inline and hands the
-//!   stream to [`EpollTransport::adopt`]. Accept rates are tiny and a
-//!   serial handshake keeps connection establishment ordered.
-//! * **Hello handshake** — TCP carries no logical host identity, so the
-//!   dialling side's first frame is [`Message::Hello`]; the accept side
-//!   consumes it and records `peer_host` for the LASS locality rule.
+//!   bounded channel; it hands each stream to
+//!   [`EpollTransport::accept_over`], which runs the `Hello` handshake
+//!   inline. Accept rates are tiny and a serial handshake keeps
+//!   connection establishment ordered.
 //! * **[`write_all_stall`]** — the tree's one non-blocking write path:
 //!   a wire connection's send turn (`flow.rs`) and the gateway's HTTP
 //!   workers both call it, each with its own stall budget.
@@ -17,14 +15,14 @@
 //!   `CONNECT host:port\n` exchange, then two byte pumps.
 
 use crate::epoll::EpollTransport;
-use crate::{protocol_err, Endpoint, ListenerApi, WireConn, WireListener};
+use crate::{Endpoint, ListenerApi, WireConn, WireListener};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::thread;
 use std::time::{Duration, Instant};
-use tdp_proto::{Addr, FrameDecoder, HostId, Message, TdpError, TdpResult};
+use tdp_proto::{Addr, TdpError, TdpResult};
 use tdp_sync::atomic::{AtomicBool, Ordering};
 use tdp_sync::Arc;
 
@@ -32,29 +30,31 @@ use tdp_sync::Arc;
 /// exchange.
 pub(crate) const DIAL_TIMEOUT: Duration = Duration::from_secs(2);
 /// How long the accept side waits for the `Hello` frame.
-const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
+pub(crate) const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Write all of `data` to a non-blocking `stream`, by the calling
-/// thread. When the socket buffer is full, park in `poll(2)` until the
-/// peer makes room — for `stall` in total across the call, after which
-/// the peer counts as stalled and the call fails [`ErrorKind::TimedOut`]
-/// with part of `data` possibly written. Any other error is the
-/// socket's own (`EPIPE`, reset, a local `shutdown`).
-pub fn write_all_stall(mut stream: &TcpStream, mut data: &[u8], stall: Duration) -> io::Result<()> {
+/// Write all of `data` to `stream`, by the calling thread, never
+/// parking in the `send` itself — each one is `MSG_DONTWAIT`, so the
+/// socket's own mode (blocking for a wire connection, non-blocking for
+/// the gateway's) does not matter. When the socket buffer is full, park
+/// in `poll(2)` until the peer makes room — for `stall` in total across
+/// the call, after which the peer counts as stalled and the call fails
+/// [`ErrorKind::TimedOut`] with part of `data` possibly written. Any
+/// other error is the socket's own (`EPIPE`, reset, a local `shutdown`).
+pub fn write_all_stall(stream: &TcpStream, mut data: &[u8], stall: Duration) -> io::Result<()> {
+    let fd = stream.as_raw_fd();
     let mut deadline = None;
     while !data.is_empty() {
-        match stream.write(data) {
+        match crate::sys::send_dontwait(fd, data) {
             Ok(0) => return Err(ErrorKind::WriteZero.into()),
             Ok(n) => data = &data[n..],
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 let deadline = *deadline.get_or_insert_with(|| Instant::now() + stall);
                 let left = deadline.saturating_duration_since(Instant::now());
                 let ms = crate::sys::poll_timeout_ms(left);
-                if left.is_zero() || !crate::sys::poll_writable(stream.as_raw_fd(), ms)? {
+                if left.is_zero() || !crate::sys::poll_writable(fd, ms)? {
                     return Err(ErrorKind::TimedOut.into());
                 }
             }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
@@ -107,7 +107,7 @@ impl Drop for RealListener {
 }
 
 /// Spawn the accept thread for a bound listener and wrap it as a
-/// [`WireListener`]. Each accepted stream is handshaken and adopted by
+/// [`WireListener`]. Each accepted stream is adopted and handshaken by
 /// `transport` inline on the accept thread.
 pub(crate) fn spawn_real_listener(
     listener: TcpListener,
@@ -145,9 +145,7 @@ fn accept_loop(
         if closed.load(Ordering::Acquire) {
             break; // the wake-up self-connection
         }
-        let conn = read_hello(&stream)
-            .and_then(|(host, leftover)| transport.adopt(stream, Some(host), leftover));
-        match conn {
+        match transport.accept_over(stream) {
             Ok(conn) => {
                 if out.send(conn).is_err() {
                     break;
@@ -156,43 +154,6 @@ fn accept_loop(
             Err(_) => continue, // bad client; drop it
         }
     }
-}
-
-/// Server side of connection establishment: consume the `Hello` frame
-/// and return the peer's logical host plus a decoder holding any bytes
-/// the client pipelined right behind its Hello. The stream is left in
-/// blocking mode with no read timeout.
-///
-/// [`HANDSHAKE_TIMEOUT`] bounds the whole handshake, not each `read`:
-/// the accept thread is serial, so a client that trickles a byte at a
-/// time must not hold it past the one deadline.
-fn read_hello(stream: &TcpStream) -> TdpResult<(HostId, FrameDecoder)> {
-    let sub = |e: std::io::Error| TdpError::Substrate(format!("handshake: {e}"));
-    let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
-    let mut dec = FrameDecoder::new();
-    let mut chunk = [0u8; 1024];
-    let mut reader = stream;
-    let host = loop {
-        if let Some(msg) = dec.next().map_err(protocol_err)? {
-            match msg {
-                Message::Hello { host } => break host,
-                other => return Err(TdpError::Protocol(format!("expected Hello, got {other:?}"))),
-            }
-        }
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(TdpError::Timeout);
-        }
-        stream.set_read_timeout(Some(left)).map_err(sub)?;
-        match reader.read(&mut chunk) {
-            Ok(0) => return Err(TdpError::Disconnected),
-            Ok(n) => dec.feed(&chunk[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Err(TdpError::Timeout),
-        }
-    };
-    stream.set_read_timeout(None).map_err(sub)?;
-    Ok((host, dec))
 }
 
 // ---------------------------------------------------------------- proxy
@@ -367,6 +328,7 @@ pub(crate) fn dial_via_proxy(proxy: SocketAddr, target: Addr) -> TdpResult<TcpSt
 mod tests {
     use super::*;
     use crate::Transport;
+    use tdp_proto::HostId;
 
     /// A connected pair whose first end is non-blocking and full: the
     /// second has read none of the bytes (their count is returned) that
@@ -386,13 +348,18 @@ mod tests {
 
     #[test]
     fn write_all_stall_times_out_on_a_full_socket() {
-        let (a, _b, _) = full_socket();
-        let stall = Duration::from_millis(200);
-        let t0 = Instant::now();
-        let err = write_all_stall(&a, &[1u8; 1024], stall).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::TimedOut);
-        assert!(t0.elapsed() >= stall, "{:?}", t0.elapsed());
-        assert!(t0.elapsed() < stall + Duration::from_secs(1));
+        // In the gateway's mode and in the wire's: on a blocking socket
+        // the wait must still be the bounded `poll`, never the `send`.
+        for nonblocking in [true, false] {
+            let (a, _b, _) = full_socket();
+            a.set_nonblocking(nonblocking).unwrap();
+            let stall = Duration::from_millis(200);
+            let t0 = Instant::now();
+            let err = write_all_stall(&a, &[1u8; 1024], stall).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::TimedOut);
+            assert!(t0.elapsed() >= stall, "{:?}", t0.elapsed());
+            assert!(t0.elapsed() < stall + Duration::from_secs(1));
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Minimal unsafe FFI shim over the Linux syscalls the socket transport
-//! and the gateway's HTTP loop need: `poll` for one fd and `fcntl` for
-//! `O_NONBLOCK` (both), `epoll_create1` / `epoll_ctl` / `epoll_wait` and
-//! `eventfd` for cross-thread wakeups (the gateway's leader/follower
-//! loop — the tree's one epoll loop).
+//! and the gateway's HTTP loop need: `poll` for one fd and `recv` /
+//! `send` with per-call flags (an adopted socket stays in blocking mode;
+//! `MSG_DONTWAIT` makes the one call that must not park non-blocking),
+//! `epoll_create1` / `epoll_ctl` / `epoll_wait` and `eventfd` for
+//! cross-thread wakeups (the gateway's leader/follower loop — the
+//! tree's one epoll loop).
 //!
 //! This build environment has no crates.io access (see
 //! `stubs/README.md`), so instead of pulling in `libc`/`mio` we declare
@@ -31,9 +33,8 @@ const EPOLL_CLOEXEC: i32 = 0o2000000;
 const EFD_CLOEXEC: i32 = 0o2000000;
 const EFD_NONBLOCK: i32 = 0o4000;
 
-const F_GETFL: i32 = 3;
-const F_SETFL: i32 = 4;
-const O_NONBLOCK: i32 = 0o4000;
+const MSG_DONTWAIT: i32 = 0x40;
+const MSG_NOSIGNAL: i32 = 0x4000;
 
 /// The kernel's `struct epoll_event`. x86-64 is the one Linux ABI where
 /// it is packed (a 32-bit-compat leftover); everywhere else it has
@@ -66,7 +67,8 @@ extern "C" {
     fn close(fd: i32) -> i32;
     fn write(fd: i32, buf: *const core::ffi::c_void, count: usize) -> isize;
     fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
-    fn fcntl(fd: i32, cmd: i32, ...) -> i32;
+    fn recv(fd: i32, buf: *mut core::ffi::c_void, len: usize, flags: i32) -> isize;
+    fn send(fd: i32, buf: *const core::ffi::c_void, len: usize, flags: i32) -> isize;
 }
 
 fn cvt(ret: i32) -> io::Result<i32> {
@@ -74,6 +76,14 @@ fn cvt(ret: i32) -> io::Result<i32> {
         Err(io::Error::last_os_error())
     } else {
         Ok(ret)
+    }
+}
+
+fn cvt_size(ret: isize) -> io::Result<usize> {
+    if ret < 0 {
+        Err(io::Error::last_os_error())
+    } else {
+        Ok(ret as usize)
     }
 }
 
@@ -141,14 +151,48 @@ fn poll_one(fd: RawFd, events: i16, timeout_ms: i32) -> io::Result<bool> {
     }
 }
 
-/// Put a descriptor into non-blocking mode via `fcntl(F_SETFL)`.
-pub fn set_nonblocking(fd: RawFd) -> io::Result<()> {
-    // SAFETY: fcntl with F_GETFL/F_SETFL reads/writes no memory.
-    unsafe {
-        let flags = cvt(fcntl(fd, F_GETFL))?;
-        cvt(fcntl(fd, F_SETFL, flags | O_NONBLOCK))?;
+/// Receive from socket `fd` into `buf`, parking in the call until there
+/// is something to report: data, EOF (`Ok(0)`), an error, or a local
+/// `shutdown` — which is how a parked receiver is released from another
+/// thread. Retries on `EINTR`.
+pub fn recv_blocking(fd: RawFd, buf: &mut [u8]) -> io::Result<usize> {
+    recv_flags(fd, buf, 0)
+}
+
+/// [`recv_blocking`] that never parks: `WouldBlock` when nothing has
+/// arrived, whatever mode the socket is in.
+pub fn recv_dontwait(fd: RawFd, buf: &mut [u8]) -> io::Result<usize> {
+    recv_flags(fd, buf, MSG_DONTWAIT)
+}
+
+fn recv_flags(fd: RawFd, buf: &mut [u8], flags: i32) -> io::Result<usize> {
+    retry_eintr(|| {
+        // SAFETY: `buf` is a live exclusive slice for the whole call and
+        // the kernel writes at most `buf.len()` bytes into it.
+        cvt_size(unsafe { recv(fd, buf.as_mut_ptr().cast(), buf.len(), flags) })
+    })
+}
+
+/// Send a prefix of `buf` on socket `fd` without ever parking:
+/// `WouldBlock` when the socket buffer has no room, whatever mode the
+/// socket is in. A closed peer is `EPIPE`, never `SIGPIPE`. Retries on
+/// `EINTR`.
+pub fn send_dontwait(fd: RawFd, buf: &[u8]) -> io::Result<usize> {
+    const FLAGS: i32 = MSG_DONTWAIT | MSG_NOSIGNAL;
+    retry_eintr(|| {
+        // SAFETY: `buf` is a live slice for the whole call and the
+        // kernel reads at most `buf.len()` bytes from it.
+        cvt_size(unsafe { send(fd, buf.as_ptr().cast(), buf.len(), FLAGS) })
+    })
+}
+
+fn retry_eintr<T>(mut call: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+    loop {
+        match call() {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            ret => return ret,
+        }
     }
-    Ok(())
 }
 
 // ---------------------------------------------------------------- epoll
@@ -332,14 +376,27 @@ mod tests {
     }
 
     #[test]
-    fn nonblocking_flag_sticks() {
-        let l = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    fn dontwait_is_per_call_on_a_blocking_socket() {
         use std::os::unix::io::AsRawFd;
-        set_nonblocking(l.as_raw_fd()).unwrap();
-        // A non-blocking accept with no pending client returns WouldBlock.
-        match l.accept() {
-            Err(e) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
-            Ok(_) => panic!("no client was connecting"),
-        }
+        let l = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let a = std::net::TcpStream::connect(l.local_addr().unwrap()).unwrap();
+        let (b, _) = l.accept().unwrap();
+        let mut buf = [0u8; 8];
+        // Both sockets are in blocking mode; the flag alone decides.
+        let err = recv_dontwait(b.as_raw_fd(), &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        assert_eq!(send_dontwait(a.as_raw_fd(), b"abc").unwrap(), 3);
+        assert_eq!(recv_blocking(b.as_raw_fd(), &mut buf).unwrap(), 3);
+        assert_eq!(&buf[..3], b"abc");
+        // EOF is a zero-length receive, and a send to a gone peer is an
+        // error, not a signal.
+        drop(a);
+        assert_eq!(recv_blocking(b.as_raw_fd(), &mut buf).unwrap(), 0);
+        let err = loop {
+            if let Err(e) = send_dontwait(b.as_raw_fd(), b"x") {
+                break e;
+            }
+        };
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
     }
 }

@@ -275,6 +275,57 @@ fn zero_timeout_delivers_a_queued_frame_on_both_backends() {
     }
 }
 
+/// `Duration::MAX` is the natural spelling of "wait forever", and
+/// `Instant` cannot hold now + that: it means no deadline, not a panic.
+#[test]
+fn a_timeout_too_large_for_instant_waits_forever_on_both_backends() {
+    const LATER: Duration = Duration::from_millis(50);
+    let net = Network::new();
+    let (a, b) = (net.add_host(), net.add_host());
+    let backends: [(&str, Box<dyn Transport>); 2] = [
+        ("netsim", Box::new(SimTransport::new(net))),
+        ("epoll", Box::new(EpollTransport::new().unwrap())),
+    ];
+    for (name, t) in backends {
+        let lis = t.listen(b, 7000).unwrap();
+        let client = t.connect(a, &lis.local_endpoint()).unwrap();
+        let mut server = lis.accept().unwrap();
+        let msg = Message::Join { ctx: CTX };
+        let late = msg.clone();
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(LATER);
+            client.send_msg(&late).unwrap();
+            client
+        });
+        assert_eq!(server.recv_msg_timeout(Duration::MAX), Ok(msg), "{name}");
+        sender.join().unwrap();
+    }
+    for world in [World::new(), World::new_epoll()] {
+        let mode = world.transport_mode();
+        let fe = world.add_host();
+        let cass = world.ensure_cass(fe).unwrap();
+        let mut getter = world.attr_connect(fe, cass).unwrap();
+        let mut putter = world.attr_connect(fe, cass).unwrap();
+        getter.join(CTX).unwrap();
+        putter.join(CTX).unwrap();
+        getter.subscribe(CTX, "later", 9, true).unwrap();
+        let put = std::thread::spawn(move || {
+            for key in ["late", "later"] {
+                std::thread::sleep(LATER);
+                putter.put(CTX, key, "v").unwrap();
+            }
+        });
+        assert_eq!(
+            getter.get_timeout(CTX, "late", Duration::MAX),
+            Ok("v".to_string()),
+            "{mode:?}"
+        );
+        let note = getter.wait_notify(Duration::MAX).unwrap();
+        assert_eq!((note.token, note.key.as_str()), (9, "later"), "{mode:?}");
+        put.join().unwrap();
+    }
+}
+
 /// A message over `MAX_FRAME` is refused by the sender, before a byte
 /// is written: shipped whole it is answered by the server's decoder
 /// ending the session (`TooLarge`), which a redial-armed client reads as
