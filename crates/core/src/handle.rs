@@ -1,5 +1,6 @@
 //! [`TdpHandle`] — the per-daemon TDP library instance.
 
+use crate::trace::Call;
 use crate::world::World;
 use std::collections::HashMap;
 use std::time::Duration;
@@ -153,7 +154,7 @@ impl TdpHandle {
         };
         let mut lass = world.attr_connect(host, lass_addr)?;
         lass.join(ctx)?;
-        world.trace().record(actor, format!("tdp_init({ctx})"));
+        world.trace().record(actor, Call::Init(ctx));
         Ok(TdpHandle {
             world: world.clone(),
             host,
@@ -195,6 +196,11 @@ impl TdpHandle {
         self.role
     }
 
+    /// Log one of this daemon's calls to the world's [`crate::Trace`].
+    fn trace(&self, call: Call<'_>) {
+        self.world.trace().record(&self.actor, call);
+    }
+
     fn check_open(&self) -> TdpResult<()> {
         if self.closed {
             Err(TdpError::HandleClosed)
@@ -210,27 +216,21 @@ impl TdpHandle {
     /// Blocking `tdp_put`.
     pub fn put(&mut self, key: &str, value: &str) -> TdpResult<()> {
         self.check_open()?;
-        self.world
-            .trace()
-            .record(&self.actor, format!("tdp_put({key})"));
+        self.trace(Call::Put(key));
         self.lass.put(self.ctx, key, value)
     }
 
     /// Blocking `tdp_get`: parks this daemon until the attribute exists.
     pub fn get(&mut self, key: &str) -> TdpResult<String> {
         self.check_open()?;
-        self.world
-            .trace()
-            .record(&self.actor, format!("tdp_get({key})"));
+        self.trace(Call::Get(key));
         self.lass.get(self.ctx, key)
     }
 
     /// Blocking get with a deadline.
     pub fn get_timeout(&mut self, key: &str, timeout: Duration) -> TdpResult<String> {
         self.check_open()?;
-        self.world
-            .trace()
-            .record(&self.actor, format!("tdp_get({key})"));
+        self.trace(Call::Get(key));
         self.lass.get_timeout(self.ctx, key, timeout)
     }
 
@@ -263,9 +263,7 @@ impl TdpHandle {
         self.check_open()?;
         let token = self.next_token;
         self.next_token += 1;
-        self.world
-            .trace()
-            .record(&self.actor, format!("tdp_async_get({key})"));
+        self.trace(Call::AsyncGet(key));
         self.lass.subscribe(self.ctx, key, token, false)?;
         self.callbacks.insert(
             token,
@@ -290,9 +288,7 @@ impl TdpHandle {
         self.check_open()?;
         let token = self.next_token;
         self.next_token += 1;
-        self.world
-            .trace()
-            .record(&self.actor, format!("tdp_async_put({key})"));
+        self.trace(Call::AsyncPut(key));
         self.lass.put(self.ctx, key, value)?;
         self.callbacks.insert(
             token,
@@ -368,9 +364,7 @@ impl TdpHandle {
             }
         }
         if ran > 0 {
-            self.world
-                .trace()
-                .record(&self.actor, format!("tdp_service_event[{ran}]"));
+            self.trace(Call::ServiceEvent(ran));
         }
         Ok(ran)
     }
@@ -412,7 +406,7 @@ impl TdpHandle {
         if self.closed {
             return Ok(());
         }
-        self.world.trace().record(&self.actor, "tdp_exit()");
+        self.trace(Call::Exit);
         self.traces.clear(); // detach (resumes stopped tracees)
         if let Some(cass) = self.cass.as_mut() {
             let _ = cass.leave(self.ctx);
@@ -445,9 +439,7 @@ impl TdpHandle {
         // Also join the framework-global context: cross-job data such
         // as tool front-end addresses lives there.
         client.join(ContextId::DEFAULT)?;
-        self.world
-            .trace()
-            .record(&self.actor, format!("tdp_connect_cass({cass})"));
+        self.trace(Call::ConnectCass(cass));
         self.cass = Some(client);
         Ok(())
     }
@@ -461,9 +453,7 @@ impl TdpHandle {
     /// Put into the *central* space (visible to daemons on all hosts).
     pub fn put_central(&mut self, key: &str, value: &str) -> TdpResult<()> {
         self.check_open()?;
-        self.world
-            .trace()
-            .record(&self.actor, format!("tdp_put_central({key})"));
+        self.trace(Call::PutCentral(key));
         let ctx = self.ctx;
         self.cass_client()?.put(ctx, key, value)
     }
@@ -471,9 +461,7 @@ impl TdpHandle {
     /// Blocking get from the central space.
     pub fn get_central(&mut self, key: &str) -> TdpResult<String> {
         self.check_open()?;
-        self.world
-            .trace()
-            .record(&self.actor, format!("tdp_get_central({key})"));
+        self.trace(Call::GetCentral(key));
         let ctx = self.ctx;
         self.cass_client()?.get(ctx, key)
     }
@@ -490,18 +478,14 @@ impl TdpHandle {
     /// tool front-end's listener addresses.
     pub fn put_global(&mut self, key: &str, value: &str) -> TdpResult<()> {
         self.check_open()?;
-        self.world
-            .trace()
-            .record(&self.actor, format!("tdp_put_global({key})"));
+        self.trace(Call::PutGlobal(key));
         self.cass_client()?.put(ContextId::DEFAULT, key, value)
     }
 
     /// Blocking get from the framework-global context of the CASS.
     pub fn get_global(&mut self, key: &str) -> TdpResult<String> {
         self.check_open()?;
-        self.world
-            .trace()
-            .record(&self.actor, format!("tdp_get_global({key})"));
+        self.trace(Call::GetGlobal(key));
         self.cass_client()?.get(ContextId::DEFAULT, key)
     }
 
@@ -513,11 +497,10 @@ impl TdpHandle {
     pub fn create_process(&mut self, spec: TdpCreate) -> TdpResult<Pid> {
         self.check_open()?;
         let host = spec.host.unwrap_or(self.host);
-        let mode = if spec.paused { "paused" } else { "run" };
-        self.world.trace().record(
-            &self.actor,
-            format!("tdp_create_process({}, {mode})", spec.executable),
-        );
+        self.trace(Call::CreateProcess {
+            exe: &spec.executable,
+            paused: spec.paused,
+        });
         let mut ps = ProcSpec::new(host, spec.executable)
             .args(spec.args)
             .stdin_bytes(spec.stdin)
@@ -537,9 +520,7 @@ impl TdpHandle {
     /// `tdp_attach`: attach to a process for monitoring/instrumentation.
     pub fn attach(&mut self, pid: Pid) -> TdpResult<()> {
         self.check_open()?;
-        self.world
-            .trace()
-            .record(&self.actor, format!("tdp_attach({pid})"));
+        self.trace(Call::Attach(pid));
         let h = self.world.os().attach(pid)?;
         self.traces.insert(pid, h);
         Ok(())
@@ -549,9 +530,7 @@ impl TdpHandle {
     pub fn detach(&mut self, pid: Pid) -> TdpResult<()> {
         self.check_open()?;
         self.traces.remove(&pid).ok_or(TdpError::NotTracer(pid))?;
-        self.world
-            .trace()
-            .record(&self.actor, format!("tdp_detach({pid})"));
+        self.trace(Call::Detach(pid));
         Ok(())
     }
 
@@ -559,9 +538,7 @@ impl TdpHandle {
     /// a stopped one.
     pub fn continue_process(&mut self, pid: Pid) -> TdpResult<()> {
         self.check_open()?;
-        self.world
-            .trace()
-            .record(&self.actor, format!("tdp_continue_process({pid})"));
+        self.trace(Call::Continue(pid));
         match self.traces.get(&pid) {
             Some(h) => h.cont(),
             None => self.world.os().continue_process(pid),
@@ -571,9 +548,7 @@ impl TdpHandle {
     /// Pause a running process.
     pub fn pause_process(&mut self, pid: Pid) -> TdpResult<()> {
         self.check_open()?;
-        self.world
-            .trace()
-            .record(&self.actor, format!("tdp_pause_process({pid})"));
+        self.trace(Call::Pause(pid));
         match self.traces.get(&pid) {
             Some(h) => h.stop(),
             None => self.world.os().stop_process(pid),
@@ -583,9 +558,7 @@ impl TdpHandle {
     /// Kill a process.
     pub fn kill_process(&mut self, pid: Pid, sig: i32) -> TdpResult<()> {
         self.check_open()?;
-        self.world
-            .trace()
-            .record(&self.actor, format!("tdp_kill({pid}, {sig})"));
+        self.trace(Call::Kill(pid, sig));
         self.world.os().kill(pid, sig)
     }
 
@@ -668,11 +641,9 @@ impl TdpHandle {
     /// perform a process management operation, it contacts the RM."
     pub fn request_proc_op(&mut self, op: ProcRequest) -> TdpResult<()> {
         self.check_open()?;
-        self.world
-            .trace()
-            .record(&self.actor, format!("tdp_request({})", op.to_attr_value()));
-        self.lass
-            .put(self.ctx, names::PROC_REQUEST, &op.to_attr_value())
+        let op = op.to_attr_value();
+        self.trace(Call::Request(&op));
+        self.lass.put(self.ctx, names::PROC_REQUEST, &op)
     }
 
     /// RM side: take (and clear) a pending RT request, if any.
@@ -776,9 +747,7 @@ impl TdpHandle {
         self.check_open()?;
         let fe = Addr::parse(&self.get(names::TOOL_FRONTEND_ADDR)?)
             .ok_or_else(|| TdpError::Protocol("bad tool_frontend_addr".into()))?;
-        self.world
-            .trace()
-            .record(&self.actor, format!("tdp_open_channel({fe})"));
+        self.trace(Call::OpenChannel(fe));
         match self.world.net().connect(self.host, fe) {
             Ok(c) => Ok(c),
             Err(TdpError::BlockedByFirewall { .. }) => {
@@ -798,10 +767,7 @@ impl TdpHandle {
     /// nodes; trace/summary files back after completion).
     pub fn stage_file(&mut self, from: HostId, src: &str, to: HostId, dst: &str) -> TdpResult<()> {
         self.check_open()?;
-        self.world.trace().record(
-            &self.actor,
-            format!("tdp_stage({from}:{src} -> {to}:{dst})"),
-        );
+        self.trace(Call::Stage { from, src, to, dst });
         self.world.os().fs().stage(from, src, to, dst)
     }
 }

@@ -79,7 +79,7 @@ pub mod world;
 
 pub use handle::{Role, TdpCreate, TdpHandle, Token};
 pub use ops::{CassComponent, LassComponent, Supervisable};
-pub use trace::{Trace, TraceEvent};
+pub use trace::{Call, Trace, TraceEvent};
 pub use world::{TransportMode, World};
 
 /// The well-known port each host's LASS listens on.
