@@ -5,12 +5,12 @@
 //! of the RM ("the RM must be able to detect these failures and
 //! respond to them").
 
-use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tdp_core::World;
 use tdp_proto::{Addr, HostId, TdpError, TdpResult};
+use tdp_sync::channel::{bounded, RecvTimeoutError, Sender};
 use tdp_sync::{Condvar, Mutex};
 
 /// Supervises one daemon identified by its listening address.
@@ -82,13 +82,10 @@ impl Master {
     /// count observed. Lets tests (and operators) wait on recovery
     /// without polling.
     pub fn wait_restarts(&self, n: u64, timeout: Duration) -> TdpResult<u64> {
-        let deadline = Instant::now() + timeout;
         let (count, cv) = &*self.restarts;
         let mut c = count.lock();
-        while *c < n {
-            if cv.wait_until(&mut c, deadline).timed_out() {
-                return Err(TdpError::Timeout);
-            }
+        if cv.wait_while_for(&mut c, |c| *c < n, timeout).timed_out() {
+            return Err(TdpError::Timeout);
         }
         Ok(*c)
     }

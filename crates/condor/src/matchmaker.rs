@@ -110,18 +110,13 @@ impl Matchmaker {
         timeout: Duration,
         mut pred: impl FnMut(&[(String, bool)]) -> bool,
     ) -> TdpResult<Vec<(String, bool)>> {
-        let deadline = Instant::now() + timeout;
         let (lock, cv) = &*self.machines;
         let mut m = lock.lock();
-        loop {
-            let snap = m.snapshot();
-            if pred(&snap) {
-                return Ok(snap);
-            }
-            if cv.wait_until(&mut m, deadline).timed_out() {
-                return Err(TdpError::Timeout);
-            }
+        let waited = cv.wait_while_for(&mut m, |m| !pred(&m.snapshot()), timeout);
+        if waited.timed_out() {
+            return Err(TdpError::Timeout);
         }
+        Ok(m.snapshot())
     }
 
     /// Stop accepting connections and release every parked negotiator.

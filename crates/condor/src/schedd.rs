@@ -166,19 +166,17 @@ impl Schedd {
 
     /// Block until the job completes or fails.
     pub fn wait_job(&self, job: JobId, timeout: Duration) -> TdpResult<JobState> {
-        let deadline = Instant::now() + timeout;
+        let done = |s: &JobState| matches!(s, JobState::Completed(_) | JobState::Failed(_));
         let mut jobs = self.inner.jobs.lock();
-        loop {
-            match jobs.get(&job) {
-                None => return Err(TdpError::Substrate(format!("unknown job {job}"))),
-                Some(rec) => match &rec.state {
-                    JobState::Completed(_) | JobState::Failed(_) => return Ok(rec.state.clone()),
-                    _ => {}
-                },
-            }
-            if self.inner.cv.wait_until(&mut jobs, deadline).timed_out() {
-                return Err(TdpError::Timeout);
-            }
+        self.inner.cv.wait_while_for(
+            &mut jobs,
+            |jobs| jobs.get(&job).is_some_and(|r| !done(&r.state)),
+            timeout,
+        );
+        match jobs.get(&job) {
+            None => Err(TdpError::Substrate(format!("unknown job {job}"))),
+            Some(r) if done(&r.state) => Ok(r.state.clone()),
+            Some(_) => Err(TdpError::Timeout),
         }
     }
 }

@@ -14,7 +14,7 @@ use crate::messages::{recv_json, send_json, ShadowMsg};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tdp_core::World;
 use tdp_proto::{Addr, HostId, JobId, ProcStatus, TdpError, TdpResult};
 use tdp_sync::{Condvar, Mutex};
@@ -100,13 +100,11 @@ impl Shadow {
     /// Block until `ranks` ranks have reported terminal status; returns
     /// rank → status.
     pub fn wait_done(&self, ranks: u32, timeout: Duration) -> TdpResult<HashMap<u32, ProcStatus>> {
-        let deadline = Instant::now() + timeout;
         let (lock, cv) = &*self.state;
         let mut s = lock.lock();
-        while (s.done.len() as u32) < ranks {
-            if cv.wait_until(&mut s, deadline).timed_out() {
-                return Err(TdpError::Timeout);
-            }
+        let waited = cv.wait_while_for(&mut s, |s| (s.done.len() as u32) < ranks, timeout);
+        if waited.timed_out() {
+            return Err(TdpError::Timeout);
         }
         Ok(s.done.clone())
     }
@@ -115,18 +113,16 @@ impl Shadow {
     /// may crash before it ever runs. The MPI staged start-up waits here
     /// for rank 0 (§4.3).
     pub fn wait_started(&self, rank: u32, timeout: Duration) -> TdpResult<ProcStatus> {
-        let deadline = Instant::now() + timeout;
+        let started = |s: &ShadowState| {
+            s.status
+                .get(&rank)
+                .copied()
+                .filter(|st| *st == ProcStatus::Running || st.is_terminal())
+        };
         let (lock, cv) = &*self.state;
         let mut s = lock.lock();
-        loop {
-            match s.status.get(&rank) {
-                Some(&st) if st == ProcStatus::Running || st.is_terminal() => return Ok(st),
-                _ => {}
-            }
-            if cv.wait_until(&mut s, deadline).timed_out() {
-                return Err(TdpError::Timeout);
-            }
-        }
+        cv.wait_while_for(&mut s, |s| started(s).is_none(), timeout);
+        started(&s).ok_or(TdpError::Timeout)
     }
 
     /// Forget a rank's terminal status so it can be re-run (checkpoint
@@ -151,20 +147,20 @@ impl Shadow {
         ranks: u32,
         timeout: Duration,
     ) -> TdpResult<Result<HashMap<u32, ProcStatus>, (u32, String)>> {
-        let deadline = Instant::now() + timeout;
         let (lock, cv) = &*self.state;
         let mut s = lock.lock();
-        loop {
-            if let Some((rank, err)) = s.failures.pop() {
-                return Ok(Err((rank, err)));
-            }
-            if (s.done.len() as u32) >= ranks {
-                return Ok(Ok(s.done.clone()));
-            }
-            if cv.wait_until(&mut s, deadline).timed_out() {
-                return Err(TdpError::Timeout);
-            }
+        cv.wait_while_for(
+            &mut s,
+            |s| s.failures.is_empty() && (s.done.len() as u32) < ranks,
+            timeout,
+        );
+        if let Some(failure) = s.failures.pop() {
+            return Ok(Err(failure));
         }
+        if (s.done.len() as u32) >= ranks {
+            return Ok(Ok(s.done.clone()));
+        }
+        Err(TdpError::Timeout)
     }
 }
 

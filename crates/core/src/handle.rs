@@ -612,7 +612,7 @@ impl TdpHandle {
     }
 
     /// Subscribe to breakpoint hits (one symbol name per stop).
-    pub fn breakpoint_events(&self, pid: Pid) -> TdpResult<crossbeam::channel::Receiver<String>> {
+    pub fn breakpoint_events(&self, pid: Pid) -> TdpResult<tdp_sync::channel::Receiver<String>> {
         self.trace_of(pid)?.breakpoint_events()
     }
 

@@ -4,7 +4,7 @@
 //! This is the m+n story of the paper applied at the gateway boundary:
 //! hundreds of HTTP clients do not get hundreds of TDP sessions — they
 //! share `pool_size` reliable connections (default 8), checked out per
-//! request over a crossbeam channel. Each pooled session is built with
+//! request over a bounded channel. Each pooled session is built with
 //! [`World::attr_connect_reliable`], so a LASS/CASS restart underneath
 //! a pooled connection heals by redial-and-replay instead of surfacing
 //! to the HTTP client.
@@ -23,10 +23,10 @@
 use std::collections::HashSet;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use tdp_attrspace::{AttrClient, ReconnectPolicy};
 use tdp_core::World;
 use tdp_proto::{Addr, ContextId, TdpError, TdpResult};
+use tdp_sync::channel::{bounded, Receiver, Sender};
 use tdp_sync::Mutex;
 
 /// How long a request waits for a pooled session before giving up

@@ -778,7 +778,7 @@ mod tests {
 
     #[test]
     fn parked_handlers_cost_one_worker_each_and_drop_nothing() {
-        use crossbeam::channel::bounded;
+        use tdp_sync::channel::bounded;
         let (entered_tx, entered) = bounded::<()>(4);
         let (release, release_rx) = bounded::<()>(4);
         let srv = HttpServer::bind(

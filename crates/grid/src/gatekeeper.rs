@@ -417,12 +417,10 @@ impl GramClient {
 
     /// Wait for the terminal state.
     pub fn wait(&mut self, timeout: Duration) -> TdpResult<GramState> {
-        let deadline = std::time::Instant::now() + timeout;
+        let start = std::time::Instant::now();
         loop {
-            let remaining = deadline
-                .checked_duration_since(std::time::Instant::now())
-                .ok_or(TdpError::Timeout)?;
-            match self.next_state(remaining)? {
+            let left = timeout.checked_sub(start.elapsed());
+            match self.next_state(left.ok_or(TdpError::Timeout)?)? {
                 GramState::Done(d) => return Ok(GramState::Done(d)),
                 GramState::Failed(e) => return Ok(GramState::Failed(e)),
                 _ => continue,

@@ -12,6 +12,7 @@ mod lock_outside_sync;
 mod named_threads;
 mod sleep_in_loop;
 mod unbounded_channel;
+mod unchecked_deadline;
 
 /// A source file ready for checking: workspace-relative path plus the
 /// token stream with test-gated items stripped.
@@ -37,5 +38,6 @@ pub fn all() -> Vec<Box<dyn Rule>> {
         Box::new(named_threads::NamedThreads),
         Box::new(ffi_errno_check::FfiErrnoCheck),
         Box::new(sleep_in_loop::SleepInLoop),
+        Box::new(unchecked_deadline::UncheckedDeadline),
     ]
 }

@@ -2,9 +2,10 @@
 //!
 //! An unbounded queue hides a missing backpressure decision: a slow
 //! consumer grows it until the process dies somewhere unrelated.
-//! Everything on the runtime path uses `crossbeam::channel::bounded`
+//! Everything on the runtime path uses `tdp_sync::channel::bounded`
 //! (DESIGN.md §8); `std::sync::mpsc::channel` is banned for the same
-//! reason (and because it bypasses the crossbeam shim entirely). A
+//! reason (and because it bypasses the facade, so lockdep and loom
+//! cannot see its lock). A
 //! queue that is *provably* bounded by construction can be allowlisted
 //! with the reasoning recorded in `lint.allow`.
 
@@ -20,7 +21,7 @@ impl Rule for UnboundedChannel {
     }
 
     fn explain(&self) -> &'static str {
-        "no unbounded()/mpsc::channel() — use crossbeam::channel::bounded(cap)"
+        "no unbounded()/mpsc::channel() — use tdp_sync::channel::bounded(cap)"
     }
 
     fn check(&self, f: &SourceFile) -> Vec<Finding> {
@@ -28,8 +29,8 @@ impl Rule for UnboundedChannel {
         let mut out = Vec::new();
         for i in 0..toks.len() {
             // `unbounded()` or turbofish `unbounded::<T>()`; a bare
-            // `use …::unbounded;` import or an `fn unbounded` decl
-            // (the crossbeam shim) is not a construction.
+            // `use …::unbounded;` import or an `fn unbounded` decl is
+            // not a construction.
             let call_unbounded = toks[i].is_ident("unbounded")
                 && toks
                     .get(i + 1)
@@ -53,7 +54,7 @@ impl Rule for UnboundedChannel {
                     rule: self.id(),
                     path: f.path.clone(),
                     line: toks[i].line,
-                    msg: "std::sync::mpsc::channel is unbounded; use crossbeam::channel::bounded"
+                    msg: "std::sync::mpsc::channel is unbounded; use tdp_sync::channel::bounded"
                         .into(),
                 });
             }

@@ -2,7 +2,7 @@
 
 use tdp_sync::Mutex;
 
-fn send_under_lock(m: &Mutex<Vec<u32>>, tx: &crossbeam::channel::Sender<u32>) {
+fn send_under_lock(m: &Mutex<Vec<u32>>, tx: &tdp_sync::channel::Sender<u32>) {
     let g = m.lock();
     tx.send(g[0]).unwrap(); // flagged: channel send under `g`
 }
@@ -12,7 +12,7 @@ fn sleep_under_read(l: &tdp_sync::RwLock<u32>) {
     std::thread::sleep(std::time::Duration::from_millis(*snapshot as u64)); // flagged
 }
 
-fn recv_after_manual_scope(m: &Mutex<u32>, rx: &crossbeam::channel::Receiver<u32>) {
+fn recv_after_manual_scope(m: &Mutex<u32>, rx: &tdp_sync::channel::Receiver<u32>) {
     let held = m.lock();
     let _v = rx.recv().unwrap(); // flagged: `held` not dropped yet
     drop(held);

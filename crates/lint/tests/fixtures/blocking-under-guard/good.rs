@@ -3,7 +3,7 @@
 
 use tdp_sync::Mutex;
 
-fn copy_out_then_send(m: &Mutex<Vec<u32>>, tx: &crossbeam::channel::Sender<u32>) {
+fn copy_out_then_send(m: &Mutex<Vec<u32>>, tx: &tdp_sync::channel::Sender<u32>) {
     let first = {
         let g = m.lock();
         g[0]
@@ -11,19 +11,19 @@ fn copy_out_then_send(m: &Mutex<Vec<u32>>, tx: &crossbeam::channel::Sender<u32>)
     tx.send(first).unwrap();
 }
 
-fn drop_ends_liveness(m: &Mutex<u32>, rx: &crossbeam::channel::Receiver<u32>) {
+fn drop_ends_liveness(m: &Mutex<u32>, rx: &tdp_sync::channel::Receiver<u32>) {
     let g = m.lock();
     let _snapshot = *g;
     drop(g);
     let _v = rx.recv().unwrap(); // fine: guard explicitly dropped
 }
 
-fn deref_copy_is_not_a_guard(m: &Mutex<u32>, tx: &crossbeam::channel::Sender<u32>) {
+fn deref_copy_is_not_a_guard(m: &Mutex<u32>, tx: &tdp_sync::channel::Sender<u32>) {
     let v = *m.lock(); // temporary dies at the `;`
     tx.send(v).unwrap();
 }
 
-fn spawned_closure_runs_elsewhere(m: &Mutex<u32>, rx: crossbeam::channel::Receiver<u32>) {
+fn spawned_closure_runs_elsewhere(m: &Mutex<u32>, rx: tdp_sync::channel::Receiver<u32>) {
     let g = m.lock();
     std::thread::Builder::new()
         .name("worker".into())
@@ -34,7 +34,7 @@ fn spawned_closure_runs_elsewhere(m: &Mutex<u32>, rx: crossbeam::channel::Receiv
     drop(g);
 }
 
-fn try_send_never_blocks(m: &Mutex<u32>, tx: &crossbeam::channel::Sender<u32>) {
+fn try_send_never_blocks(m: &Mutex<u32>, tx: &tdp_sync::channel::Sender<u32>) {
     let g = m.lock();
     let _ = tx.try_send(*g);
 }

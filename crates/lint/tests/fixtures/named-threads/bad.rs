@@ -1,7 +1,7 @@
 //! BAD: anonymous threads. A panic backtrace, TSan report or
 //! thread-leak assert from one of these says `<unnamed>`.
 
-fn pump(rx: crossbeam::channel::Receiver<Vec<u8>>) {
+fn pump(rx: tdp_sync::channel::Receiver<Vec<u8>>) {
     std::thread::spawn(move || { // flagged: bare std spawn
         while rx.recv().is_ok() {}
     });

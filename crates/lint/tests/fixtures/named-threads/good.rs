@@ -1,7 +1,7 @@
 //! GOOD: every thread is named at spawn; scoped threads and loom's
 //! model-controlled spawn have no Builder and stay legal.
 
-fn pump(rx: crossbeam::channel::Receiver<Vec<u8>>) {
+fn pump(rx: tdp_sync::channel::Receiver<Vec<u8>>) {
     std::thread::Builder::new()
         .name("fixture-pump".into())
         .spawn(move || while rx.recv().is_ok() {})

@@ -1,8 +1,8 @@
 //! GOOD: every channel picks a capacity (the backpressure decision is
-//! written down); declaring an `unbounded` shim and *importing* the
-//! name are not constructions.
+//! written down); declaring a function named `unbounded` is not a
+//! construction.
 
-use crossbeam::channel::bounded;
+use tdp_sync::channel::bounded;
 
 const BACKLOG: usize = 128;
 
@@ -14,12 +14,12 @@ fn rendezvous() {
     let (_tx, _rx) = bounded::<u32>(0);
 }
 
-// The crossbeam shim itself *declares* `unbounded`; a declaration is
-// exempt (the rule checks call shapes, `fn` keeps this one legal).
+// A *declaration* named `unbounded` is exempt (the rule checks call
+// shapes; `fn` keeps this one legal).
 fn unbounded() -> usize {
     BACKLOG
 }
 
-fn shim_decl_is_exempt() {
+fn declaration_is_exempt() {
     let _ = bounded::<()>(BACKLOG);
 }

@@ -8,7 +8,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tdp_core::World;
 use tdp_netsim::ConnTx;
 use tdp_proto::{json, Addr, HostId, JobId, ProcStatus, TdpError, TdpResult};
@@ -270,19 +270,17 @@ impl LsfCluster {
 
     /// Block until a job completes or fails.
     pub fn wait_job(&self, job: JobId, timeout: Duration) -> TdpResult<LsfJobState> {
-        let deadline = Instant::now() + timeout;
+        let done = |s: &LsfJobState| matches!(s, LsfJobState::Done(_) | LsfJobState::Failed(_));
         let mut jobs = self.inner.jobs.lock();
-        loop {
-            match jobs.get(&job) {
-                None => return Err(TdpError::Substrate(format!("unknown job {job}"))),
-                Some(r) => match &r.state {
-                    LsfJobState::Done(_) | LsfJobState::Failed(_) => return Ok(r.state.clone()),
-                    _ => {}
-                },
-            }
-            if self.inner.cv.wait_until(&mut jobs, deadline).timed_out() {
-                return Err(TdpError::Timeout);
-            }
+        self.inner.cv.wait_while_for(
+            &mut jobs,
+            |jobs| jobs.get(&job).is_some_and(|r| !done(&r.state)),
+            timeout,
+        );
+        match jobs.get(&job) {
+            None => Err(TdpError::Substrate(format!("unknown job {job}"))),
+            Some(r) if done(&r.state) => Ok(r.state.clone()),
+            Some(_) => Err(TdpError::Timeout),
         }
     }
 }

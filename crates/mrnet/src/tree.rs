@@ -70,16 +70,10 @@ impl Accumulator {
     }
 
     fn wait(&self, wave: u64, timeout: Duration) -> TdpResult<u64> {
-        let deadline = Instant::now() + timeout;
         let mut done = self.done.lock();
-        loop {
-            if let Some(v) = done.remove(&wave) {
-                return Ok(v);
-            }
-            if self.cv.wait_until(&mut done, deadline).timed_out() {
-                return Err(TdpError::Timeout);
-            }
-        }
+        self.cv
+            .wait_while_for(&mut done, |d| !d.contains_key(&wave), timeout);
+        done.remove(&wave).ok_or(TdpError::Timeout)
     }
 }
 
@@ -200,11 +194,10 @@ impl FrontEnd {
     pub fn multicast(&self, data: &[u8]) -> TdpResult<()> {
         let (lock, cv) = &*self.children;
         let mut kids = lock.lock();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while kids.len() < self.expected_children {
-            if cv.wait_until(&mut kids, deadline).timed_out() {
-                return Err(TdpError::Timeout);
-            }
+        let want = self.expected_children;
+        let waited = cv.wait_while_for(&mut kids, |k| k.len() < want, Duration::from_secs(10));
+        if waited.timed_out() {
+            return Err(TdpError::Timeout);
         }
         // Snapshot the senders and release the lock before touching the
         // network: a child applying netsim latency/backpressure must not
@@ -392,15 +385,13 @@ impl BackEnd {
 
     /// Receive the next multicast payload.
     pub fn recv_multicast(&mut self, timeout: Duration) -> TdpResult<Vec<u8>> {
-        let deadline = Instant::now() + timeout;
+        let start = Instant::now();
         loop {
             if let Some(Packet::Multicast(data)) = Packet::decode(&mut self.buf)? {
                 return Ok(data);
             }
-            let remaining = deadline
-                .checked_duration_since(Instant::now())
-                .ok_or(TdpError::Timeout)?;
-            let chunk = self.conn.recv_timeout(remaining)?;
+            let left = timeout.checked_sub(start.elapsed());
+            let chunk = self.conn.recv_timeout(left.ok_or(TdpError::Timeout)?)?;
             self.buf.extend_from_slice(&chunk);
         }
     }

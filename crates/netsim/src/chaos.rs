@@ -12,12 +12,12 @@
 //! [`FaultInjector::stop`] cancels the remainder of a schedule promptly.
 
 use crate::network::{Network, ZoneId};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use std::fmt;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tdp_proto::HostId;
+use tdp_sync::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use tdp_sync::Mutex;
 
 /// One injected fault (or repair). `Custom` strings are interpreted by

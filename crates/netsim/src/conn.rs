@@ -381,7 +381,7 @@ impl Drop for ConnRx {
 /// accepted connection.
 pub struct Listener {
     pub(crate) addr: Addr,
-    pub(crate) incoming: crossbeam::channel::Receiver<Conn>,
+    pub(crate) incoming: tdp_sync::channel::Receiver<Conn>,
 }
 
 impl Listener {
@@ -399,8 +399,8 @@ impl Listener {
     pub fn accept_timeout(&self, timeout: Duration) -> TdpResult<Conn> {
         match self.incoming.recv_timeout(timeout) {
             Ok(c) => Ok(c),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Err(TdpError::Timeout),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Err(TdpError::Disconnected),
+            Err(tdp_sync::channel::RecvTimeoutError::Timeout) => Err(TdpError::Timeout),
+            Err(tdp_sync::channel::RecvTimeoutError::Disconnected) => Err(TdpError::Disconnected),
         }
     }
 

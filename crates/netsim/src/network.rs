@@ -2,12 +2,12 @@
 //! injection.
 
 use crate::conn::{Conn, Listener, Pipe};
-use crossbeam::channel::Sender;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 use tdp_proto::{Addr, HostId, Port, TdpError, TdpResult};
+use tdp_sync::channel::Sender;
 use tdp_sync::RwLock;
 
 /// Per-listener accept backlog (the simulated SOMAXCONN). `connect`
@@ -241,7 +241,7 @@ impl Network {
         // Accept backlog is bounded like a real kernel's (SOMAXCONN):
         // `connect` refuses once it fills rather than queueing
         // connections an unresponsive accept loop will never take.
-        let (tx, rx) = crossbeam::channel::bounded(BACKLOG);
+        let (tx, rx) = tdp_sync::channel::bounded(BACKLOG);
         entry.listeners.insert(port, tx);
         Ok(Listener {
             addr: Addr { host, port },

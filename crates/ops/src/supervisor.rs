@@ -16,7 +16,6 @@
 //! rather than waiting out a sleep.
 
 use crate::backoff::{Backoff, RestartBudget};
-use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread;
@@ -24,6 +23,7 @@ use std::time::{Duration, Instant};
 use tdp_attrspace::{AttrClient, ReconnectPolicy};
 use tdp_core::{Supervisable, World};
 use tdp_proto::{names, HostId, TdpError, TdpResult, OPS_CONTEXT};
+use tdp_sync::channel::{bounded, RecvTimeoutError, Sender};
 use tdp_sync::{Condvar, Mutex};
 
 /// How often each daemon loop runs.
@@ -302,53 +302,42 @@ impl Supervisor {
 
     /// Block until `name` reaches `health` (event-driven; no polling).
     pub fn wait_health(&self, name: &str, health: Health, timeout: Duration) -> TdpResult<()> {
-        let deadline = Instant::now() + timeout;
-        let (lock, cv) = &self.inner.components;
-        let mut comps = lock.lock();
-        loop {
-            match comps.iter().find(|c| c.name == name) {
-                None => return Err(TdpError::Substrate(format!("unknown component {name}"))),
-                Some(c) if c.health == health => return Ok(()),
-                Some(_) => {}
-            }
-            if cv.wait_until(&mut comps, deadline).timed_out() {
-                return Err(TdpError::Timeout);
-            }
-        }
+        self.wait_component(name, timeout, |c| (c.health == health).then_some(()))
     }
 
     /// Block until `name` has at least `n` successful heartbeats.
     pub fn wait_beats(&self, name: &str, n: u64, timeout: Duration) -> TdpResult<u64> {
-        let deadline = Instant::now() + timeout;
-        let (lock, cv) = &self.inner.components;
-        let mut comps = lock.lock();
-        loop {
-            match comps.iter().find(|c| c.name == name) {
-                None => return Err(TdpError::Substrate(format!("unknown component {name}"))),
-                Some(c) if c.beats >= n => return Ok(c.beats),
-                Some(_) => {}
-            }
-            if cv.wait_until(&mut comps, deadline).timed_out() {
-                return Err(TdpError::Timeout);
-            }
-        }
+        self.wait_component(name, timeout, |c| (c.beats >= n).then_some(c.beats))
     }
 
     /// Block until `name` has been restarted at least `n` times.
     pub fn wait_restarts(&self, name: &str, n: u64, timeout: Duration) -> TdpResult<u64> {
-        let deadline = Instant::now() + timeout;
+        self.wait_component(name, timeout, |c| (c.restarts >= n).then_some(c.restarts))
+    }
+
+    /// Block until `f` reads a value off component `name` (or it is
+    /// unregistered).
+    fn wait_component<R>(
+        &self,
+        name: &str,
+        timeout: Duration,
+        f: impl Fn(&Component) -> Option<R>,
+    ) -> TdpResult<R> {
         let (lock, cv) = &self.inner.components;
         let mut comps = lock.lock();
-        loop {
-            match comps.iter().find(|c| c.name == name) {
-                None => return Err(TdpError::Substrate(format!("unknown component {name}"))),
-                Some(c) if c.restarts >= n => return Ok(c.restarts),
-                Some(_) => {}
-            }
-            if cv.wait_until(&mut comps, deadline).timed_out() {
-                return Err(TdpError::Timeout);
-            }
-        }
+        cv.wait_while_for(
+            &mut comps,
+            |comps| {
+                let c = comps.iter().find(|c| c.name == name);
+                c.is_some_and(|c| f(c).is_none())
+            },
+            timeout,
+        );
+        let c = comps
+            .iter()
+            .find(|c| c.name == name)
+            .ok_or_else(|| TdpError::Substrate(format!("unknown component {name}")))?;
+        f(c).ok_or(TdpError::Timeout)
     }
 
     /// Operator reset after an escalation: close the breaker and mark

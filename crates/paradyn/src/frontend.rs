@@ -9,7 +9,7 @@ use crate::msg::{parse_line, render_line, LineBuf, ToolMsg};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tdp_attrspace::AttrClient;
 use tdp_netsim::{ConnTx, Network};
 use tdp_proto::{names, ContextId};
@@ -218,13 +218,11 @@ impl ParadynFrontend {
 
     /// Block until `n` daemons have reported READY.
     pub fn wait_for_daemons(&self, n: usize, timeout: Duration) -> TdpResult<Vec<DaemonInfo>> {
-        let deadline = Instant::now() + timeout;
         let (lock, cv) = &*self.state;
         let mut s = lock.lock();
-        while s.daemons.len() < n {
-            if cv.wait_until(&mut s, deadline).timed_out() {
-                return Err(TdpError::Timeout);
-            }
+        let waited = cv.wait_while_for(&mut s, |s| s.daemons.len() < n, timeout);
+        if waited.timed_out() {
+            return Err(TdpError::Timeout);
         }
         Ok(s.daemons.clone())
     }
@@ -290,13 +288,11 @@ impl ParadynFrontend {
 
     /// Wait until `n` daemons reported DONE; returns daemon → status.
     pub fn wait_done(&self, n: usize, timeout: Duration) -> TdpResult<HashMap<String, ProcStatus>> {
-        let deadline = Instant::now() + timeout;
         let (lock, cv) = &*self.state;
         let mut s = lock.lock();
-        while s.done.len() < n {
-            if cv.wait_until(&mut s, deadline).timed_out() {
-                return Err(TdpError::Timeout);
-            }
+        let waited = cv.wait_while_for(&mut s, |s| s.done.len() < n, timeout);
+        if waited.timed_out() {
+            return Err(TdpError::Timeout);
         }
         Ok(s.done.clone())
     }

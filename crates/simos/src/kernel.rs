@@ -3,12 +3,12 @@
 
 use crate::fs::HostFs;
 use crate::process::{self, KillUnwind, Pcb, ProbeSnapshot, ProcCtx, ProcState, Sink, StartMode};
-use crossbeam::channel::{bounded, Receiver, Sender};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tdp_proto::{HostId, Pid, ProcStatus, TdpError, TdpResult};
+use tdp_sync::channel::{bounded, Receiver, Sender};
 use tdp_sync::{Mutex, RwLock};
 
 /// Capacity of each watcher / breakpoint-subscriber queue. Delivery
@@ -351,6 +351,9 @@ impl Os {
             }
         }
         pcb.cv.notify_all();
+        // Raised under `io` (never nested with `ctl`), so a reader that
+        // passed its gate before the kill still sees it before waiting.
+        pcb.io.lock().kill_pending = true;
         pcb.io_cv.notify_all();
         Ok(())
     }
@@ -373,16 +376,14 @@ impl Os {
     /// Block until the process reaches a terminal state.
     pub fn wait_terminal(&self, pid: Pid, timeout: Duration) -> TdpResult<ProcStatus> {
         let pcb = self.pcb(pid)?;
-        let deadline = Instant::now() + timeout;
         let mut ctl = pcb.ctl.lock();
-        loop {
-            if ctl.state.is_terminal() {
-                return Ok(ctl.state);
-            }
-            if pcb.cv.wait_until(&mut ctl, deadline).timed_out() {
-                return Err(TdpError::Timeout);
-            }
+        let waited = pcb
+            .cv
+            .wait_while_for(&mut ctl, |c| !c.state.is_terminal(), timeout);
+        if waited.timed_out() {
+            return Err(TdpError::Timeout);
         }
+        Ok(ctl.state)
     }
 
     /// Push bytes into a process's stdin.

@@ -91,6 +91,9 @@ pub struct ProbeSnapshot {
 pub(crate) struct Io {
     pub stdin: VecDeque<u8>,
     pub stdin_closed: bool,
+    /// `Ctl::kill` as a reader blocked on stdin sees it: set by
+    /// `Os::kill` under this lock, so the read's wait needs no timer.
+    pub kill_pending: bool,
     pub stdout: SinkState,
     pub stderr: SinkState,
 }
@@ -129,7 +132,7 @@ pub(crate) struct Pcb {
     pub io_cv: Condvar,
     /// Debugger notification channels: one message (the symbol name)
     /// per breakpoint hit.
-    pub bp_subs: Mutex<Vec<crossbeam::channel::Sender<String>>>,
+    pub bp_subs: Mutex<Vec<tdp_sync::channel::Sender<String>>>,
     /// Wall-clock start, reported to tools for rate computations.
     pub started_at: Instant,
 }
@@ -171,6 +174,7 @@ impl Pcb {
             io: Mutex::new(Io {
                 stdin: stdin.into(),
                 stdin_closed: false,
+                kill_pending: false,
                 stdout: SinkState::from_sink(stdout),
                 stderr: SinkState::from_sink(stderr),
             }),
@@ -351,18 +355,17 @@ impl ProcCtx {
     /// Sleep for `dur`, interruptible by stop (time keeps passing) and
     /// kill (unwinds).
     pub fn sleep(&mut self, dur: Duration) {
-        let deadline = Instant::now() + dur;
+        let start = Instant::now();
         loop {
             self.pcb.gate();
             let mut ctl = self.pcb.ctl.lock();
-            if Instant::now() >= deadline {
+            let Some(left) = dur.checked_sub(start.elapsed()) else {
                 return;
-            }
+            };
             if ctl.kill.is_some() || ctl.state == ProcState::Stopped {
                 continue; // re-gate
             }
-            self.pcb.cv.wait_until(&mut ctl, deadline);
-            if Instant::now() >= deadline {
+            if self.pcb.cv.wait_for(&mut ctl, left).timed_out() {
                 drop(ctl);
                 self.pcb.gate(); // one final kill/stop check
                 return;
@@ -394,9 +397,10 @@ impl ProcCtx {
             if io.stdin_closed {
                 return Ok(None);
             }
-            // Poll-wait so a concurrent kill (signalled on the ctl
-            // condvar) is noticed promptly at the gate above.
-            self.pcb.io_cv.wait_for(&mut io, Duration::from_millis(20));
+            // Woken by data, EOF or a kill; the gate above unwinds a kill.
+            if !io.kill_pending {
+                self.pcb.io_cv.wait(&mut io);
+            }
         }
     }
 

@@ -333,6 +333,33 @@ fn kill_interrupts_blocked_stdin_read() {
     );
 }
 
+/// The read parks with no timer, so every kill must reach it — the ones
+/// that land between the reader's gate and its `io` lock included.
+#[test]
+fn every_kill_ends_a_blocked_stdin_read() {
+    let os = os_with(vec![(
+        "/bin/reader",
+        ExecImage::from_fn(|_| {
+            fn_program(|ctx| {
+                let _ = ctx.read_stdin();
+                0
+            })
+        }),
+    )]);
+    for i in 0..200u64 {
+        let pid = os.spawn(ProcSpec::new(H, "/bin/reader")).unwrap();
+        // Kill at varying distances from the reader's first gate.
+        std::thread::sleep(Duration::from_micros(i % 4 * 50));
+        os.kill(pid, 9).unwrap();
+        assert_eq!(
+            os.wait_terminal(pid, Duration::from_secs(1)),
+            Ok(ProcStatus::Killed(9)),
+            "kill {i}"
+        );
+        assert_eq!(os.reap(pid).unwrap(), ProcStatus::Killed(9));
+    }
+}
+
 #[test]
 fn stdout_to_host_file() {
     let os = os_with(vec![(

@@ -219,6 +219,35 @@ impl Condvar {
         self.wait_for(guard, deadline.saturating_duration_since(Instant::now()))
     }
 
+    /// Block while `condition` holds, for at most `timeout` in all;
+    /// on return `timed_out()` is true exactly when it still holds.
+    /// The condition is checked before the clock is read, and once more
+    /// after a wait that timed out — which is then not waited again, so
+    /// under loom a timeout stays one event. The time left is
+    /// `timeout - elapsed`, never a sum on an `Instant`: `Duration::MAX`
+    /// waits forever.
+    pub fn wait_while_for<T>(
+        &self,
+        guard: &mut MutexGuard<'_, T>,
+        mut condition: impl FnMut(&mut T) -> bool,
+        timeout: Duration,
+    ) -> WaitTimeoutResult {
+        if !condition(guard) {
+            return WaitTimeoutResult { timed_out: false };
+        }
+        let start = Instant::now();
+        loop {
+            let timed_out = match timeout.checked_sub(start.elapsed()) {
+                Some(left) => self.wait_for(guard, left).timed_out(),
+                None => true,
+            };
+            let holds = condition(guard);
+            if timed_out || !holds {
+                return WaitTimeoutResult { timed_out: holds };
+            }
+        }
+    }
+
     pub fn notify_one(&self) {
         self.0.notify_one();
     }

@@ -18,8 +18,16 @@
 //!   [`WaitTimeoutResult`]. Under loom the duration/deadline is a
 //!   *nondeterministic event*: the checker explores both the notified
 //!   and the timed-out path regardless of the numeric value.
+//! - `Condvar::wait_while_for(&mut guard, condition, timeout)` is the
+//!   one timed wait for a state change: every public wait in the
+//!   workspace that takes a caller's `Duration` is one call to it
+//!   followed by reading the state, and `Duration::MAX` waits forever.
+//!
+//! [`channel`] is the workspace's bounded channel, built on these same
+//! locks.
 
 mod adapter;
+pub mod channel;
 
 // `--features lockdep` wraps the adapter's locks in order-checked ones
 // (see `lockdep.rs`). Zero cost when off — the default branch is the
@@ -85,6 +93,31 @@ mod tests {
         assert!(cv.wait_for(&mut g, Duration::from_millis(1)).timed_out());
         let past = Instant::now() - Duration::from_millis(1);
         assert!(cv.wait_until(&mut g, past).timed_out());
+    }
+
+    #[test]
+    fn wait_while_for_reports_whether_the_condition_still_holds() {
+        let pair = Arc::new((Mutex::new(0u32), Condvar::new()));
+        let (m, cv) = &*pair;
+        let mut g = m.lock();
+        // Already false: no clock, no wait, even for "forever".
+        assert!(!cv
+            .wait_while_for(&mut g, |n| *n > 0, Duration::MAX)
+            .timed_out());
+        assert!(cv
+            .wait_while_for(&mut g, |n| *n == 0, Duration::ZERO)
+            .timed_out());
+        let p2 = Arc::clone(&pair);
+        let t = std::thread::spawn(move || {
+            *p2.0.lock() = 1;
+            p2.1.notify_all();
+        });
+        assert!(!cv
+            .wait_while_for(&mut g, |n| *n == 0, Duration::MAX)
+            .timed_out());
+        assert_eq!(*g, 1);
+        drop(g);
+        t.join().unwrap();
     }
 
     #[test]

@@ -419,6 +419,16 @@ impl Condvar {
         self.inner.wait_until(&mut guard.inner, deadline)
     }
 
+    pub fn wait_while_for<T>(
+        &self,
+        guard: &mut MutexGuard<'_, T>,
+        condition: impl FnMut(&mut T) -> bool,
+        timeout: Duration,
+    ) -> WaitTimeoutResult {
+        self.inner
+            .wait_while_for(&mut guard.inner, condition, timeout)
+    }
+
     pub fn notify_one(&self) {
         self.inner.notify_one();
     }

@@ -7,10 +7,10 @@
 //! breakpoints, inspect the call stack, step between symbol entries and
 //! read instrumentation counters.
 
-use crossbeam::channel::Receiver;
 use std::time::{Duration, Instant};
 use tdp_core::{Role, TdpCreate, TdpHandle, World};
 use tdp_proto::{names, ContextId, HostId, Pid, ProcStatus, TdpError, TdpResult};
+use tdp_sync::channel::Receiver;
 
 /// What `wait_stop` observed.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,16 +92,19 @@ impl Tdb {
 
     /// Wait for the next stop: a breakpoint hit or termination.
     pub fn wait_stop(&mut self, timeout: Duration) -> TdpResult<TdbEvent> {
-        let deadline = Instant::now() + timeout;
+        let start = Instant::now();
         loop {
-            if let Ok(sym) = self.hits.recv_timeout(Duration::from_millis(10)) {
+            // Hits arrive on the channel; termination only shows in the
+            // status, hence the 10 ms slice.
+            let left = timeout.saturating_sub(start.elapsed());
+            if let Ok(sym) = self.hits.recv_timeout(left.min(Duration::from_millis(10))) {
                 return Ok(TdbEvent::Breakpoint(sym));
             }
             let st = self.tdp.process_status(self.pid)?;
             if st.is_terminal() {
                 return Ok(TdbEvent::Terminated(st));
             }
-            if Instant::now() > deadline {
+            if left.is_zero() {
                 return Err(TdpError::Timeout);
             }
         }

@@ -369,9 +369,9 @@ mod tests {
 
     /// Park a thread in an *untimed* `recv_msg` on `rx` and hand back
     /// the channel its result arrives on.
-    fn blocked_recv(mut rx: WireRx) -> crossbeam::channel::Receiver<TdpResult<Message>> {
-        let (started_tx, started_rx) = crossbeam::channel::bounded(1);
-        let (done_tx, done_rx) = crossbeam::channel::bounded(1);
+    fn blocked_recv(mut rx: WireRx) -> tdp_sync::channel::Receiver<TdpResult<Message>> {
+        let (started_tx, started_rx) = tdp_sync::channel::bounded(1);
+        let (done_tx, done_rx) = tdp_sync::channel::bounded(1);
         std::thread::spawn(move || {
             let _ = started_tx.send(());
             let _ = done_tx.send(rx.recv_msg());
@@ -512,7 +512,7 @@ mod tests {
         let t = transport();
         let lis = t.listen(HostId(0), 0).unwrap();
         let l2 = lis.clone();
-        let (ready_tx, ready_rx) = crossbeam::channel::bounded::<()>(1);
+        let (ready_tx, ready_rx) = tdp_sync::channel::bounded::<()>(1);
         let th = std::thread::spawn(move || {
             let _ = ready_tx.send(());
             l2.accept()
@@ -544,7 +544,7 @@ mod tests {
         let _clients: Vec<_> = (0..70)
             .map(|_| t.connect(HostId(1), &lis.local_endpoint()).unwrap())
             .collect();
-        let (done_tx, done_rx) = crossbeam::channel::bounded(1);
+        let (done_tx, done_rx) = tdp_sync::channel::bounded(1);
         std::thread::spawn(move || {
             lis.close();
             let _ = done_tx.send(());
@@ -751,8 +751,8 @@ mod tests {
     /// Park a thread in `send_msg` on `tx`, whose peer never reads:
     /// returns once the socket is full, with the channel the sender's
     /// eventual result arrives on.
-    fn parked_sender(tx: &Arc<EpollTx>) -> crossbeam::channel::Receiver<(usize, TdpError)> {
-        let (done_tx, done_rx) = crossbeam::channel::bounded(1);
+    fn parked_sender(tx: &Arc<EpollTx>) -> tdp_sync::channel::Receiver<(usize, TdpError)> {
+        let (done_tx, done_rx) = tdp_sync::channel::bounded(1);
         let sender = tx.clone();
         std::thread::spawn(move || {
             let _ = done_tx.send(send_until_err(&sender));

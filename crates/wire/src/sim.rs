@@ -173,7 +173,7 @@ mod tests {
         let l2 = lis.clone();
         // Synchronize on the acceptor running instead of sleeping; close
         // must win whether it lands before or after the accept call.
-        let (ready_tx, ready_rx) = crossbeam::channel::bounded::<()>(1);
+        let (ready_tx, ready_rx) = tdp_sync::channel::bounded::<()>(1);
         let th = std::thread::spawn(move || {
             let _ = ready_tx.send(());
             l2.accept()

@@ -16,7 +16,6 @@
 
 use crate::epoll::EpollTransport;
 use crate::{Endpoint, ListenerApi, WireConn, WireListener};
-use crossbeam::channel::{bounded, Receiver, Sender};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -24,6 +23,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 use tdp_proto::{Addr, TdpError, TdpResult};
 use tdp_sync::atomic::{AtomicBool, Ordering};
+use tdp_sync::channel::{bounded, Receiver, Sender};
 use tdp_sync::Arc;
 
 /// Bound on a loopback dial and on each line of the proxy `CONNECT`
@@ -42,14 +42,14 @@ pub(crate) const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 /// other error is the socket's own (`EPIPE`, reset, a local `shutdown`).
 pub fn write_all_stall(stream: &TcpStream, mut data: &[u8], stall: Duration) -> io::Result<()> {
     let fd = stream.as_raw_fd();
-    let mut deadline = None;
+    let mut stalled_since = None;
     while !data.is_empty() {
         match crate::sys::send_dontwait(fd, data) {
             Ok(0) => return Err(ErrorKind::WriteZero.into()),
             Ok(n) => data = &data[n..],
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                let deadline = *deadline.get_or_insert_with(|| Instant::now() + stall);
-                let left = deadline.saturating_duration_since(Instant::now());
+                let since = *stalled_since.get_or_insert_with(Instant::now);
+                let left = stall.saturating_sub(since.elapsed());
                 let ms = crate::sys::poll_timeout_ms(left);
                 if left.is_zero() || !crate::sys::poll_writable(fd, ms)? {
                     return Err(ErrorKind::TimedOut.into());
