@@ -7,10 +7,10 @@
 
 use crate::space::Space;
 use std::collections::HashMap;
-use std::thread;
 use tdp_netsim::Network;
 use tdp_proto::{Addr, HostId, Message, Reply, TdpError, TdpResult};
 use tdp_sync::atomic::{AtomicU64, Ordering};
+use tdp_sync::serve::{serve, Server};
 use tdp_sync::Arc;
 use tdp_sync::Mutex;
 use tdp_wire::{WireConn, WireListener, WireTx};
@@ -37,9 +37,9 @@ struct Shared {
 pub struct AttrSpaceServer {
     addr: Addr,
     kind: ServerKind,
-    listener: WireListener,
+    endpoint: tdp_wire::Endpoint,
     shared: Arc<Shared>,
-    accept_thread: Option<thread::JoinHandle<()>>,
+    server: Server,
 }
 
 impl AttrSpaceServer {
@@ -48,11 +48,7 @@ impl AttrSpaceServer {
     pub fn spawn(net: &Network, host: HostId, port: u16, kind: ServerKind) -> TdpResult<Self> {
         let listener = net.listen(host, port)?;
         let addr = listener.local_addr();
-        Self::spawn_wire(
-            tdp_wire::sim::wrap_listener(net.clone(), listener),
-            kind,
-            addr,
-        )
+        Self::spawn_wire(tdp_wire::sim::wrap_listener(listener), kind, addr)
     }
 
     /// Start a server on an already-bound transport listener. `addr` is
@@ -65,41 +61,35 @@ impl AttrSpaceServer {
             clients: Mutex::new(HashMap::new()),
             next_client: AtomicU64::new(1),
         });
+        let endpoint = listener.local_endpoint();
         let sh = shared.clone();
-        let lis = listener.clone();
-        let accept_thread = thread::Builder::new()
-            .name(format!("{kind:?}-{addr}"))
-            .spawn(move || {
-                while let Ok(conn) = lis.accept() {
-                    // LASS locality rule. Host identity comes from the
-                    // connection (netsim: the source address; TCP: the
-                    // Hello handshake).
-                    if kind == ServerKind::Local && conn.peer_host() != Some(addr.host) {
-                        let _ = conn.send_msg(&Message::Reply(Reply::Err(TdpError::Substrate(
-                            format!(
-                                "LASS on {} rejects remote client {}",
-                                addr.host,
-                                conn.peer_endpoint()
-                            ),
-                        ))));
-                        conn.close();
-                        continue; // drop: peer sees error then EOF
-                    }
-                    let sh = sh.clone();
-                    let client = sh.next_client.fetch_add(1, Ordering::Relaxed);
-                    thread::Builder::new()
-                        .name(format!("attrspace-client-{client}"))
-                        .spawn(move || serve_client(sh, client, conn))
-                        .expect("spawn client handler");
-                }
-            })
-            .map_err(|e| TdpError::Substrate(format!("spawn accept thread: {e}")))?;
+        let name = match kind {
+            ServerKind::Local => "lass",
+            ServerKind::Central => "cass",
+        };
+        let server = serve(name, listener, move |conn: WireConn| {
+            // LASS locality rule. Host identity comes from the
+            // connection (netsim: the source address; TCP: the Hello
+            // handshake).
+            if kind == ServerKind::Local && conn.peer_host() != Some(addr.host) {
+                let _ = conn.send_msg(&Message::Reply(Reply::Err(TdpError::Substrate(format!(
+                    "LASS on {} rejects remote client {}",
+                    addr.host,
+                    conn.peer_endpoint()
+                )))));
+                conn.close();
+                return; // drop: peer sees error then EOF
+            }
+            let client = sh.next_client.fetch_add(1, Ordering::Relaxed);
+            serve_client(&sh, client, conn);
+        })
+        .map_err(|e| TdpError::Substrate(format!("spawn accept thread: {e}")))?;
         Ok(AttrSpaceServer {
             addr,
             kind,
-            listener,
+            endpoint,
             shared,
-            accept_thread: Some(accept_thread),
+            server,
         })
     }
 
@@ -111,7 +101,7 @@ impl AttrSpaceServer {
     /// Transport endpoint the server is actually bound on (differs from
     /// [`Self::addr`] for the socket transport).
     pub fn endpoint(&self) -> tdp_wire::Endpoint {
-        self.listener.local_endpoint()
+        self.endpoint
     }
 
     /// Server flavour.
@@ -135,15 +125,12 @@ impl AttrSpaceServer {
     }
 
     fn stop(&mut self) {
-        self.listener.close();
+        self.server.close();
         // Sever live sessions too: a crashed server leaves no half-open
         // clients behind (their next operation fails fast instead of
         // hanging).
         for tx in self.shared.clients.lock().values() {
             tx.close();
-        }
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
         }
     }
 }
@@ -155,7 +142,7 @@ impl Drop for AttrSpaceServer {
 }
 
 /// Per-connection request loop.
-fn serve_client(shared: Arc<Shared>, client: u64, conn: WireConn) {
+fn serve_client(shared: &Shared, client: u64, conn: WireConn) {
     let (tx, mut rx) = conn.split();
     shared.clients.lock().insert(client, tx);
     // Serve until disconnect or protocol failure.
@@ -191,11 +178,11 @@ fn serve_client(shared: Arc<Shared>, client: u64, conn: WireConn) {
                 }
             }
         };
-        route(&shared, outs);
+        route(shared, outs);
     }
     // Implicit leave of everything on disconnect.
     let outs = shared.space.lock().disconnect(client);
-    route(&shared, outs);
+    route(shared, outs);
     shared.clients.lock().remove(&client);
 }
 

@@ -22,8 +22,11 @@
 //!   speaks TDP: it creates the application **paused**, launches the
 //!   tool daemon, and puts the pid into the Local Attribute Space —
 //!   the four steps of Figure 6;
-//! * **condor_master** ([`master`]) — keeps the other daemons alive,
-//!   restarting them on failure;
+//! * **condor_master** — keeps the other daemons alive, restarting them
+//!   on failure. That role is `tdp_ops::Supervisor`, registered over
+//!   the daemons' `Supervisable` impls (probe + restart closure, with
+//!   backoff and a restart budget); this crate has no supervisor of its
+//!   own;
 //! * **submit files** ([`submit`]) — the Figure 5B syntax, including
 //!   the `ToolDaemon*` extension directives;
 //! * **`condor_syscall_lib`** ([`syscall_lib`]) — the Standard
@@ -32,7 +35,6 @@
 //! * **pool** ([`pool`]) — convenience assembly of a whole pool.
 
 pub mod classad;
-pub mod master;
 pub mod matchmaker;
 pub mod messages;
 pub mod pool;

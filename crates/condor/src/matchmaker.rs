@@ -6,11 +6,11 @@ use crate::classad::ClassAd;
 use crate::messages::{recv_json, recv_json_timeout, send_json, MmMsg};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 use tdp_core::Supervisable;
-use tdp_netsim::Network;
+use tdp_netsim::{Conn, Network};
 use tdp_proto::{Addr, HostId, TdpError, TdpResult};
+use tdp_sync::serve::{serve, Server};
 use tdp_sync::{Condvar, Mutex};
 
 /// The matchmaker's well-known port on the central-manager host.
@@ -55,9 +55,10 @@ type Machines = Arc<(Mutex<Table>, Condvar)>;
 /// The running matchmaker.
 pub struct Matchmaker {
     addr: Addr,
+    /// For the ops probe's dial.
     net: Network,
     machines: Machines,
-    accept_thread: Option<thread::JoinHandle<()>>,
+    server: Server,
 }
 
 impl Matchmaker {
@@ -67,30 +68,20 @@ impl Matchmaker {
         let addr = listener.local_addr();
         let machines: Machines = Arc::new(Default::default());
         let m2 = machines.clone();
-        let accept_thread = thread::Builder::new()
-            .name("condor-matchmaker".into())
-            .spawn(move || {
-                while let Ok(mut conn) = listener.accept() {
-                    let machines = m2.clone();
-                    thread::Builder::new()
-                        .name("matchmaker-session".into())
-                        .spawn(move || {
-                            while let Ok(msg) = recv_json::<MmMsg>(&mut conn) {
-                                let reply = handle(&machines, msg);
-                                if send_json(&conn, &reply).is_err() {
-                                    break;
-                                }
-                            }
-                        })
-                        .expect("spawn matchmaker session");
+        let server = serve("matchmaker", listener, move |mut conn: Conn| {
+            while let Ok(msg) = recv_json::<MmMsg>(&mut conn) {
+                let reply = handle(&m2, msg);
+                if send_json(&conn, &reply).is_err() {
+                    break;
                 }
-            })
-            .map_err(|e| TdpError::Substrate(format!("spawn matchmaker: {e}")))?;
+            }
+        })
+        .map_err(|e| TdpError::Substrate(format!("spawn matchmaker: {e}")))?;
         Ok(Matchmaker {
             addr,
             net: net.clone(),
             machines,
-            accept_thread: Some(accept_thread),
+            server,
         })
     }
 
@@ -120,17 +111,12 @@ impl Matchmaker {
     }
 
     /// Stop accepting connections and release every parked negotiator.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
+    pub fn shutdown(self) {}
 
-    fn stop(&mut self) {
-        self.net.unbind(self.addr);
+    fn stop(&self) {
+        self.server.close();
         self.machines.0.lock().stopped = true;
         self.machines.1.notify_all();
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
     }
 }
 

@@ -13,10 +13,11 @@
 use crate::messages::{recv_json, send_json, ShadowMsg};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::thread;
 use std::time::Duration;
 use tdp_core::World;
+use tdp_netsim::Conn;
 use tdp_proto::{Addr, HostId, JobId, ProcStatus, TdpError, TdpResult};
+use tdp_sync::serve::Server;
 use tdp_sync::{Condvar, Mutex};
 
 #[derive(Default)]
@@ -33,8 +34,8 @@ struct ShadowState {
 pub struct Shadow {
     job: JobId,
     addr: Addr,
-    world: World,
     state: Arc<(Mutex<ShadowState>, Condvar)>,
+    server: Server,
 }
 
 impl Shadow {
@@ -45,34 +46,22 @@ impl Shadow {
         let state: Arc<(Mutex<ShadowState>, Condvar)> = Arc::new(Default::default());
         let st = state.clone();
         let w = world.clone();
-        thread::Builder::new()
-            .name(format!("condor-shadow-{job}"))
-            .spawn(move || {
-                while let Ok(mut conn) = listener.accept() {
-                    let st = st.clone();
-                    let w = w.clone();
-                    thread::Builder::new()
-                        .name(format!("shadow-session-{job}"))
-                        .spawn(move || {
-                            // Replies are best-effort: a starter that has
-                            // already disconnected still deserves to have
-                            // its queued requests (the final JobDone!)
-                            // processed, so only a recv EOF ends the
-                            // session — never a failed reply.
-                            while let Ok(msg) = recv_json::<ShadowMsg>(&mut conn) {
-                                let reply = serve(&w, submit_host, &st, msg);
-                                let _ = send_json(&conn, &reply);
-                            }
-                        })
-                        .expect("spawn shadow session");
-                }
-            })
-            .map_err(|e| TdpError::Substrate(format!("spawn shadow: {e}")))?;
+        let server = tdp_sync::serve::serve("shadow", listener, move |mut conn: Conn| {
+            // Replies are best-effort: a starter that has already
+            // disconnected still deserves to have its queued requests
+            // (the final JobDone!) processed, so only a recv EOF ends
+            // the session — never a failed reply.
+            while let Ok(msg) = recv_json::<ShadowMsg>(&mut conn) {
+                let reply = serve(&w, submit_host, &st, msg);
+                let _ = send_json(&conn, &reply);
+            }
+        })
+        .map_err(|e| TdpError::Substrate(format!("spawn shadow: {e}")))?;
         Ok(Shadow {
             job,
             addr,
-            world: world.clone(),
             state,
+            server,
         })
     }
 
@@ -136,7 +125,7 @@ impl Shadow {
 
     /// Stop accepting new starter connections.
     pub fn shutdown(&self) {
-        self.world.net().unbind(self.addr);
+        self.server.close();
     }
 
     /// Block until either every rank is done (`Ok(map)`) or some rank's
@@ -218,6 +207,7 @@ fn serve(
 mod tests {
     use super::*;
     use crate::messages::recv_json_timeout;
+    use std::thread;
 
     const T: Duration = Duration::from_secs(5);
 

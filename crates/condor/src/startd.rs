@@ -9,7 +9,9 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 use tdp_core::World;
+use tdp_netsim::Conn;
 use tdp_proto::{Addr, HostId, TdpError, TdpResult};
+use tdp_sync::serve::{serve, Server};
 use tdp_sync::Mutex;
 
 /// The startd's well-known port on every execution host.
@@ -34,6 +36,7 @@ struct StartdInner {
 pub struct Startd {
     inner: Arc<StartdInner>,
     addr: Addr,
+    server: Server,
 }
 
 impl Startd {
@@ -68,26 +71,20 @@ impl Startd {
         let _: MmMsg = recv_json_timeout(&mut conn, Duration::from_secs(5))?;
 
         let inner2 = inner.clone();
-        thread::Builder::new()
-            .name(format!("condor-startd-{host}"))
-            .spawn(move || {
-                while let Ok(mut conn) = listener.accept() {
-                    let inner = inner2.clone();
-                    thread::Builder::new()
-                        .name("startd-session".into())
-                        .spawn(move || {
-                            while let Ok(msg) = recv_json::<ClaimMsg>(&mut conn) {
-                                let reply = inner.handle(msg);
-                                if send_json(&conn, &reply).is_err() {
-                                    break;
-                                }
-                            }
-                        })
-                        .expect("spawn startd session");
+        let server = serve("startd", listener, move |mut conn: Conn| {
+            while let Ok(msg) = recv_json::<ClaimMsg>(&mut conn) {
+                let reply = inner2.handle(msg);
+                if send_json(&conn, &reply).is_err() {
+                    break;
                 }
-            })
-            .map_err(|e| TdpError::Substrate(format!("spawn startd: {e}")))?;
-        Ok(Startd { inner, addr })
+            }
+        })
+        .map_err(|e| TdpError::Substrate(format!("spawn startd: {e}")))?;
+        Ok(Startd {
+            inner,
+            addr,
+            server,
+        })
     }
 
     pub fn addr(&self) -> Addr {
@@ -107,10 +104,10 @@ impl Startd {
     }
 
     /// Simulate a daemon crash: stop listening and mark dead (the
-    /// master's restart trigger in the fault-recovery extension).
+    /// supervisor's restart trigger in the fault-recovery extension).
     pub fn simulate_crash(&self) {
         self.inner.alive.store(false, Ordering::SeqCst);
-        self.inner.world.net().unbind(self.addr);
+        self.server.close();
         // Tell the matchmaker the machine is gone, as its ad would time
         // out in real Condor.
         if let Ok(conn) = self
@@ -151,8 +148,8 @@ impl tdp_core::Supervisable for Startd {
     }
 
     fn ops_probe(&self) -> TdpResult<()> {
-        // Same probe the condor_master uses: a connection to the
-        // well-known port (refused once `simulate_crash` unbinds it).
+        // A connection to the well-known port (refused once
+        // `simulate_crash` closes the listener).
         let conn = self.inner.world.net().connect(self.inner.host, self.addr)?;
         drop(conn);
         Ok(())

@@ -1,18 +1,19 @@
 //! Integration tests of the Condor substrate and the Parador
 //! combination (§4.3): vanilla and MPI universes, with and without the
-//! tool daemon, claiming, staging and master-based recovery.
+//! tool daemon, claiming, staging and supervised recovery.
 
 use std::sync::Arc;
 use std::time::Duration;
 use tdp_condor::classad::ClassAd;
-use tdp_condor::master::Master;
 use tdp_condor::startd::{Startd, STARTD_PORT};
 use tdp_condor::{CondorPool, JobState};
-use tdp_core::World;
+use tdp_core::{Supervisable, World};
 use tdp_mpi::{apps, MpiComm};
+use tdp_ops::{Supervisor, SupervisorConfig};
 use tdp_paradyn::{paradynd_image, ParadynFrontend, PerformanceConsultant};
 use tdp_proto::ProcStatus;
 use tdp_simos::{fn_program, ExecImage};
+use tdp_sync::Mutex;
 
 const T: Duration = Duration::from_secs(30);
 
@@ -352,34 +353,37 @@ fn mpi_job_needing_more_machines_than_pool_fails() {
     }
 }
 
+/// E12: the `condor_master` role is `tdp_ops::Supervisor` over the
+/// startd's own `Supervisable` probe.
 #[test]
-fn master_restarts_crashed_startd() {
+fn supervisor_restarts_crashed_startd() {
     let world = World::new();
     let cm = world.add_host();
     let exec = world.add_host();
     let mm = tdp_condor::Matchmaker::start(world.net(), cm).unwrap();
     let ad = ClassAd::new().with_int("Memory", 512);
-    let startd = Startd::start(&world, exec, ad.clone(), mm.addr()).unwrap();
+    let startd = Arc::new(Startd::start(&world, exec, ad.clone(), mm.addr()).unwrap());
     let addr = startd.addr();
     assert_eq!(addr.port.0, STARTD_PORT);
+    let name = startd.ops_name();
 
+    let sup = Supervisor::start(&world, cm, SupervisorConfig::default()).unwrap();
     let w2 = world.clone();
     let mm_addr = mm.addr();
-    let ad2 = ad.clone();
-    let master = Master::supervise(&world, exec, addr, Duration::from_millis(25), move || {
-        let s = Startd::start(&w2, exec, ad2.clone(), mm_addr)?;
-        let a = s.addr();
-        // Leak the replacement so it outlives the closure (the master
-        // owns its lifecycle in this simplified model).
-        std::mem::forget(s);
-        Ok(a)
+    let replacement = Arc::new(Mutex::new(None));
+    let slot = replacement.clone();
+    // The probe dials the well-known port, so the original handle
+    // reports the replacement's health once it has rebound it.
+    sup.register(startd.clone(), move || {
+        *slot.lock() = Some(Startd::start(&w2, exec, ad.clone(), mm_addr)?);
+        Ok(())
     });
 
-    assert_eq!(master.restart_count(), 0);
+    assert_eq!(sup.restarts_of(&name), Some(0));
     startd.simulate_crash();
-    master
-        .wait_restarts(1, T)
-        .expect("master never restarted the startd");
+    sup.wait_restarts(&name, 1, T)
+        .expect("supervisor never restarted the startd");
+    assert!(replacement.lock().is_some());
     // The replacement re-registered with the matchmaker.
     mm.wait_machines(T, |machines| {
         machines
@@ -387,7 +391,7 @@ fn master_restarts_crashed_startd() {
             .any(|(name, _)| name.contains(&format!("host{}", exec.0)))
     })
     .expect("machine never re-registered");
-    master.shutdown();
+    sup.shutdown();
 }
 
 #[test]

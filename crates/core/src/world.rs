@@ -54,13 +54,6 @@ pub enum TransportMode {
     Epoll,
 }
 
-/// A live relay proxy, either transport (held so shutdown is tied to
-/// the world's lifetime).
-enum ProxyHandle {
-    Sim(#[allow(dead_code)] tdp_netsim::proxy::ProxyServer),
-    Tcp(#[allow(dead_code)] tdp_wire::TcpProxy),
-}
-
 struct WorldInner {
     os: Os,
     net: Network,
@@ -72,7 +65,9 @@ struct WorldInner {
     tcp_addrs: Arc<Mutex<HashMap<Addr, SocketAddr>>>,
     lass: Mutex<HashMap<HostId, AttrSpaceServer>>,
     cass: Mutex<Option<AttrSpaceServer>>,
-    proxies: Mutex<Vec<ProxyHandle>>,
+    /// Live relay proxies of either transport, held so they stop
+    /// with the world.
+    proxies: Mutex<Vec<Box<dyn Send>>>,
 }
 
 /// Shared simulation world. Cheap to clone.
@@ -268,7 +263,7 @@ impl World {
         if self.inner.socket.is_none() {
             let p = tdp_netsim::proxy::spawn(&self.inner.net, host, port)?;
             let addr = p.addr();
-            self.inner.proxies.lock().push(ProxyHandle::Sim(p));
+            self.inner.proxies.lock().push(Box::new(p));
             return Ok(addr);
         }
         if !self.inner.net.host_alive(host) {
@@ -288,7 +283,7 @@ impl World {
         let p = tdp_wire::socket::spawn_proxy(resolver)?;
         let vaddr = Addr::new(host, port);
         self.inner.tcp_addrs.lock().insert(vaddr, p.local_addr());
-        self.inner.proxies.lock().push(ProxyHandle::Tcp(p));
+        self.inner.proxies.lock().push(Box::new(p));
         Ok(vaddr)
     }
 

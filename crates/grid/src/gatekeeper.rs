@@ -5,7 +5,6 @@ use crate::rsl::Rsl;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::thread;
 use std::time::Duration;
 use tdp_condor::{CondorPool, JobState, SubmitDescription, ToolDaemonSpec, Universe};
 use tdp_core::World;
@@ -14,6 +13,7 @@ use tdp_netsim::Conn;
 use tdp_proto::{
     attr::split_multi_value, json, Addr, HostId, JobId, ProcStatus, TdpError, TdpResult,
 };
+use tdp_sync::serve::Server;
 use tdp_sync::Mutex;
 
 /// The gatekeeper's well-known port (Globus's 2119).
@@ -189,6 +189,7 @@ pub struct Gatekeeper {
     world: World,
     addr: Addr,
     grid_map: Arc<Mutex<HashMap<String, String>>>,
+    _server: Server,
 }
 
 impl Gatekeeper {
@@ -198,23 +199,15 @@ impl Gatekeeper {
         let addr = listener.local_addr();
         let grid_map: Arc<Mutex<HashMap<String, String>>> = Arc::new(Mutex::new(HashMap::new()));
         let gm = grid_map.clone();
-        thread::Builder::new()
-            .name("grid-gatekeeper".into())
-            .spawn(move || {
-                while let Ok(mut conn) = listener.accept() {
-                    let backend = backend.clone();
-                    let gm = gm.clone();
-                    thread::Builder::new()
-                        .name("gram-jobmanager".into())
-                        .spawn(move || serve(&mut conn, &backend, &gm))
-                        .expect("spawn job manager");
-                }
-            })
-            .map_err(|e| TdpError::Substrate(format!("spawn gatekeeper: {e}")))?;
+        let server = tdp_sync::serve::serve("gatekeeper", listener, move |mut conn: Conn| {
+            serve(&mut conn, &backend, &gm)
+        })
+        .map_err(|e| TdpError::Substrate(format!("spawn gatekeeper: {e}")))?;
         Ok(Gatekeeper {
             world: world.clone(),
             addr,
             grid_map,
+            _server: server,
         })
     }
 

@@ -8,6 +8,7 @@ use crate::lexer::Tok;
 
 mod blocking_under_guard;
 mod ffi_errno_check;
+mod hand_accept_loop;
 mod lock_outside_sync;
 mod named_threads;
 mod sleep_in_loop;
@@ -39,5 +40,6 @@ pub fn all() -> Vec<Box<dyn Rule>> {
         Box::new(ffi_errno_check::FfiErrnoCheck),
         Box::new(sleep_in_loop::SleepInLoop),
         Box::new(unchecked_deadline::UncheckedDeadline),
+        Box::new(hand_accept_loop::HandAcceptLoop),
     ]
 }

@@ -65,7 +65,7 @@ impl Rule for SleepInLoop {
 
 /// If the token at `i` opens a loop, the indices of its body's `{` and
 /// matching `}`.
-fn loop_body(toks: &[Tok], i: usize) -> Option<(usize, usize)> {
+pub(super) fn loop_body(toks: &[Tok], i: usize) -> Option<(usize, usize)> {
     let open = if toks[i].is_ident("loop") {
         toks.get(i + 1).filter(|t| t.is("{")).map(|_| i + 1)?
     } else if toks[i].is_ident("while") {

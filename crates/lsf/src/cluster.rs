@@ -7,11 +7,11 @@ use crate::sbatchd::{self, Sbatchd};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
 use std::time::Duration;
 use tdp_core::World;
 use tdp_netsim::ConnTx;
 use tdp_proto::{json, Addr, HostId, JobId, ProcStatus, TdpError, TdpResult};
+use tdp_sync::serve::{serve, Server};
 use tdp_sync::{Condvar, Mutex};
 
 /// mbatchd's well-known port on the master host.
@@ -147,6 +147,8 @@ struct Mbd {
 pub struct LsfCluster {
     inner: Arc<Mbd>,
     addr: Addr,
+    /// mbatchd's accept loop, closed with the last clone.
+    _server: Arc<Server>,
 }
 
 impl LsfCluster {
@@ -164,19 +166,13 @@ impl LsfCluster {
             next_job: AtomicU64::new(1),
         });
         let inner2 = inner.clone();
-        thread::Builder::new()
-            .name("lsf-mbatchd".into())
-            .spawn(move || {
-                while let Ok(conn) = listener.accept() {
-                    let inner = inner2.clone();
-                    thread::Builder::new()
-                        .name("lsf-mbd-session".into())
-                        .spawn(move || inner.serve_sbatchd(conn))
-                        .expect("spawn mbd session");
-                }
-            })
+        let server = serve("lsf-mbd", listener, move |conn| inner2.serve_sbatchd(conn))
             .map_err(|e| TdpError::Substrate(format!("spawn mbatchd: {e}")))?;
-        Ok(LsfCluster { inner, addr })
+        Ok(LsfCluster {
+            inner,
+            addr,
+            _server: Arc::new(server),
+        })
     }
 
     /// mbatchd's address (for manual sbatchd registration).
@@ -305,7 +301,7 @@ impl tdp_core::Supervisable for LsfCluster {
 
 impl Mbd {
     /// One sbatchd session: register, then stream task results.
-    fn serve_sbatchd(self: Arc<Self>, conn: tdp_netsim::Conn) {
+    fn serve_sbatchd(&self, conn: tdp_netsim::Conn) {
         let (tx, mut rx) = conn.split();
         let tx = Arc::new(tx);
         let mut my_index: Option<usize> = None;

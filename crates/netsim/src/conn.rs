@@ -382,6 +382,8 @@ impl Drop for ConnRx {
 pub struct Listener {
     pub(crate) addr: Addr,
     pub(crate) incoming: tdp_sync::channel::Receiver<Conn>,
+    /// The fabric it is bound in, so [`Listener::close`] can unbind.
+    pub(crate) net: Weak<crate::network::NetInner>,
 }
 
 impl Listener {
@@ -407,6 +409,28 @@ impl Listener {
     /// Non-blocking accept.
     pub fn try_accept(&self) -> Option<Conn> {
         self.incoming.try_recv().ok()
+    }
+
+    /// Stop listening: release the port (unless a successor holds it
+    /// by now) and refuse the backlog, whose peers see EOF. A blocked
+    /// [`Listener::accept`] returns `Disconnected`.
+    pub fn close(&self) {
+        if let Some(net) = self.net.upgrade() {
+            net.release(self.addr, &self.incoming);
+        }
+        while self.incoming.try_recv().is_ok() {}
+    }
+}
+
+impl tdp_sync::serve::Accept for Listener {
+    type Conn = Conn;
+
+    fn accept(&self) -> Option<Conn> {
+        self.incoming.recv().ok()
+    }
+
+    fn close(&self) {
+        Listener::close(self);
     }
 }
 

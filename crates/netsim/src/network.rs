@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 use tdp_proto::{Addr, HostId, Port, TdpError, TdpResult};
-use tdp_sync::channel::Sender;
+use tdp_sync::channel::{Receiver, Sender};
 use tdp_sync::RwLock;
 
 /// Per-listener accept backlog (the simulated SOMAXCONN). `connect`
@@ -104,7 +104,7 @@ struct ZoneEntry {
     partitioned: HashSet<ZoneId>,
 }
 
-struct NetInner {
+pub(crate) struct NetInner {
     hosts: RwLock<HashMap<HostId, HostEntry>>,
     zones: RwLock<HashMap<ZoneId, ZoneEntry>>,
     /// Routes the resource manager is already authorized to use across
@@ -122,6 +122,21 @@ struct NetInner {
 #[derive(Clone)]
 pub struct Network {
     inner: Arc<NetInner>,
+}
+
+impl NetInner {
+    /// Unbind `addr` if it is still fed into `incoming` — a successor
+    /// that bound the port since keeps it.
+    pub(crate) fn release(&self, addr: Addr, incoming: &Receiver<Conn>) {
+        if let Some(h) = self.hosts.write().get_mut(&addr.host) {
+            if h.listeners
+                .get(&addr.port)
+                .is_some_and(|tx| tx.feeds(incoming))
+            {
+                h.listeners.remove(&addr.port);
+            }
+        }
+    }
 }
 
 impl Default for Network {
@@ -246,15 +261,8 @@ impl Network {
         Ok(Listener {
             addr: Addr { host, port },
             incoming: rx,
+            net: Arc::downgrade(&self.inner),
         })
-    }
-
-    /// Release a listener's port (listeners dropped without unbind keep
-    /// the port reserved, like a leaked fd).
-    pub fn unbind(&self, addr: Addr) {
-        if let Some(h) = self.inner.hosts.write().get_mut(&addr.host) {
-            h.listeners.remove(&addr.port);
-        }
     }
 
     /// Would a connection from `from` to `to` be permitted right now?
@@ -492,12 +500,15 @@ mod tests {
     }
 
     #[test]
-    fn unbind_releases_port() {
+    fn close_releases_port() {
         let net = Network::new();
         let a = net.add_host();
         let l = net.listen(a, 7).unwrap();
-        net.unbind(l.local_addr());
-        assert!(net.listen(a, 7).is_ok());
+        l.close();
+        let successor = net.listen(a, 7).unwrap();
+        // A second close leaves the successor's binding alone.
+        l.close();
+        assert!(net.connect(a, successor.local_addr()).is_ok());
     }
 
     #[test]

@@ -17,14 +17,14 @@ use crate::conn::Conn;
 use crate::network::Network;
 use std::thread;
 use tdp_proto::{Addr, HostId, TdpError, TdpResult};
+use tdp_sync::serve::{serve, Server};
 
 /// Running proxy server. Dropping the handle (or calling
 /// [`ProxyServer::shutdown`]) stops accepting new connections; in-flight
 /// relays drain and finish.
 pub struct ProxyServer {
     addr: Addr,
-    net: Network,
-    accept_thread: Option<thread::JoinHandle<()>>,
+    _server: Server,
 }
 
 impl ProxyServer {
@@ -34,51 +34,27 @@ impl ProxyServer {
     }
 
     /// Stop accepting new connections.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.net.unbind(self.addr);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for ProxyServer {
-    fn drop(&mut self) {
-        self.stop();
-    }
+    pub fn shutdown(self) {}
 }
 
 /// Spawn a relay proxy on `(host, port)` (0 = ephemeral).
 pub fn spawn(net: &Network, host: HostId, port: u16) -> TdpResult<ProxyServer> {
     let listener = net.listen(host, port)?;
     let addr = listener.local_addr();
-    let net2 = net.clone();
-    let accept_thread = thread::Builder::new()
-        .name(format!("proxy-{addr}"))
-        .spawn(move || {
-            while let Ok(client) = listener.accept() {
-                let net = net2.clone();
-                thread::Builder::new()
-                    .name(format!("proxy-relay-{addr}"))
-                    .spawn(move || relay_session(net, host, client))
-                    .expect("spawn relay thread");
-            }
-        })
-        .expect("spawn proxy accept thread");
+    let net = net.clone();
+    let server = serve("sim-proxy", listener, move |client| {
+        relay_session(&net, host, client)
+    })
+    .map_err(|e| TdpError::Substrate(format!("spawn proxy: {e}")))?;
     Ok(ProxyServer {
         addr,
-        net: net.clone(),
-        accept_thread: Some(accept_thread),
+        _server: server,
     })
 }
 
 /// Handle one client: read the CONNECT header, dial upstream from the
 /// proxy's host, then pump bytes both ways until either side closes.
-fn relay_session(net: Network, proxy_host: HostId, mut client: Conn) {
+fn relay_session(net: &Network, proxy_host: HostId, mut client: Conn) {
     let header = match read_line(&mut client) {
         Ok(h) => h,
         Err(_) => return,

@@ -8,12 +8,12 @@
 use crate::msg::{parse_line, render_line, LineBuf, ToolMsg};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::thread;
 use std::time::Duration;
 use tdp_attrspace::AttrClient;
-use tdp_netsim::{ConnTx, Network};
+use tdp_netsim::{Conn, ConnTx, Network};
 use tdp_proto::{names, ContextId};
 use tdp_proto::{Addr, HostId, Pid, ProcStatus, TdpError, TdpResult};
+use tdp_sync::serve::{serve, Server};
 use tdp_sync::{Condvar, Mutex};
 
 /// A daemon registered with the front-end.
@@ -56,6 +56,8 @@ pub struct ParadynFrontend {
     state: Arc<(Mutex<FeState>, Condvar)>,
     /// Held open so the CASS context (and our published ports) survive.
     cass_session: Mutex<Option<AttrClient>>,
+    /// The control and data accept loops; dropping them frees both ports.
+    _servers: [Server; 2],
 }
 
 impl ParadynFrontend {
@@ -74,98 +76,78 @@ impl ParadynFrontend {
         let state: Arc<(Mutex<FeState>, Condvar)> = Arc::new(Default::default());
 
         let st = state.clone();
-        thread::Builder::new()
-            .name("paradyn-fe-control".into())
-            .spawn(move || {
-                while let Ok(conn) = control_listener.accept() {
-                    let st = st.clone();
-                    thread::Builder::new()
-                        .name("paradyn-fe-control-session".into())
-                        .spawn(move || {
-                            let (tx, mut rx) = conn.split();
-                            let tx = Arc::new(tx);
-                            let mut lines = LineBuf::default();
-                            while let Ok(chunk) = rx.recv() {
-                                lines.push(&chunk);
-                                while let Some(line) = lines.next_line() {
-                                    if let Some(ToolMsg::Ready {
-                                        daemon,
-                                        pid,
-                                        symbols,
-                                    }) = parse_line(&line)
-                                    {
-                                        let (lock, cv) = &*st;
-                                        let mut s = lock.lock();
-                                        s.controls.insert(daemon.clone(), tx.clone());
-                                        s.daemons.push(DaemonInfo {
-                                            daemon,
-                                            pid,
-                                            symbols,
-                                        });
-                                        drop(s);
-                                        cv.notify_all();
-                                    }
-                                }
-                            }
-                        })
-                        .expect("spawn control session");
+        let control = serve("fe-control", control_listener, move |conn: Conn| {
+            let (tx, mut rx) = conn.split();
+            let tx = Arc::new(tx);
+            let mut lines = LineBuf::default();
+            while let Ok(chunk) = rx.recv() {
+                lines.push(&chunk);
+                while let Some(line) = lines.next_line() {
+                    if let Some(ToolMsg::Ready {
+                        daemon,
+                        pid,
+                        symbols,
+                    }) = parse_line(&line)
+                    {
+                        let (lock, cv) = &*st;
+                        let mut s = lock.lock();
+                        s.controls.insert(daemon.clone(), tx.clone());
+                        s.daemons.push(DaemonInfo {
+                            daemon,
+                            pid,
+                            symbols,
+                        });
+                        drop(s);
+                        cv.notify_all();
+                    }
                 }
-            })
-            .map_err(|e| TdpError::Substrate(format!("spawn fe control: {e}")))?;
+            }
+        })
+        .map_err(|e| TdpError::Substrate(format!("spawn fe control: {e}")))?;
 
         let st = state.clone();
-        thread::Builder::new()
-            .name("paradyn-fe-data".into())
-            .spawn(move || {
-                while let Ok(conn) = data_listener.accept() {
-                    let st = st.clone();
-                    thread::Builder::new()
-                        .name("paradyn-fe-data-session".into())
-                        .spawn(move || {
-                            let (_tx, mut rx) = conn.split();
-                            let mut lines = LineBuf::default();
-                            while let Ok(chunk) = rx.recv() {
-                                lines.push(&chunk);
-                                while let Some(line) = lines.next_line() {
-                                    match parse_line(&line) {
-                                        Some(ToolMsg::Sample {
-                                            daemon,
-                                            pid,
-                                            symbol,
-                                            count,
-                                            time,
-                                            self_time,
-                                            total_cpu,
-                                        }) => {
-                                            let (lock, cv) = &*st;
-                                            lock.lock().samples.insert(
-                                                (daemon.clone(), symbol.clone()),
-                                                Sample {
-                                                    daemon,
-                                                    pid,
-                                                    symbol,
-                                                    count,
-                                                    time,
-                                                    self_time,
-                                                    total_cpu,
-                                                },
-                                            );
-                                            cv.notify_all();
-                                        }
-                                        Some(ToolMsg::Done { daemon, status, .. }) => {
-                                            let (lock, cv) = &*st;
-                                            lock.lock().done.insert(daemon, status);
-                                            cv.notify_all();
-                                        }
-                                        _ => {}
-                                    }
-                                }
-                            }
-                        })
-                        .expect("spawn data session");
+        let data = serve("fe-data", data_listener, move |conn: Conn| {
+            let (_tx, mut rx) = conn.split();
+            let mut lines = LineBuf::default();
+            while let Ok(chunk) = rx.recv() {
+                lines.push(&chunk);
+                while let Some(line) = lines.next_line() {
+                    match parse_line(&line) {
+                        Some(ToolMsg::Sample {
+                            daemon,
+                            pid,
+                            symbol,
+                            count,
+                            time,
+                            self_time,
+                            total_cpu,
+                        }) => {
+                            let (lock, cv) = &*st;
+                            lock.lock().samples.insert(
+                                (daemon.clone(), symbol.clone()),
+                                Sample {
+                                    daemon,
+                                    pid,
+                                    symbol,
+                                    count,
+                                    time,
+                                    self_time,
+                                    total_cpu,
+                                },
+                            );
+                            cv.notify_all();
+                        }
+                        Some(ToolMsg::Done { daemon, status, .. }) => {
+                            let (lock, cv) = &*st;
+                            lock.lock().done.insert(daemon, status);
+                            cv.notify_all();
+                        }
+                        _ => {}
+                    }
                 }
-            })
-            .map_err(|e| TdpError::Substrate(format!("spawn fe data: {e}")))?;
+            }
+        })
+        .map_err(|e| TdpError::Substrate(format!("spawn fe data: {e}")))?;
 
         Ok(ParadynFrontend {
             host,
@@ -173,6 +155,7 @@ impl ParadynFrontend {
             data_addr,
             state,
             cass_session: Mutex::new(None),
+            _servers: [control, data],
         })
     }
 

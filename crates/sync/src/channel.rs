@@ -90,6 +90,11 @@ impl<T> Shared<T> {
 }
 
 impl<T> Sender<T> {
+    /// Whether this sender feeds `rx` (the same channel).
+    pub fn feeds(&self, rx: &Receiver<T>) -> bool {
+        Arc::ptr_eq(&self.shared, &rx.shared)
+    }
+
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
         let mut st = self.shared.state.lock();
         while st.queue.len() >= st.cap && !st.receiver_gone {

@@ -24,10 +24,11 @@
 //!   followed by reading the state, and `Duration::MAX` waits forever.
 //!
 //! [`channel`] is the workspace's bounded channel, built on these same
-//! locks.
+//! locks, and [`serve`] the one accept loop every daemon runs.
 
 mod adapter;
 pub mod channel;
+pub mod serve;
 
 // `--features lockdep` wraps the adapter's locks in order-checked ones
 // (see `lockdep.rs`). Zero cost when off — the default branch is the

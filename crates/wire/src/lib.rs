@@ -38,6 +38,8 @@ pub mod epoll;
 pub(crate) mod flow;
 #[cfg(all(loom, test))]
 mod loom_models;
+#[cfg(all(test, not(loom)))]
+mod serve_tests;
 pub mod sim;
 pub mod socket;
 pub mod sys;
@@ -244,6 +246,18 @@ impl WireListener {
     }
 
     pub fn close(&self) {
+        self.inner.close();
+    }
+}
+
+impl tdp_sync::serve::Accept for WireListener {
+    type Conn = WireConn;
+
+    fn accept(&self) -> Option<WireConn> {
+        self.inner.accept().ok()
+    }
+
+    fn close(&self) {
         self.inner.close();
     }
 }

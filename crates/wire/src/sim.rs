@@ -6,8 +6,7 @@ use crate::{
 };
 use std::time::Instant;
 use tdp_netsim::{Conn, ConnRx, ConnTx, Listener, Network};
-use tdp_proto::{Addr, HostId, Message, TdpError, TdpResult};
-use tdp_sync::atomic::{AtomicBool, Ordering};
+use tdp_proto::{HostId, Message, TdpError, TdpResult};
 use tdp_sync::Arc;
 
 /// Transport over the simulated fabric.
@@ -28,10 +27,7 @@ impl SimTransport {
 
 impl Transport for SimTransport {
     fn listen(&self, host: HostId, port: u16) -> TdpResult<WireListener> {
-        Ok(wrap_listener(
-            self.net.clone(),
-            self.net.listen(host, port)?,
-        ))
+        Ok(wrap_listener(self.net.listen(host, port)?))
     }
 
     fn connect(&self, from: HostId, to: &Endpoint) -> TdpResult<WireConn> {
@@ -58,16 +54,9 @@ pub fn wrap_conn(conn: Conn) -> WireConn {
     )
 }
 
-/// Wrap a bound netsim listener as a [`WireListener`]. The `Network`
-/// handle is kept so `close` can release the port.
-pub fn wrap_listener(net: Network, listener: Listener) -> WireListener {
-    let addr = listener.local_addr();
-    WireListener::new(Arc::new(SimListener {
-        net,
-        listener: tdp_sync::Mutex::new(listener),
-        addr,
-        closed: AtomicBool::new(false),
-    }))
+/// Wrap a bound netsim listener as a [`WireListener`].
+pub fn wrap_listener(listener: Listener) -> WireListener {
+    WireListener::new(Arc::new(SimListener(listener)))
 }
 
 struct SimTx {
@@ -105,48 +94,34 @@ impl RxApi for SimRx {
     }
 }
 
-struct SimListener {
-    net: Network,
-    listener: tdp_sync::Mutex<Listener>,
-    addr: Addr,
-    /// Unbind once: by the time a closed listener is dropped, the port
-    /// may belong to its successor.
-    closed: AtomicBool,
-}
+struct SimListener(Listener);
 
 impl ListenerApi for SimListener {
     fn accept(&self) -> TdpResult<WireConn> {
-        // netsim's accept blocks on a channel; holding the lock for the
-        // duration is fine because wire listeners have a single accept
-        // loop (matching `std::net::TcpListener` usage).
-        let conn = self.listener.lock().accept()?;
-        Ok(wrap_conn(conn))
+        Ok(wrap_conn(self.0.accept()?))
     }
 
     fn local_endpoint(&self) -> Endpoint {
-        Endpoint::Sim(self.addr)
+        Endpoint::Sim(self.0.local_addr())
     }
 
     fn close(&self) {
-        if !self.closed.swap(true, Ordering::AcqRel) {
-            // Unbinding drops the fabric-side sender; the blocked accept
-            // wakes with `Disconnected`.
-            self.net.unbind(self.addr);
-        }
+        self.0.close();
     }
 }
 
 /// Same contract as the socket listener: dropping the last handle
-/// releases the port.
+/// releases the port (unless a successor holds it by then).
 impl Drop for SimListener {
     fn drop(&mut self) {
-        self.close();
+        self.0.close();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tdp_proto::Addr;
     use tdp_proto::ContextId;
 
     #[test]

@@ -23,7 +23,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 use tdp_proto::{Addr, TdpError, TdpResult};
 use tdp_sync::atomic::{AtomicBool, Ordering};
-use tdp_sync::channel::{bounded, Receiver, Sender};
+use tdp_sync::channel::{bounded, Receiver};
+use tdp_sync::serve::{serve, Accept, Server};
 use tdp_sync::Arc;
 
 /// Bound on a loopback dial and on each line of the proxy `CONNECT`
@@ -62,12 +63,10 @@ pub fn write_all_stall(stream: &TcpStream, mut data: &[u8], stall: Duration) -> 
 }
 
 /// A bound loopback listener: a blocking accept thread feeding a
-/// bounded channel, with the self-connection trick to unblock `accept`
-/// on close.
+/// bounded channel.
 pub(crate) struct RealListener {
-    local: SocketAddr,
+    tcp: Arc<TcpAccept>,
     incoming: Receiver<WireConn>,
-    closed: Arc<AtomicBool>,
     thread: tdp_sync::Mutex<Option<thread::JoinHandle<()>>>,
 }
 
@@ -77,20 +76,15 @@ impl ListenerApi for RealListener {
     }
 
     fn local_endpoint(&self) -> Endpoint {
-        Endpoint::Tcp(self.local)
+        Endpoint::Tcp(self.tcp.local)
     }
 
     fn close(&self) {
-        if self.closed.swap(true, Ordering::AcqRel) {
-            return;
-        }
+        self.tcp.close();
         // The accept thread may be parked in `send` on a full queue; it
-        // sends at most once more after seeing `closed`, so emptying the
+        // sends at most once more now `closed` is set, so emptying the
         // queue here is enough for the join below to return.
         while self.incoming.try_recv().is_ok() {}
-        // `std::net::TcpListener::accept` cannot be interrupted; wake the
-        // accept thread with a throwaway self-connection.
-        let _ = TcpStream::connect_timeout(&self.local, Duration::from_millis(500));
         if let Some(h) = self.thread.lock().take() {
             let _ = h.join();
         }
@@ -113,45 +107,62 @@ pub(crate) fn spawn_real_listener(
     listener: TcpListener,
     transport: EpollTransport,
 ) -> TdpResult<WireListener> {
-    let local = listener
-        .local_addr()
-        .map_err(|e| TdpError::Substrate(format!("listener local_addr: {e}")))?;
+    let tcp = Arc::new(TcpAccept::new(listener)?);
     let (tx, rx) = bounded::<WireConn>(64);
-    let closed = Arc::new(AtomicBool::new(false));
-    let closed2 = closed.clone();
+    let t2 = tcp.clone();
     let thread = thread::Builder::new()
-        .name(format!("wire-epoll-accept-{local}"))
-        .spawn(move || accept_loop(listener, transport, closed2, tx))
+        .name(format!("wire-epoll-accept-{}", tcp.local))
+        .spawn(move || {
+            while let Some(stream) = t2.accept() {
+                // A client whose handshake fails is dropped.
+                if let Ok(conn) = transport.accept_over(stream) {
+                    if tx.send(conn).is_err() {
+                        break;
+                    }
+                }
+            }
+        })
         .map_err(|e| TdpError::Substrate(format!("spawn accept thread: {e}")))?;
     Ok(WireListener::new(Arc::new(RealListener {
-        local,
+        tcp,
         incoming: rx,
-        closed,
         thread: tdp_sync::Mutex::new(Some(thread)),
     })))
 }
 
-fn accept_loop(
+/// A `TcpListener` that can be closed. `std`'s `accept` cannot be
+/// interrupted, so `close` raises a flag and wakes it with a throwaway
+/// self-connection.
+pub(crate) struct TcpAccept {
     listener: TcpListener,
-    transport: EpollTransport,
-    closed: Arc<AtomicBool>,
-    out: Sender<WireConn>,
-) {
-    loop {
-        let (stream, _) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(_) => break,
-        };
-        if closed.load(Ordering::Acquire) {
-            break; // the wake-up self-connection
-        }
-        match transport.accept_over(stream) {
-            Ok(conn) => {
-                if out.send(conn).is_err() {
-                    break;
-                }
-            }
-            Err(_) => continue, // bad client; drop it
+    pub(crate) local: SocketAddr,
+    closed: AtomicBool,
+}
+
+impl TcpAccept {
+    pub(crate) fn new(listener: TcpListener) -> TdpResult<TcpAccept> {
+        let local = listener
+            .local_addr()
+            .map_err(|e| TdpError::Substrate(format!("listener local_addr: {e}")))?;
+        Ok(TcpAccept {
+            listener,
+            local,
+            closed: AtomicBool::new(false),
+        })
+    }
+}
+
+impl Accept for TcpAccept {
+    type Conn = TcpStream;
+
+    fn accept(&self) -> Option<TcpStream> {
+        let (stream, _) = self.listener.accept().ok()?;
+        (!self.closed.load(Ordering::Acquire)).then_some(stream)
+    }
+
+    fn close(&self) {
+        if !self.closed.swap(true, Ordering::AcqRel) {
+            let _ = TcpStream::connect_timeout(&self.local, Duration::from_millis(500));
         }
     }
 }
@@ -169,8 +180,7 @@ pub type ProxyResolver = Arc<dyn Fn(Addr) -> TdpResult<SocketAddr> + Send + Sync
 /// client can reach a logical address its own routes do not permit.
 pub struct TcpProxy {
     local: SocketAddr,
-    closed: Arc<AtomicBool>,
-    thread: Option<thread::JoinHandle<()>>,
+    _server: Server,
 }
 
 impl TcpProxy {
@@ -179,54 +189,23 @@ impl TcpProxy {
         self.local
     }
 
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        if self.closed.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let _ = TcpStream::connect_timeout(&self.local, Duration::from_millis(500));
-        if let Some(h) = self.thread.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for TcpProxy {
-    fn drop(&mut self) {
-        self.stop();
-    }
+    /// Stop accepting; the same as dropping it.
+    pub fn shutdown(self) {}
 }
 
 /// Spawn a relay proxy on an ephemeral loopback port.
 pub fn spawn_proxy(resolver: ProxyResolver) -> TdpResult<TcpProxy> {
     let listener = TcpListener::bind(("127.0.0.1", 0))
         .map_err(|e| TdpError::Substrate(format!("proxy bind: {e}")))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| TdpError::Substrate(format!("proxy local_addr: {e}")))?;
-    let closed = Arc::new(AtomicBool::new(false));
-    let closed2 = closed.clone();
-    let thread = thread::Builder::new()
-        .name(format!("wire-proxy-{local}"))
-        .spawn(move || {
-            while let Ok((client, _)) = listener.accept() {
-                if closed2.load(Ordering::Acquire) {
-                    break;
-                }
-                let resolver = resolver.clone();
-                let _ = thread::Builder::new()
-                    .name("wire-proxy-relay".into())
-                    .spawn(move || relay_session(client, resolver));
-            }
-        })
-        .map_err(|e| TdpError::Substrate(format!("spawn proxy thread: {e}")))?;
+    let listener = TcpAccept::new(listener)?;
+    let local = listener.local;
+    let server = serve("wire-proxy", listener, move |client| {
+        relay_session(client, resolver.clone())
+    })
+    .map_err(|e| TdpError::Substrate(format!("spawn proxy thread: {e}")))?;
     Ok(TcpProxy {
         local,
-        closed,
-        thread: Some(thread),
+        _server: server,
     })
 }
 

@@ -11,7 +11,6 @@ use std::panic;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
-use tdp::condor::master::Master;
 use tdp::condor::shadow::Shadow;
 use tdp::condor::{CondorPool, Matchmaker};
 use tdp::core::{Supervisable, World};
@@ -44,7 +43,6 @@ type Case = (&'static str, fn(bool, Duration) -> Outcome);
 const CASES: &[Case] = &[
     ("Schedd::wait_job", schedd_wait_job),
     ("Matchmaker::wait_machines", matchmaker_wait_machines),
-    ("Master::wait_restarts", master_wait_restarts),
     ("Shadow::wait_done", shadow_wait_done),
     ("Shadow::wait_started", shadow_wait_started),
     ("Shadow::wait_outcome", shadow_wait_outcome),
@@ -157,15 +155,6 @@ fn matchmaker_wait_machines(met: bool, t: Duration) -> Outcome {
     let world = World::new();
     let mm = Matchmaker::start(world.net(), world.add_host()).unwrap();
     timed(|| mm.wait_machines(t, |_| met))
-}
-
-fn master_wait_restarts(met: bool, t: Duration) -> Outcome {
-    let world = World::new();
-    let host = world.add_host();
-    let daemon = world.net().listen(host, 0).unwrap();
-    let addr = daemon.local_addr();
-    let master = Master::supervise(&world, host, addr, T, move || Ok(addr));
-    timed(|| master.wait_restarts(u64::from(!met), t))
 }
 
 /// The job's shadow once it finished, or a fresh one nobody reports to.
