@@ -17,10 +17,10 @@ use crate::submit::{SubmitDescription, Universe};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 use tdp_core::World;
 use tdp_proto::{Addr, Backoff, HostId, JobId, ProcStatus, TdpError, TdpResult};
+use tdp_sync::thread::ThreadCache;
 use tdp_sync::{Condvar, Mutex};
 
 /// Queue state of a job.
@@ -50,11 +50,25 @@ struct ScheddInner {
     next_job: AtomicU64,
     /// How long to keep renegotiating before failing a job.
     negotiation_timeout: Mutex<Duration>,
+    /// The threads each job's scheduling flow runs on.
+    flows: ThreadCache,
 }
 
 impl ScheddInner {
     fn negotiation_timeout(&self) -> Duration {
         *self.negotiation_timeout.lock()
+    }
+
+    /// Mark `job` failed, unless it already completed.
+    fn fail(&self, job: JobId, error: String) {
+        let mut jobs = self.jobs.lock();
+        if let Some(rec) = jobs.get_mut(&job) {
+            if !matches!(rec.state, JobState::Completed(_)) {
+                rec.state = JobState::Failed(error);
+            }
+        }
+        drop(jobs);
+        self.cv.notify_all();
     }
 }
 
@@ -75,6 +89,7 @@ impl Schedd {
                 cv: Condvar::new(),
                 next_job: AtomicU64::new(1),
                 negotiation_timeout: Mutex::new(Duration::from_secs(10)),
+                flows: ThreadCache::new("schedd-job"),
             }),
         }
     }
@@ -102,8 +117,10 @@ impl Schedd {
             .count()
     }
 
-    /// Submit a parsed description; returns the job id immediately. A
-    /// per-job scheduling thread negotiates, claims and activates.
+    /// Submit a parsed description; returns the job id immediately. The
+    /// job's scheduling flow negotiates, claims and activates on a
+    /// `schedd-job` thread; a job whose thread cannot be spawned is
+    /// `Failed`.
     pub fn submit(&self, submit: SubmitDescription) -> JobId {
         let job = JobId(self.inner.next_job.fetch_add(1, Ordering::SeqCst));
         self.inner.jobs.lock().insert(
@@ -114,21 +131,14 @@ impl Schedd {
             },
         );
         let inner = self.inner.clone();
-        thread::Builder::new()
-            .name(format!("condor-schedd-{job}"))
-            .spawn(move || {
-                if let Err(e) = schedule_job(&inner, job, submit) {
-                    let mut jobs = inner.jobs.lock();
-                    if let Some(rec) = jobs.get_mut(&job) {
-                        if !matches!(rec.state, JobState::Completed(_)) {
-                            rec.state = JobState::Failed(e.to_string());
-                        }
-                    }
-                    drop(jobs);
-                    inner.cv.notify_all();
-                }
-            })
-            .expect("spawn schedd job thread");
+        let flow = self.inner.flows.run(move || {
+            if let Err(e) = schedule_job(&inner, job, submit) {
+                inner.fail(job, e.to_string());
+            }
+        });
+        if let Err(e) = flow {
+            self.inner.fail(job, format!("spawn schedd job: {e}"));
+        }
         job
     }
 

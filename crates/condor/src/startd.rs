@@ -6,12 +6,12 @@ use crate::classad::ClassAd;
 use crate::messages::{recv_json, recv_json_timeout, send_json, ClaimMsg, MmMsg};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
 use std::time::Duration;
 use tdp_core::World;
 use tdp_netsim::Conn;
 use tdp_proto::{Addr, HostId, TdpError, TdpResult};
 use tdp_sync::serve::{serve, Server};
+use tdp_sync::thread::ThreadCache;
 use tdp_sync::Mutex;
 
 /// The startd's well-known port on every execution host.
@@ -30,6 +30,8 @@ struct StartdInner {
     /// machine, for vacate.
     running_app: Arc<Mutex<Option<tdp_proto::Pid>>>,
     alive: AtomicBool,
+    /// The threads activated claims' starters run on.
+    starters: ThreadCache,
 }
 
 /// A running startd.
@@ -55,6 +57,7 @@ impl Startd {
             claim: Mutex::new(None),
             running_app: Arc::new(Mutex::new(None)),
             alive: AtomicBool::new(true),
+            starters: ThreadCache::new("starter"),
         });
 
         // Register with the matchmaker.
@@ -202,32 +205,35 @@ impl StartdInner {
                         reason: "unknown claim".into(),
                     };
                 }
-                // Spawn the starter; when it finishes, free the machine.
+                // Run the starter; when it finishes, free the machine.
                 let me = self.clone();
-                thread::Builder::new()
-                    .name(format!("condor-starter-{}", details.job))
-                    .spawn(move || {
-                        let r = run_starter_tracked(&me.world, me.host, &details, &me.running_app);
-                        if let Err(e) = r {
-                            // Report upstream so the schedd can requeue
-                            // the rank elsewhere (fault recovery).
-                            if let Ok(conn) = me.world.net().connect(me.host, details.shadow) {
-                                let _ = send_json(
-                                    &conn,
-                                    &crate::messages::ShadowMsg::RankFailed {
-                                        job: details.job,
-                                        rank: details.rank,
-                                        error: format!("{} on {}: {e}", me.name, me.host),
-                                    },
-                                );
-                            }
+                let starter = self.starters.run(move || {
+                    let r = run_starter_tracked(&me.world, me.host, &details, &me.running_app);
+                    if let Err(e) = r {
+                        // Report upstream so the schedd can requeue
+                        // the rank elsewhere (fault recovery).
+                        if let Ok(conn) = me.world.net().connect(me.host, details.shadow) {
+                            let _ = send_json(
+                                &conn,
+                                &crate::messages::ShadowMsg::RankFailed {
+                                    job: details.job,
+                                    rank: details.rank,
+                                    error: format!("{} on {}: {e}", me.name, me.host),
+                                },
+                            );
                         }
-                        *me.claim.lock() = None;
-                        me.busy.store(false, Ordering::SeqCst);
-                        me.advertise(true);
-                    })
-                    .expect("spawn starter");
-                ClaimMsg::Activated
+                    }
+                    me.free();
+                });
+                match starter {
+                    Ok(()) => ClaimMsg::Activated,
+                    Err(e) => {
+                        self.free();
+                        ClaimMsg::ClaimRejected {
+                            reason: format!("spawn starter: {e}"),
+                        }
+                    }
+                }
             }
             ClaimMsg::ReleaseClaim { claim_id } => {
                 let mut claim = self.claim.lock();
@@ -245,6 +251,13 @@ impl StartdInner {
                 }
             }
         }
+    }
+
+    /// Drop the claim and advertise the machine free again.
+    fn free(&self) {
+        *self.claim.lock() = None;
+        self.busy.store(false, Ordering::SeqCst);
+        self.advertise(true);
     }
 
     fn advertise(&self, available: bool) {

@@ -217,6 +217,16 @@ pub fn run_starter_observed(
             store_file(&mut shadow, &trace_name, &data)?;
         }
     }
+    // Reap what this starter created, or every job leaves its zombies
+    // in the process table: the tool daemon once it is terminal, and
+    // the application only after it, since paradynd reads its probes
+    // until it exits.
+    let tool_reaped = tool_pid.is_none_or(|tpid| world.os().reap(tpid).is_ok());
+    if tool_reaped {
+        // Its terminal event is emitted just before its state flips.
+        world.os().wait_terminal(app_pid, Duration::from_secs(10))?;
+        world.os().reap(app_pid)?;
+    }
 
     send_json(
         &shadow,

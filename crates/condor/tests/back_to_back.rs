@@ -140,6 +140,18 @@ fn three_hundred_monitored_jobs_back_to_back_never_wait_on_a_timer() {
     want.sort_unstable();
     assert_eq!(seen, want);
 
+    // Each starter reaped the processes it created: no job leaves a
+    // zombie in the process table.
+    let daemons = fe.daemons();
+    assert_eq!(daemons.len(), JOBS + 1);
+    for d in &daemons {
+        assert!(
+            world.os().status(d.pid).is_err(),
+            "application {} was never reaped",
+            d.pid
+        );
+    }
+
     // No job sat out a timer: each was submitted right behind the last
     // one, which is exactly when the old retry nap hit every time. A
     // pause on the success path is paid by every job, so the median is

@@ -9,6 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use tdp_proto::{HostId, Pid, ProcStatus, TdpError, TdpResult};
 use tdp_sync::channel::{bounded, Receiver, Sender};
+use tdp_sync::thread::ThreadCache;
 use tdp_sync::{Mutex, RwLock};
 
 /// Capacity of each watcher / breakpoint-subscriber queue. Delivery
@@ -73,6 +74,9 @@ struct OsInner {
     watchers: Mutex<HashMap<Pid, Vec<Watcher>>>,
     next_pid: AtomicU64,
     next_token: AtomicU64,
+    /// The threads simulated processes run on. `run_process` catches
+    /// every unwind, a kill's included, so a thread outlives its process.
+    threads: ThreadCache,
 }
 
 /// Handle to the simulated kernel. Cheap to clone.
@@ -168,6 +172,7 @@ impl Os {
                 watchers: Mutex::new(HashMap::new()),
                 next_pid: AtomicU64::new(1),
                 next_token: AtomicU64::new(1),
+                threads: ThreadCache::new("sim-proc"),
             }),
         }
     }
@@ -211,9 +216,9 @@ impl Os {
         );
         let program = (image.factory)(&spec.args);
         let os = self.clone();
-        std::thread::Builder::new()
-            .name(format!("sim-{pid}"))
-            .spawn(move || os.run_process(pcb, program))
+        self.inner
+            .threads
+            .run(move || os.run_process(pcb, program))
             .map_err(|e| TdpError::Substrate(format!("thread spawn: {e}")))?;
         Ok(pid)
     }

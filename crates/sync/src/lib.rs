@@ -24,11 +24,13 @@
 //!   followed by reading the state, and `Duration::MAX` waits forever.
 //!
 //! [`channel`] is the workspace's bounded channel, built on these same
-//! locks, and [`serve`] the one accept loop every daemon runs.
+//! locks, [`serve`] the one accept loop every daemon runs, and
+//! [`thread`] the cache of parked threads its sessions run on.
 
 mod adapter;
 pub mod channel;
 pub mod serve;
+pub mod thread;
 
 // `--features lockdep` wraps the adapter's locks in order-checked ones
 // (see `lockdep.rs`). Zero cost when off — the default branch is the

@@ -1,7 +1,9 @@
 //! The one accept loop every daemon runs: accept a connection, hand it
-//! to a handler on a thread of its own, repeat until the listener is
+//! to a handler on a session thread, repeat until the listener is
 //! closed. Generic over [`Accept`], so the simulated fabric's listener,
-//! the wire listener and a raw `TcpListener` all fit.
+//! the wire listener and a raw `TcpListener` all fit. Session threads
+//! come from a [`ThreadCache`]: a thread per *concurrent* connection,
+//! kept for [`crate::thread::IDLE`] after its session ends.
 //!
 //! [`Server::close`] does *not* join session threads: a session ends
 //! when its peer closes, and waiting for a peer that is still alive
@@ -9,6 +11,7 @@
 //! sessions on stop does so itself.
 
 use crate::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crate::thread::ThreadCache;
 use crate::{Arc, Mutex};
 use std::io;
 use std::thread::{self, JoinHandle};
@@ -49,10 +52,12 @@ pub struct Server {
 }
 
 /// Serve `listener` on an accept thread named `name`, running `handler`
-/// for each connection on a thread named `<name>-conn`. A session whose
-/// thread cannot be spawned is dropped (its peer sees EOF) and the loop
-/// keeps accepting. `name` is at most 10 bytes so that `<name>-conn`
-/// fits the 15 bytes Linux keeps of a thread name.
+/// for each connection on a thread named `<name>-conn` — an idle one
+/// left by an earlier session, or a new one. A session whose thread
+/// cannot be spawned is dropped (its peer sees EOF) and the loop keeps
+/// accepting. `name` is at most 10 bytes so that `<name>-conn` fits the
+/// 15 bytes Linux keeps of a thread name. The session threads' cache
+/// belongs to the accept thread, so it goes when the loop ends.
 pub fn serve<L: Accept>(
     name: &'static str,
     listener: L,
@@ -67,19 +72,15 @@ pub fn serve<L: Accept>(
     let (l, c) = (listener.clone(), counts.clone());
     let accept_thread = thread::Builder::new().name(name.into()).spawn(move || {
         let handler = Arc::new(handler);
-        let conn_name = format!("{name}-conn");
+        let sessions = ThreadCache::new(format!("{name}-conn"));
         while let Some(conn) = l.accept() {
             c.live.fetch_add(1, Ordering::Relaxed);
             let (live, handler) = (Live(c.clone()), handler.clone());
-            let session = thread::Builder::new()
-                .name(conn_name.clone())
-                .spawn(move || {
-                    let _live = live;
-                    handler(conn)
-                });
-            if session.is_ok() {
-                c.spawned.fetch_add(1, Ordering::Relaxed);
-            }
+            let _ = sessions.run(move || {
+                let _live = live;
+                handler(conn)
+            });
+            c.spawned.store(sessions.spawned(), Ordering::Relaxed);
         }
     });
     let accept_thread = accept_thread.inspect_err(|_| listener.close())?;
@@ -96,7 +97,8 @@ impl Server {
         self.counts.live.load(Ordering::Relaxed)
     }
 
-    /// Session threads started since [`serve`].
+    /// Session threads started since [`serve`]; a session that found an
+    /// idle thread started none.
     pub fn spawned(&self) -> u64 {
         self.counts.spawned.load(Ordering::Relaxed)
     }

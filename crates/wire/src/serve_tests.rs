@@ -62,6 +62,15 @@ fn contract<L: Accept, P>(
     drop(peers);
     until("peers closed", &server, |s| s.live() == 0);
 
+    // One session at a time runs on a thread an earlier session left
+    // idle: these three start none.
+    for i in 1..=3 {
+        drop(dial());
+        until("sequential session", &server, |s| {
+            handled.load(Ordering::Relaxed) == 4 + i && s.live() == 0
+        });
+    }
+
     // Nothing pending: the accept thread is parked in `accept`.
     let t0 = Instant::now();
     server.close();
@@ -69,7 +78,7 @@ fn contract<L: Accept, P>(
     assert!(took < Duration::from_secs(2), "close took {took:?}");
     rebind();
     assert_eq!(server.spawned(), 4);
-    assert_eq!(handled.load(Ordering::Relaxed), 4);
+    assert_eq!(handled.load(Ordering::Relaxed), 7);
 }
 
 #[test]

@@ -192,8 +192,8 @@ fn wait_my_turn(mut g: OsGuard<'static, Exec>, tid: usize) -> OsGuard<'static, E
 }
 
 /// A plain scheduling point: let any eligible thread (including the
-/// caller) run next. Called before every atomic access and on
-/// `yield_now`.
+/// caller) run next. Called before every atomic access, every notify
+/// and on `yield_now`.
 pub(crate) fn schedule_point() {
     if !in_model() {
         return;
@@ -285,7 +285,15 @@ pub(crate) fn cv_wait(cvid: u64, mid: u64, timed: bool) -> bool {
 
 /// Wake waiters of `cvid`. `notify_one` picks *which* waiter wakes as
 /// a recorded scheduling decision.
+///
+/// A notify is a scheduling point: it is not atomic with the release
+/// before it, so a timed waiter's timeout can fire in between, and the
+/// waiter then finds the state changed with `timed_out()` true. Not
+/// while unwinding, since an aborting execution panics parked threads.
 pub(crate) fn notify(cvid: u64, all: bool) {
+    if !std::thread::panicking() {
+        schedule_point();
+    }
     let mut g = lock_exec();
     if !g.active {
         return;

@@ -106,6 +106,40 @@ fn timed_wait_escapes_lost_wakeup() {
     });
 }
 
+/// A notify is a scheduling point: the waiter's timeout can fire
+/// between the setter's release and its notify, so some schedule sees
+/// the flag set *and* `timed_out()`.
+#[test]
+fn timeout_can_fire_between_release_and_notify() {
+    let seen: &'static StdMutex<HashSet<(bool, bool)>> = Box::leak(Box::default());
+    loom::model(move || {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let p2 = Arc::clone(&pair);
+        let t = loom::thread::spawn(move || {
+            let (m, cv) = &*p2;
+            *m.lock().unwrap() = true;
+            cv.notify_one();
+        });
+        let (m, cv) = &*pair;
+        let g = m.lock().unwrap();
+        let g = if *g {
+            g
+        } else {
+            let (g, res) = cv
+                .wait_timeout(g, std::time::Duration::from_millis(1))
+                .unwrap();
+            seen.lock().unwrap().insert((*g, res.timed_out()));
+            g
+        };
+        drop(g);
+        t.join().unwrap();
+    });
+    assert!(
+        seen.lock().unwrap().contains(&(true, true)),
+        "never timed out with the flag already set"
+    );
+}
+
 /// Assertion failures inside a model thread propagate out of `model`.
 #[test]
 #[should_panic(expected = "boom")]
