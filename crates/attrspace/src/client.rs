@@ -14,10 +14,11 @@
 //! server restart: on `Disconnected` it re-dials with jittered capped
 //! exponential backoff, replays its session state (joined contexts and
 //! live subscriptions), and retries the interrupted operation. Puts are
-//! last-writer-wins and gets are reads, so the retry is safe; replayed
-//! subscriptions re-deliver at-least-once (a notification can arrive
-//! twice across a reconnect — daemons key on the token, which stays
-//! stable). The space itself is *not* replayed — a restarted LASS comes
+//! last-writer-wins and gets are reads, so the retry is safe. A replayed
+//! subscription is re-registered with its current value (the semantics
+//! are [`crate::Space::subscribe`]'s), so across a reconnect a value can
+//! arrive twice — daemons key on the token, which stays stable. The
+//! space itself is *not* replayed — a restarted LASS comes
 //! back empty, exactly like the paper's model, and daemons re-put what
 //! they own.
 
@@ -70,9 +71,9 @@ struct Redial {
     backoff: Backoff,
     /// Contexts this session has joined (replayed on reconnect).
     joined: BTreeSet<ContextId>,
-    /// Live one-shot subscriptions by token (pruned when the
-    /// notification fires or the daemon unsubscribes).
-    subs: BTreeMap<u64, (ContextId, String, bool)>,
+    /// Live subscriptions by token, until the daemon unsubscribes or
+    /// leaves their context.
+    subs: BTreeMap<u64, (ContextId, String)>,
     reconnects: u64,
 }
 
@@ -165,6 +166,7 @@ impl AttrClient {
         self.expect_ok(Message::Leave { ctx })?;
         if let Some(r) = self.redial.as_mut() {
             r.joined.remove(&ctx);
+            r.subs.retain(|_, (c, _)| *c != ctx);
         }
         Ok(())
     }
@@ -232,10 +234,10 @@ impl AttrClient {
         })
     }
 
-    /// Register a one-shot subscription (`tdp_async_get`'s server half):
-    /// the notification arrives via [`AttrClient::poll_notify`]. With
-    /// `only_future`, an existing value does not fire — only the next
-    /// put does.
+    /// Subscribe to `key` under `token` (see [`crate::Space::subscribe`]
+    /// for what that means); notifications arrive via
+    /// [`AttrClient::poll_notify`]. With `only_future` false, the
+    /// current value, if any, is already queued when this returns.
     pub fn subscribe(
         &mut self,
         ctx: ContextId,
@@ -250,7 +252,7 @@ impl AttrClient {
             only_future,
         })?;
         if let Some(r) = self.redial.as_mut() {
-            r.subs.insert(token, (ctx, key.to_string(), only_future));
+            r.subs.insert(token, (ctx, key.to_string()));
         }
         Ok(())
     }
@@ -286,7 +288,6 @@ impl AttrClient {
         loop {
             match self.conn.try_recv_msg() {
                 Ok(Some(Message::Reply(Reply::Notify { token, key, value }))) => {
-                    self.sub_fired(token);
                     return Some(Notification { token, key, value });
                 }
                 Ok(Some(Message::Reply(r))) if self.orphans > 0 => {
@@ -307,7 +308,6 @@ impl AttrClient {
         loop {
             match self.recv_until(deadline)? {
                 Message::Reply(Reply::Notify { token, key, value }) => {
-                    self.sub_fired(token);
                     return Ok(Notification { token, key, value });
                 }
                 Message::Reply(r) if self.orphans > 0 => {
@@ -381,13 +381,9 @@ impl AttrClient {
 
     fn dial_and_replay(r: &mut Redial) -> TdpResult<(WireConn, Vec<Notification>)> {
         r.backoff.reset();
-        let (conn, notes) = r.backoff.retry(r.max_elapsed, || {
+        r.backoff.retry(r.max_elapsed, || {
             (r.dial)().and_then(|conn| Self::replay_session(conn, &r.joined, &r.subs))
-        })?;
-        for n in &notes {
-            r.subs.remove(&n.token);
-        }
-        Ok((conn, notes))
+        })
     }
 
     /// Replay joins and live subscriptions on a fresh connection.
@@ -397,7 +393,7 @@ impl AttrClient {
     fn replay_session(
         mut conn: WireConn,
         joined: &BTreeSet<ContextId>,
-        subs: &BTreeMap<u64, (ContextId, String, bool)>,
+        subs: &BTreeMap<u64, (ContextId, String)>,
     ) -> TdpResult<(WireConn, Vec<Notification>)> {
         const REPLAY_TIMEOUT: Duration = Duration::from_secs(5);
         let mut notes = Vec::new();
@@ -419,7 +415,7 @@ impl AttrClient {
         for ctx in joined {
             roundtrip(&mut conn, &Message::Join { ctx: *ctx })?;
         }
-        for (token, (ctx, key, _only_future)) in subs {
+        for (token, (ctx, key)) in subs {
             roundtrip(
                 &mut conn,
                 &Message::Subscribe {
@@ -431,12 +427,6 @@ impl AttrClient {
             )?;
         }
         Ok((conn, notes))
-    }
-
-    fn sub_fired(&mut self, token: u64) {
-        if let Some(r) = self.redial.as_mut() {
-            r.subs.remove(&token);
-        }
     }
 
     /// The next message off the connection, waiting until `deadline` —
@@ -461,7 +451,6 @@ impl AttrClient {
         loop {
             match self.recv_until(deadline)? {
                 Message::Reply(Reply::Notify { token, key, value }) => {
-                    self.sub_fired(token);
                     self.pending.push_back(Notification { token, key, value });
                 }
                 Message::Reply(r) => {

@@ -12,13 +12,14 @@
 //! `Join` (`tdp_init`) and destroyed when the last member `Leave`s
 //! (`tdp_exit`). Operations:
 //!
-//! * `put` — store; wakes blocked getters and fires subscriptions;
+//! * `put` — store; wakes blocked getters and notifies subscriptions;
 //! * `get` (blocking) — parks the caller until the attribute exists
 //!   (this is what lets `paradynd` block on `"pid"` in Figure 6 until
 //!   the starter puts it);
 //! * `get` (non-blocking) — error if absent;
-//! * `subscribe`/`unsubscribe` — one-shot asynchronous notification,
-//!   backing `tdp_async_get`;
+//! * `subscribe`/`unsubscribe` — asynchronous notification of every put
+//!   until cancelled, backing `tdp_async_get` and watches (the
+//!   semantics are stated once, at [`space::Space::subscribe`]);
 //! * `remove`, `list_keys` — housekeeping.
 //!
 //! The crate is split into a **pure state machine** ([`space::Space`]:

@@ -4,8 +4,8 @@
 //! replies to emit, as `(ClientId, Reply)` pairs — a blocked `get` emits
 //! nothing now and a `Value` later, when some `put` satisfies it. The
 //! networked server is a thin shell over this type; all protocol
-//! invariants (context refcounting, waiter wake-up, one-shot
-//! subscriptions, disconnect cleanup) live here where they can be unit-
+//! invariants (context refcounting, waiter wake-up, subscriptions,
+//! leave and disconnect cleanup) live here where they can be unit-
 //! and property-tested without threads.
 
 use std::collections::HashMap;
@@ -27,7 +27,7 @@ struct Ctx {
     members: Vec<ClientId>,
     /// Parked blocking gets: key → waiters.
     waiters: HashMap<String, Vec<ClientId>>,
-    /// One-shot subscriptions: key → (client, token).
+    /// Subscriptions: key → (client, token), in registration order.
     subs: HashMap<String, Vec<(ClientId, u64)>>,
 }
 
@@ -70,7 +70,9 @@ impl Space {
 
     /// `tdp_exit`: leave a context; the last leaver destroys it. Parked
     /// getters of a destroyed context receive an error (their daemon
-    /// would otherwise hang forever on a dead space).
+    /// would otherwise hang forever on a dead space). A client whose
+    /// last reference to the context this was loses its subscriptions
+    /// there: it is no longer a member, so it may not hear its puts.
     pub fn leave(&mut self, client: ClientId, ctx: ContextId) -> Vec<Out> {
         let Some(c) = self.contexts.get_mut(&ctx) else {
             return vec![(client, Reply::Err(TdpError::NoSuchContext(ctx)))];
@@ -79,6 +81,9 @@ impl Space {
             return vec![(client, Reply::Err(TdpError::NoSuchContext(ctx)))];
         };
         c.members.remove(pos);
+        if !c.members.contains(&client) {
+            drop_subs(c, |cl, _| cl == client);
+        }
         let mut out = vec![(client, Reply::Ok)];
         if c.members.is_empty() {
             let c = self.contexts.remove(&ctx).expect("present");
@@ -91,8 +96,8 @@ impl Space {
         out
     }
 
-    /// `tdp_put`: validate and store, waking blocked getters and firing
-    /// (and consuming) subscriptions on the key.
+    /// `tdp_put`: validate and store, waking blocked getters and
+    /// notifying every subscription on the key.
     pub fn put(&mut self, client: ClientId, ctx: ContextId, key: &str, value: &str) -> Vec<Out> {
         if let Err(e) = validate_key(key) {
             return vec![(client, Reply::Err(e))];
@@ -117,8 +122,8 @@ impl Space {
                 ));
             }
         }
-        if let Some(subs) = c.subs.remove(key) {
-            for (s, token) in subs {
+        if let Some(subs) = c.subs.get(key) {
+            for &(s, token) in subs {
                 out.push((
                     s,
                     Reply::Notify {
@@ -170,13 +175,23 @@ impl Space {
         }
     }
 
-    /// One-shot subscription. With `only_future` false (the
-    /// `tdp_async_get` case): if the key already has a value, notify
-    /// immediately; otherwise notify on the next put. With it true the
-    /// current value is skipped and only a subsequent put fires (used
-    /// when persistent watches re-arm). Either way the subscription is
-    /// consumed by its notification. The immediate `Ok` acknowledges
-    /// registration (the `tdp_async_get` call returning).
+    /// Subscribe `client` to `key` under `token`. This is the one
+    /// statement of what a subscription is; the message, the client and
+    /// the handle point here.
+    ///
+    /// * It lasts until the client unsubscribes the token, leaves the
+    ///   context for the last time, or disconnects. A put does not
+    ///   consume it.
+    /// * Every put of the key sends it one `Notify`, in the order the
+    ///   space applies the puts. Nothing is coalesced or skipped. (The
+    ///   server sends a session's replies before it reads that session's
+    ///   next request, so one putter's puts also arrive in that order.)
+    /// * With `only_future` false, a value the key already holds is sent
+    ///   as a `Notify` *before* the `Ok`, so it is queued at the client
+    ///   by the time its subscribe call returns. With `only_future` true
+    ///   only later puts notify.
+    /// * One-shot use (`tdp_async_get`) is the client's business: it
+    ///   unsubscribes after the first notification.
     pub fn subscribe(
         &mut self,
         client: ClientId,
@@ -189,36 +204,30 @@ impl Space {
             Ok(c) => c,
             Err(e) => return vec![(client, Reply::Err(e))],
         };
-        let mut out = vec![(client, Reply::Ok)];
-        match c.attrs.get(key) {
-            Some(v) if !only_future => {
-                out.push((
-                    client,
-                    Reply::Notify {
-                        token,
-                        key: key.to_string(),
-                        value: v.clone(),
-                    },
-                ));
-            }
-            _ => {
-                c.subs
-                    .entry(key.to_string())
-                    .or_default()
-                    .push((client, token));
-            }
+        let mut out = Vec::with_capacity(2);
+        if let Some(v) = c.attrs.get(key).filter(|_| !only_future) {
+            out.push((
+                client,
+                Reply::Notify {
+                    token,
+                    key: key.to_string(),
+                    value: v.clone(),
+                },
+            ));
         }
+        c.subs
+            .entry(key.to_string())
+            .or_default()
+            .push((client, token));
+        out.push((client, Reply::Ok));
         out
     }
 
-    /// Cancel one of the client's pending subscriptions by token.
+    /// Cancel one of the client's subscriptions by token.
     pub fn unsubscribe(&mut self, client: ClientId, ctx: ContextId, token: u64) -> Vec<Out> {
         match self.member_mut(client, ctx) {
             Ok(c) => {
-                for subs in c.subs.values_mut() {
-                    subs.retain(|&(cl, t)| !(cl == client && t == token));
-                }
-                c.subs.retain(|_, v| !v.is_empty());
+                drop_subs(c, |cl, t| cl == client && t == token);
                 vec![(client, Reply::Ok)]
             }
             Err(e) => vec![(client, Reply::Err(e))],
@@ -255,10 +264,7 @@ impl Space {
                 ws.retain(|&w| w != client);
             }
             c.waiters.retain(|_, v| !v.is_empty());
-            for subs in c.subs.values_mut() {
-                subs.retain(|&(cl, _)| cl != client);
-            }
-            c.subs.retain(|_, v| !v.is_empty());
+            drop_subs(c, |cl, _| cl == client);
             // Release every reference this client held (it may have
             // joined the same context more than once).
             while let Some(pos) = c.members.iter().position(|&m| m == client) {
@@ -275,6 +281,15 @@ impl Space {
         }
         out
     }
+}
+
+/// Remove the subscriptions `gone(client, token)` picks, and any key
+/// left with none.
+fn drop_subs(c: &mut Ctx, gone: impl Fn(ClientId, u64) -> bool) {
+    c.subs.retain(|_, subs| {
+        subs.retain(|&(cl, t)| !gone(cl, t));
+        !subs.is_empty()
+    });
 }
 
 #[cfg(test)]
@@ -448,7 +463,7 @@ mod tests {
     }
 
     #[test]
-    fn subscribe_fires_on_next_put_once() {
+    fn subscribe_fires_on_every_put() {
         let mut s = joined();
         let out = s.subscribe(RT, CTX, "status", 7, false);
         assert_eq!(out, vec![(RT, Reply::Ok)]);
@@ -461,9 +476,9 @@ mod tests {
                 value: "running".into()
             }
         )));
-        // One-shot: second put does not notify.
+        // Persistent: the second put notifies too.
         let out = s.put(RM, CTX, "status", "stopped");
-        assert!(!out.iter().any(|(_, r)| matches!(r, Reply::Notify { .. })));
+        assert!(out.iter().any(|(_, r)| matches!(r, Reply::Notify { .. })));
     }
 
     #[test]
@@ -471,9 +486,9 @@ mod tests {
         let mut s = joined();
         s.put(RM, CTX, "pid", "42");
         let out = s.subscribe(RT, CTX, "pid", 9, false);
-        assert_eq!(out[0], (RT, Reply::Ok));
+        assert_eq!(out[1], (RT, Reply::Ok));
         assert_eq!(
-            out[1],
+            out[0],
             (
                 RT,
                 Reply::Notify {

@@ -85,8 +85,11 @@ fn subscribe_notify_via_service_loop() {
         (n.token, n.key.as_str(), n.value.as_str()),
         (77, names::AP_STATUS, "running")
     );
-    // One-shot.
+    // Persistent: every put notifies until the token is cancelled.
     rm.put(CTX, names::AP_STATUS, "stopped").unwrap();
+    assert_eq!(rt.wait_notify(T).unwrap().value, "stopped");
+    rt.unsubscribe(CTX, 77).unwrap();
+    rm.put(CTX, names::AP_STATUS, "exited:0").unwrap();
     assert!(rt.wait_notify(Duration::from_millis(60)).is_err());
 }
 

@@ -121,8 +121,12 @@ pub fn run_starter_observed(
     let initial = world.os().status(app_pid)?;
     report_status(&shadow, details, initial)?;
 
-    // Step 2 (Fig 6): launch the tool daemon (not paused).
+    // Step 2 (Fig 6): launch the tool daemon (not paused). The starter
+    // is the single point of process control (§2.3): it subscribes to
+    // the tool's `proc_request`s before the tool exists, so none is
+    // missed.
     let tool_pid = if let Some(tool) = &submit.tool_daemon {
+        tdp.service_proc_requests(app_pid)?;
         let mut args = tool.args.clone();
         args.push(format!("-c{}", ctx.0));
         if details.tool_auto_run {
@@ -152,20 +156,21 @@ pub fn run_starter_observed(
     // ---- Supervision ---------------------------------------------------
     // Forward every status change to the shadow; stop at terminal.
     // Status arrives as an event. The 50 ms tick is not a status poll:
-    // it paces the service of strict-mode `proc_request`s (§2.3), which
-    // reach the starter through the attribute space rather than through
-    // this channel — unifying the two wake sources is a later issue.
-    // Its status read is the missed-event fallback only: the kernel
-    // emits a terminal event just before it flips the state, so an exit
-    // can slip between `watch` and the status read above.
+    // it bounds how long a strict-mode `proc_request` (§2.3) waits, since
+    // requests arrive as notifications on the LASS session and not on
+    // this channel (DESIGN.md §13 says why one wait over both is not
+    // built). Its status read is the missed-event fallback only: the
+    // kernel emits a terminal event just before it flips the state, so
+    // an exit can slip between `watch` and the status read above.
     let terminal = if initial.is_terminal() {
         initial
     } else {
         loop {
-            // §2.3: service any process-management request the tool
-            // filed through the attribute space — the starter is the
-            // single point of process control.
-            tdp.service_proc_requests(app_pid)?;
+            // Serve every request the tool has filed so far; with no
+            // tool there is no subscription and nothing to serve.
+            if tool_pid.is_some() {
+                tdp.service_proc_requests(app_pid)?;
+            }
             match watch.recv_timeout(Duration::from_millis(50)) {
                 Ok(ev) => {
                     report_status(&shadow, details, ev.status)?;

@@ -204,6 +204,9 @@ queue
 
     // Profiling data reached the front-end; the Consultant finds the
     // hotspot.
+    // paradynd sends `Done` after its last sample on the same data
+    // connection, so once it is in, every sample is.
+    fe.wait_done(1, T).unwrap();
     let b = PerformanceConsultant::default()
         .search(&fe.samples())
         .unwrap();

@@ -2,8 +2,9 @@
 
 use crate::trace::Call;
 use crate::world::World;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
+use tdp_attrspace::client::Notification;
 use tdp_attrspace::AttrClient;
 use tdp_netsim::Conn;
 use tdp_proto::{
@@ -39,8 +40,6 @@ pub struct TdpCreate {
     pub stdin: Vec<u8>,
     pub stdout: Sink,
     pub stderr: Sink,
-    /// Host to create on; defaults to the creating daemon's host.
-    pub host: Option<HostId>,
 }
 
 impl TdpCreate {
@@ -53,7 +52,6 @@ impl TdpCreate {
             stdin: Vec::new(),
             stdout: Sink::Capture,
             stderr: Sink::Capture,
-            host: None,
         }
     }
 
@@ -86,11 +84,6 @@ impl TdpCreate {
         self.stdin = data.into();
         self
     }
-
-    pub fn on_host(mut self, host: HostId) -> Self {
-        self.host = Some(host);
-        self
-    }
 }
 
 /// Boxed user callback for asynchronous operations.
@@ -99,7 +92,6 @@ type AttrCallback = Box<dyn FnMut(&str, &str) + Send>;
 struct CallbackEntry {
     f: AttrCallback,
     persistent: bool,
-    key: String,
 }
 
 /// Completion queued by `async_put` so its callback runs at the next
@@ -126,6 +118,12 @@ pub struct TdpHandle {
     callbacks: HashMap<Token, CallbackEntry>,
     completions: Vec<PendingCompletion>,
     next_token: u64,
+    /// RM side: the token of the `proc_request` subscription, made by
+    /// the first [`TdpHandle::service_proc_requests`].
+    request_sub: Option<Token>,
+    /// RT requests delivered by that subscription and not yet served,
+    /// in put order.
+    requests: VecDeque<ProcRequest>,
     traces: HashMap<Pid, TraceHandle>,
     closed: bool,
 }
@@ -166,6 +164,8 @@ impl TdpHandle {
             callbacks: HashMap::new(),
             completions: Vec::new(),
             next_token: 1,
+            request_sub: None,
+            requests: VecDeque::new(),
             traces: HashMap::new(),
             closed: false,
         })
@@ -199,6 +199,11 @@ impl TdpHandle {
     /// Log one of this daemon's calls to the world's [`crate::Trace`].
     fn trace(&self, call: Call<'_>) {
         self.world.trace().record(&self.actor, call);
+    }
+
+    fn new_token(&mut self) -> Token {
+        self.next_token += 1;
+        self.next_token - 1
     }
 
     fn check_open(&self) -> TdpResult<()> {
@@ -253,26 +258,33 @@ impl TdpHandle {
     }
 
     /// `tdp_async_get`: returns immediately; `callback(key, value)` runs
-    /// from a later [`TdpHandle::service_events`] once the attribute is
-    /// (or becomes) available.
+    /// once, from a later [`TdpHandle::service_events`], once the
+    /// attribute is (or becomes) available. The subscription is the
+    /// space's one kind ([`tdp_attrspace::Space::subscribe`]); running
+    /// the callback cancels it.
     pub fn async_get(
         &mut self,
         key: &str,
         callback: impl FnMut(&str, &str) + Send + 'static,
     ) -> TdpResult<Token> {
         self.check_open()?;
-        let token = self.next_token;
-        self.next_token += 1;
         self.trace(Call::AsyncGet(key));
+        self.register(key, callback, false)
+    }
+
+    /// Subscribe to `key` with `callback`; unless `persistent`, the
+    /// subscription is cancelled when the callback has run once.
+    fn register(
+        &mut self,
+        key: &str,
+        callback: impl FnMut(&str, &str) + Send + 'static,
+        persistent: bool,
+    ) -> TdpResult<Token> {
+        let token = self.new_token();
         self.lass.subscribe(self.ctx, key, token, false)?;
-        self.callbacks.insert(
-            token,
-            CallbackEntry {
-                f: Box::new(callback),
-                persistent: false,
-                key: key.to_string(),
-            },
-        );
+        let f = Box::new(callback);
+        let entry = CallbackEntry { f, persistent };
+        self.callbacks.insert(token, entry);
         Ok(token)
     }
 
@@ -286,18 +298,15 @@ impl TdpHandle {
         callback: impl FnMut(&str, &str) + Send + 'static,
     ) -> TdpResult<Token> {
         self.check_open()?;
-        let token = self.next_token;
-        self.next_token += 1;
+        let token = self.new_token();
         self.trace(Call::AsyncPut(key));
         self.lass.put(self.ctx, key, value)?;
-        self.callbacks.insert(
-            token,
-            CallbackEntry {
-                f: Box::new(callback),
-                persistent: false,
-                key: key.to_string(),
-            },
-        );
+        let f = Box::new(callback);
+        let entry = CallbackEntry {
+            f,
+            persistent: false,
+        };
+        self.callbacks.insert(token, entry);
         self.completions.push(PendingCompletion {
             token,
             key: key.to_string(),
@@ -306,26 +315,17 @@ impl TdpHandle {
         Ok(token)
     }
 
-    /// Persistent subscription: `callback` runs on *every* put of `key`
-    /// (auto re-subscribes). TDP extension used for status monitoring.
+    /// `callback` runs for the current value and for *every* later put
+    /// of `key`, in put order, until [`TdpHandle::cancel`] — the space's
+    /// subscription ([`tdp_attrspace::Space::subscribe`]) as it is. TDP
+    /// extension used for status monitoring.
     pub fn watch(
         &mut self,
         key: &str,
         callback: impl FnMut(&str, &str) + Send + 'static,
     ) -> TdpResult<Token> {
         self.check_open()?;
-        let token = self.next_token;
-        self.next_token += 1;
-        self.lass.subscribe(self.ctx, key, token, false)?;
-        self.callbacks.insert(
-            token,
-            CallbackEntry {
-                f: Box::new(callback),
-                persistent: true,
-                key: key.to_string(),
-            },
-        );
-        Ok(token)
+        self.register(key, callback, true)
     }
 
     /// Cancel an async registration.
@@ -342,24 +342,31 @@ impl TdpHandle {
     /// point. Returns how many callbacks ran.
     pub fn service_events(&mut self) -> TdpResult<usize> {
         self.check_open()?;
+        self.service(None)
+    }
+
+    /// Run the async_put completions (they were requested earliest),
+    /// then `first` and every notification already queued. A
+    /// `proc_request` is queued for [`TdpHandle::service_proc_requests`]
+    /// instead.
+    fn service(&mut self, first: Option<Notification>) -> TdpResult<usize> {
         let mut ran = 0;
-        // async_put completions first (they were requested earliest).
         for c in std::mem::take(&mut self.completions) {
             if let Some(mut entry) = self.callbacks.remove(&c.token) {
                 (entry.f)(&c.key, &c.value);
                 ran += 1;
             }
         }
-        // Then notifications from the space.
-        while let Some(n) = self.lass.poll_notify() {
-            if let Some(mut entry) = self.callbacks.remove(&n.token) {
+        let mut next = first;
+        while let Some(n) = next.take().or_else(|| self.lass.poll_notify()) {
+            if Some(n.token) == self.request_sub {
+                self.requests.extend(ProcRequest::parse(&n.value));
+            } else if let Some(entry) = self.callbacks.get_mut(&n.token) {
                 (entry.f)(&n.key, &n.value);
                 ran += 1;
-                if entry.persistent {
-                    // Re-arm for the *next* put only; re-seeing the value
-                    // just delivered would loop forever.
-                    self.lass.subscribe(self.ctx, &entry.key, n.token, true)?;
-                    self.callbacks.insert(n.token, entry);
+                if !entry.persistent {
+                    self.callbacks.remove(&n.token);
+                    self.lass.unsubscribe(self.ctx, n.token)?;
                 }
             }
         }
@@ -379,24 +386,15 @@ impl TdpHandle {
     /// expires, then service everything pending.
     pub fn wait_and_service(&mut self, timeout: Duration) -> TdpResult<usize> {
         self.check_open()?;
+        let mut first = None;
         if self.completions.is_empty() && !self.lass.has_notify() {
             match self.lass.wait_notify(timeout) {
-                Ok(n) => {
-                    // Re-queue so service_events dispatches uniformly.
-                    if let Some(mut entry) = self.callbacks.remove(&n.token) {
-                        (entry.f)(&n.key, &n.value);
-                        if entry.persistent {
-                            self.lass.subscribe(self.ctx, &entry.key, n.token, true)?;
-                            self.callbacks.insert(n.token, entry);
-                        }
-                        return Ok(1 + self.service_events()?);
-                    }
-                }
+                Ok(n) => first = Some(n),
                 Err(TdpError::Timeout) => return Ok(0),
                 Err(e) => return Err(e),
             }
         }
-        self.service_events()
+        self.service(first)
     }
 
     /// `tdp_exit`: leave the context (destroying it if this daemon was
@@ -466,22 +464,6 @@ impl TdpHandle {
         self.cass_client()?.get(ctx, key)
     }
 
-    /// Non-blocking get from the central space.
-    pub fn try_get_central(&mut self, key: &str) -> TdpResult<String> {
-        self.check_open()?;
-        let ctx = self.ctx;
-        self.cass_client()?.try_get(ctx, key)
-    }
-
-    /// Put into the central space's *framework-global* context
-    /// (`ContextId::DEFAULT`) — for data shared across jobs, like a
-    /// tool front-end's listener addresses.
-    pub fn put_global(&mut self, key: &str, value: &str) -> TdpResult<()> {
-        self.check_open()?;
-        self.trace(Call::PutGlobal(key));
-        self.cass_client()?.put(ContextId::DEFAULT, key, value)
-    }
-
     /// Blocking get from the framework-global context of the CASS.
     pub fn get_global(&mut self, key: &str) -> TdpResult<String> {
         self.check_open()?;
@@ -496,12 +478,11 @@ impl TdpHandle {
     /// `tdp_create_process`: create a process, optionally paused at exec.
     pub fn create_process(&mut self, spec: TdpCreate) -> TdpResult<Pid> {
         self.check_open()?;
-        let host = spec.host.unwrap_or(self.host);
         self.trace(Call::CreateProcess {
             exe: &spec.executable,
             paused: spec.paused,
         });
-        let mut ps = ProcSpec::new(host, spec.executable)
+        let mut ps = ProcSpec::new(self.host, spec.executable)
             .args(spec.args)
             .stdin_bytes(spec.stdin)
             .stdout(spec.stdout)
@@ -646,33 +627,37 @@ impl TdpHandle {
         self.lass.put(self.ctx, names::PROC_REQUEST, &op)
     }
 
-    /// RM side: take (and clear) a pending RT request, if any.
-    pub fn take_proc_request(&mut self) -> TdpResult<Option<ProcRequest>> {
-        self.check_open()?;
-        match self.lass.try_get(self.ctx, names::PROC_REQUEST) {
-            Ok(v) => {
-                self.lass.remove(self.ctx, names::PROC_REQUEST)?;
-                Ok(ProcRequest::parse(&v))
-            }
-            Err(TdpError::AttributeNotFound(_)) => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// RM side: service one pending RT request against `pid`, publishing
-    /// the resulting status. Returns the request serviced, if any.
+    /// RM side: serve every pending RT request against `pid`, in the
+    /// order the RT filed them, publishing the status after each.
+    /// Returns the last request served, if any.
+    ///
+    /// The first call subscribes to `proc_request`, and a request filed
+    /// before it arrives with the subscription. Later calls only drain
+    /// the notifications already read off the LASS, so a call with
+    /// nothing pending costs no round trip. Like
+    /// [`TdpHandle::service_events`], a call is a safe point: pending
+    /// callbacks run in it.
     pub fn service_proc_requests(&mut self, pid: Pid) -> TdpResult<Option<ProcRequest>> {
-        let Some(op) = self.take_proc_request()? else {
-            return Ok(None);
-        };
-        match op {
-            ProcRequest::Continue => self.continue_process(pid)?,
-            ProcRequest::Pause => self.pause_process(pid)?,
-            ProcRequest::Kill(sig) => self.kill_process(pid, sig)?,
+        self.check_open()?;
+        if self.request_sub.is_none() {
+            let token = self.new_token();
+            self.lass
+                .subscribe(self.ctx, names::PROC_REQUEST, token, false)?;
+            self.request_sub = Some(token);
         }
-        let status = self.process_status(pid)?;
-        self.publish_status(status)?;
-        Ok(Some(op))
+        self.service(None)?;
+        let mut last = None;
+        while let Some(op) = self.requests.pop_front() {
+            match op {
+                ProcRequest::Continue => self.continue_process(pid)?,
+                ProcRequest::Pause => self.pause_process(pid)?,
+                ProcRequest::Kill(sig) => self.kill_process(pid, sig)?,
+            }
+            let status = self.process_status(pid)?;
+            self.publish_status(status)?;
+            last = Some(op);
+        }
+        Ok(last)
     }
 
     /// RM side: publish the application's status to the space (§2.3's

@@ -33,7 +33,6 @@ pub enum Call<'a> {
     AsyncPut(&'a str),
     PutCentral(&'a str),
     GetCentral(&'a str),
-    PutGlobal(&'a str),
     GetGlobal(&'a str),
     ConnectCass(Addr),
     /// `tdp_service_event` that ran this many callbacks.
@@ -69,7 +68,6 @@ impl fmt::Display for Call<'_> {
             Call::AsyncPut(key) => write!(f, "tdp_async_put({key})"),
             Call::PutCentral(key) => write!(f, "tdp_put_central({key})"),
             Call::GetCentral(key) => write!(f, "tdp_get_central({key})"),
-            Call::PutGlobal(key) => write!(f, "tdp_put_global({key})"),
             Call::GetGlobal(key) => write!(f, "tdp_get_global({key})"),
             Call::ConnectCass(cass) => write!(f, "tdp_connect_cass({cass})"),
             Call::ServiceEvent(ran) => write!(f, "tdp_service_event[{ran}]"),
@@ -408,7 +406,6 @@ mod tests {
             (Call::AsyncPut("k"), "tdp_async_put(k)"),
             (Call::PutCentral("k"), "tdp_put_central(k)"),
             (Call::GetCentral("k"), "tdp_get_central(k)"),
-            (Call::PutGlobal("k"), "tdp_put_global(k)"),
             (Call::GetGlobal("k"), "tdp_get_global(k)"),
             (Call::ConnectCass(addr), "tdp_connect_cass(host2:7778)"),
             (Call::ServiceEvent(2), "tdp_service_event[2]"),

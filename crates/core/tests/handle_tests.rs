@@ -153,9 +153,8 @@ fn watch_is_persistent_across_puts() {
         .unwrap();
     for st in ["running", "stopped", "exited:0"] {
         rm.put(names::AP_STATUS, st).unwrap();
-        // Drain between puts: one-shot server subscriptions are
-        // re-armed by service_events, so back-to-back puts without a
-        // drain could coalesce.
+        // Drain between puts to exercise wait_and_service; back-to-back
+        // puts are delivered too (`every_put_to_a_watched_key_…`).
         rt.wait_and_service(T).unwrap();
     }
     assert_eq!(seen.lock().as_slice(), &["running", "stopped", "exited:0"]);
@@ -405,4 +404,135 @@ fn heartbeat_counter_advances_and_is_peer_visible() {
     assert_eq!(rm.last_heartbeat().unwrap(), Some(2));
     // Either side can beat: it is a shared counter in the context.
     assert_eq!(rm.heartbeat().unwrap(), 3);
+}
+
+/// A seeded xorshift: the points at which a test's consumer services
+/// its events, reproducible from the seed in the test.
+fn rng(mut s: u64) -> impl FnMut(u64) -> u64 {
+    move |n| {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s % n
+    }
+}
+
+/// What a consumer does between two looks at its events: nothing, a
+/// yield, a short sleep or a synchronous round trip (which queues
+/// whatever notifications arrive while it waits for its reply).
+fn busy(h: &mut TdpHandle, roll: u64) {
+    match roll {
+        0 => {}
+        1 => std::thread::yield_now(),
+        2 => std::thread::sleep(Duration::from_micros(200)),
+        _ => {
+            let _ = h.try_get("unrelated");
+        }
+    }
+}
+
+#[test]
+fn every_put_to_a_watched_key_is_delivered_in_order() {
+    const N: usize = 10_000;
+    let (w, h) = world_with_app();
+    let mut rm = TdpHandle::init(&w, h, CTX, "rm", Role::ResourceManager).unwrap();
+    let mut rt = TdpHandle::init(&w, h, CTX, "rt", Role::Tool).unwrap();
+    let seen: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+    let s2 = seen.clone();
+    rt.watch("counter", move |_, v| s2.lock().push(v.to_string()))
+        .unwrap();
+    let putter = std::thread::Builder::new()
+        .name("test-putter".into())
+        .spawn(move || {
+            for i in 0..N {
+                rm.put("counter", &i.to_string()).unwrap();
+            }
+            rm
+        })
+        .unwrap();
+    let mut roll = rng(0x5eed_0034);
+    let mut quiet_since = std::time::Instant::now();
+    // Done when all are in, or once the putter is done and 2 s pass
+    // with nothing delivered.
+    while seen.lock().len() < N
+        && (!putter.is_finished() || quiet_since.elapsed() < Duration::from_secs(2))
+    {
+        busy(&mut rt, roll(6));
+        let ran = match roll(2) {
+            0 => rt.service_events().unwrap(),
+            _ => rt.wait_and_service(Duration::from_millis(1)).unwrap(),
+        };
+        if ran > 0 {
+            quiet_since = std::time::Instant::now();
+        }
+    }
+    let _rm = putter.join().unwrap();
+    let seen = seen.lock();
+    let expected: Vec<String> = (0..N).map(|i| i.to_string()).collect();
+    assert_eq!(seen.len(), N, "lost {} of {N} puts", N - seen.len());
+    assert!(*seen == expected, "delivered out of order");
+}
+
+#[test]
+fn every_proc_request_is_served_in_order() {
+    const N: usize = 1_000;
+    let (w, h) = world_with_app();
+    w.os().fs().install_exec(
+        h,
+        "/bin/forever",
+        ExecImage::new(
+            ["main", "tick"],
+            Arc::new(|_| {
+                fn_program(|ctx| loop {
+                    ctx.call("tick", |ctx| ctx.sleep(Duration::from_millis(1)));
+                })
+            }),
+        ),
+    );
+    let mut rm = TdpHandle::init(&w, h, CTX, "rm", Role::ResourceManager).unwrap();
+    let mut rt = TdpHandle::init(&w, h, CTX, "rt", Role::Tool).unwrap();
+    let pid = rm.create_process(TdpCreate::new("/bin/forever")).unwrap();
+    // The RM subscribes before the RT can file anything, as the starter
+    // does before it creates the tool daemon: a subscription brings only
+    // the current value of what was put before it.
+    assert_eq!(rm.service_proc_requests(pid).unwrap(), None);
+    let requester = std::thread::Builder::new()
+        .name("test-requester".into())
+        .spawn(move || {
+            for i in 0..N {
+                let op = [ProcRequest::Pause, ProcRequest::Continue][i % 2];
+                rt.request_proc_op(op).unwrap();
+            }
+            rt
+        })
+        .unwrap();
+    let served = || {
+        w.trace()
+            .by_actor("rm")
+            .into_iter()
+            .filter(|e| e.call.starts_with("tdp_pause") || e.call.starts_with("tdp_continue"))
+            .map(|e| e.call)
+            .collect::<Vec<_>>()
+    };
+    let mut roll = rng(0x5eed_2003);
+    let mut quiet_since = std::time::Instant::now();
+    let mut count = 0;
+    while count < N && (!requester.is_finished() || quiet_since.elapsed() < Duration::from_secs(2))
+    {
+        busy(&mut rm, roll(6));
+        if rm.service_proc_requests(pid).unwrap().is_some() {
+            quiet_since = std::time::Instant::now();
+            count = served().len();
+        }
+    }
+    let _rt = requester.join().unwrap();
+    let served = served();
+    let expected: Vec<String> = (0..N)
+        .map(|i| ["tdp_pause_process", "tdp_continue_process"][i % 2])
+        .map(|c| format!("{c}({pid})"))
+        .collect();
+    assert_eq!(served.len(), N, "lost {} of {N} requests", N - served.len());
+    assert!(served == expected, "served out of order");
+    rm.kill_process(pid, 9).unwrap();
+    assert_eq!(rm.wait_terminal(pid, T).unwrap(), ProcStatus::Killed(9));
 }

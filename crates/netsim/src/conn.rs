@@ -397,20 +397,6 @@ impl Listener {
         self.incoming.recv().map_err(|_| TdpError::Disconnected)
     }
 
-    /// Accept with a timeout.
-    pub fn accept_timeout(&self, timeout: Duration) -> TdpResult<Conn> {
-        match self.incoming.recv_timeout(timeout) {
-            Ok(c) => Ok(c),
-            Err(tdp_sync::channel::RecvTimeoutError::Timeout) => Err(TdpError::Timeout),
-            Err(tdp_sync::channel::RecvTimeoutError::Disconnected) => Err(TdpError::Disconnected),
-        }
-    }
-
-    /// Non-blocking accept.
-    pub fn try_accept(&self) -> Option<Conn> {
-        self.incoming.try_recv().ok()
-    }
-
     /// Stop listening: release the port (unless a successor holds it
     /// by now) and refuse the backlog, whose peers see EOF. A blocked
     /// [`Listener::accept`] returns `Disconnected`.

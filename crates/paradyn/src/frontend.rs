@@ -248,20 +248,6 @@ impl ParadynFrontend {
         self.send_all(&ToolMsg::Kill)
     }
 
-    /// Send a command to one daemon.
-    pub fn send_to(&self, daemon: &str, msg: &ToolMsg) -> TdpResult<()> {
-        let line = format!("{}\n", render_line(msg));
-        let tx = self
-            .state
-            .0
-            .lock()
-            .controls
-            .get(daemon)
-            .cloned()
-            .ok_or_else(|| TdpError::Substrate(format!("unknown daemon {daemon}")))?;
-        tx.send(line.as_bytes())
-    }
-
     /// Latest samples, one per (daemon, symbol).
     pub fn samples(&self) -> Vec<Sample> {
         let mut v: Vec<Sample> = self.state.0.lock().samples.values().cloned().collect();

@@ -32,10 +32,11 @@ pub enum Message {
     /// removed", §2.1). Succeeds even when absent.
     Remove { ctx: ContextId, key: String },
     /// Register interest: the server sends `Reply::Notify` carrying
-    /// `token` when `key` is put. With `only_future` false, an already
-    /// existing value notifies immediately (the `tdp_async_get` case);
-    /// with it true, only a subsequent put fires (persistent watches
-    /// re-arming without re-seeing the current value).
+    /// `token` on every put of `key` until the subscription is
+    /// cancelled. With `only_future` false, an already existing value
+    /// notifies first, before the `Ok`; with it true, only later puts
+    /// do. The full semantics are stated once, at
+    /// `tdp_attrspace::Space::subscribe`.
     Subscribe {
         ctx: ContextId,
         key: String,

@@ -456,12 +456,6 @@ impl Os {
         Ok(self.pcb(pid)?.instr.lock().total_cpu)
     }
 
-    /// Wall-clock time since the process was created (tools divide CPU
-    /// by this for utilization metrics).
-    pub fn uptime_of(&self, pid: Pid) -> TdpResult<Duration> {
-        Ok(self.pcb(pid)?.started_at.elapsed())
-    }
-
     fn pcb(&self, pid: Pid) -> TdpResult<Arc<Pcb>> {
         self.inner
             .procs

@@ -133,8 +133,6 @@ pub(crate) struct Pcb {
     /// Debugger notification channels: one message (the symbol name)
     /// per breakpoint hit.
     pub bp_subs: Mutex<Vec<tdp_sync::channel::Sender<String>>>,
-    /// Wall-clock start, reported to tools for rate computations.
-    pub started_at: Instant,
 }
 
 impl Pcb {
@@ -180,7 +178,6 @@ impl Pcb {
             }),
             io_cv: Condvar::new(),
             bp_subs: Mutex::new(Vec::new()),
-            started_at: Instant::now(),
         })
     }
 
