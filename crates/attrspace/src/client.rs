@@ -306,7 +306,7 @@ impl AttrClient {
         }
         let deadline = Instant::now().checked_add(timeout);
         loop {
-            match self.recv_until(deadline)? {
+            match self.conn.recv_msg_deadline(deadline)? {
                 Message::Reply(Reply::Notify { token, key, value }) => {
                     return Ok(Notification { token, key, value });
                 }
@@ -429,27 +429,15 @@ impl AttrClient {
         Ok((conn, notes))
     }
 
-    /// The next message off the connection, waiting until `deadline` —
-    /// `None`, which is also what a timeout too large for `Instant` to
-    /// hold (`Duration::MAX`) comes to, waits for as long as it takes.
-    fn recv_until(&mut self, deadline: Option<Instant>) -> TdpResult<Message> {
-        match deadline {
-            Some(d) => {
-                let remaining = d
-                    .checked_duration_since(Instant::now())
-                    .ok_or(TdpError::Timeout)?;
-                self.conn.recv_msg_timeout(remaining)
-            }
-            None => self.conn.recv_msg(),
-        }
-    }
-
     /// Read the next direct (non-notify) reply, queueing notifications
     /// and discarding orphaned replies from abandoned gets.
     fn read_reply(&mut self, timeout: Option<Duration>) -> TdpResult<Reply> {
+        // A timeout too large for `Instant` to hold (`Duration::MAX`)
+        // is no deadline, like no timeout; one already past still takes
+        // a reply that has arrived.
         let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
         loop {
-            match self.recv_until(deadline)? {
+            match self.conn.recv_msg_deadline(deadline)? {
                 Message::Reply(Reply::Notify { token, key, value }) => {
                     self.pending.push_back(Notification { token, key, value });
                 }

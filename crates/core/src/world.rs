@@ -12,8 +12,8 @@
 //! transports (see `tdp-wire`):
 //!
 //! * [`TransportMode::Netsim`] (the default): connections ride the
-//!   in-memory simulated fabric, with its latency model and firewall
-//!   enforcement on the connect path.
+//!   in-memory simulated fabric, with its firewall enforcement on
+//!   the connect path.
 //! * [`TransportMode::Epoll`] ([`World::new_epoll`]): connections are
 //!   real loopback TCP sockets with no wire thread per connection or
 //!   per world — each receiver reads and each sender writes its own

@@ -16,8 +16,7 @@
 //! * a generic byte-relay [`proxy`] that an RM runs on such an
 //!   authorized route so tools and application stdio can cross the
 //!   boundary;
-//! * **failure injection** (host kill, zone partition) and a simple
-//!   **latency model** for benchmarks.
+//! * **failure injection** (host kill, zone partition).
 //!
 //! Everything is synchronous and thread-based: a connection is a pair of
 //! in-memory pipes guarded by `tdp-sync` mutex/condvar, so blocking
@@ -30,4 +29,4 @@ pub mod proxy;
 
 pub use chaos::{FaultEvent, FaultInjector, FaultLogEntry, FaultSchedule};
 pub use conn::{Conn, ConnRx, ConnTx, Listener};
-pub use network::{FirewallPolicy, Latency, NetStats, Network, ZoneId};
+pub use network::{FirewallPolicy, NetStats, Network, ZoneId};

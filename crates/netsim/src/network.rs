@@ -5,7 +5,6 @@ use crate::conn::{Conn, Listener, Pipe};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
 use tdp_proto::{Addr, HostId, Port, TdpError, TdpResult};
 use tdp_sync::channel::{Receiver, Sender};
 use tdp_sync::RwLock;
@@ -56,15 +55,6 @@ impl FirewallPolicy {
     };
 }
 
-/// Latency model applied to every connection at establishment time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Latency {
-    /// Delay for traffic between hosts in the same zone.
-    pub local: Duration,
-    /// Delay for traffic crossing a zone boundary.
-    pub cross_zone: Duration,
-}
-
 /// Counters for benchmark reporting.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NetStats {
@@ -111,7 +101,6 @@ pub(crate) struct NetInner {
     /// zone boundaries (§2.4: TDP "merely leverages existing" proxy
     /// permissions). `(from_host, to_addr)`.
     routes: RwLock<HashSet<(HostId, Addr)>>,
-    latency: RwLock<Latency>,
     stats: RwLock<NetStats>,
     next_host: AtomicU32,
     next_zone: AtomicU32,
@@ -160,7 +149,6 @@ impl Network {
                 hosts: RwLock::new(HashMap::new()),
                 zones: RwLock::new(zones),
                 routes: RwLock::new(HashSet::new()),
-                latency: RwLock::new(Latency::default()),
                 stats: RwLock::new(NetStats::default()),
                 next_host: AtomicU32::new(0),
                 next_zone: AtomicU32::new(1),
@@ -222,11 +210,6 @@ impl Network {
     /// Revoke a previously authorized route.
     pub fn revoke_route(&self, from: HostId, to: Addr) {
         self.inner.routes.write().remove(&(from, to));
-    }
-
-    /// Set the latency model (applies to connections opened afterwards).
-    pub fn set_latency(&self, latency: Latency) {
-        *self.inner.latency.write() = latency;
     }
 
     /// Snapshot of the connection counters.
@@ -321,27 +304,19 @@ impl Network {
             src.next_ephemeral = src.next_ephemeral.wrapping_add(1).max(49152);
             Port(p)
         };
-        let src_zone = hosts[&from].zone;
         let dst = hosts
             .get_mut(&to.host)
             .ok_or(TdpError::NoSuchHost(to.host))?;
-        let dst_zone = dst.zone;
         let accept_tx = dst
             .listeners
             .get(&to.port)
             .cloned()
             .ok_or(TdpError::ConnectionRefused(to))?;
-        let lat = *self.inner.latency.read();
-        let latency = if src_zone == dst_zone {
-            lat.local
-        } else {
-            lat.cross_zone
-        };
         let local = Addr {
             host: from,
             port: src_port,
         };
-        let (client, server) = Conn::pair_with(local, to, latency);
+        let (client, server) = Conn::pair_with(local, to);
         // Register the pipes on both hosts for kill_host.
         dst.register_pipes(client.pipes());
         if let Some(src) = hosts.get_mut(&from) {
@@ -604,25 +579,6 @@ mod tests {
         assert!(net.connect(priv_host, to).is_err());
         net.heal_partition(ZoneId::PUBLIC, zone);
         assert!(net.connect(priv_host, to).is_ok());
-    }
-
-    #[test]
-    fn cross_zone_latency_applies() {
-        let net = Network::new();
-        net.set_latency(Latency {
-            local: Duration::ZERO,
-            cross_zone: Duration::from_millis(30),
-        });
-        let pub_host = net.add_host();
-        let zone = net.add_private_zone(FirewallPolicy::NAT);
-        let priv_host = net.add_host_in(zone);
-        let lis = net.listen(pub_host, 1).unwrap();
-        let c = net.connect(priv_host, Addr::new(pub_host, 1)).unwrap();
-        let mut s = lis.accept().unwrap();
-        let t0 = std::time::Instant::now();
-        c.send(b"x").unwrap();
-        s.recv().unwrap();
-        assert!(t0.elapsed() >= Duration::from_millis(25));
     }
 
     #[test]

@@ -10,6 +10,8 @@ use std::ops::{Deref, DerefMut};
 use std::sync::{PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
+use crate::atomic::{AtomicUsize, Ordering};
+
 #[cfg(not(loom))]
 use std::sync as base;
 
@@ -171,8 +173,24 @@ impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
 
 // ------------------------------------------------------------- Condvar
 
+/// A condition variable that counts its sleepers, so a notify with
+/// nobody asleep is one atomic load, not a `futex_wake` syscall.
+///
+/// The rule the skip relies on: **a waiter's predicate may only be
+/// changed under the mutex the waiter waits with** (notifying after the
+/// unlock is fine). A waiter is counted under that mutex before it
+/// sleeps, so whoever changed the predicate under it sees the count.
+/// Breaking the rule loses wakeups with `std`'s condvar too.
 #[derive(Default)]
-pub struct Condvar(base::Condvar);
+pub struct Condvar {
+    base: base::Condvar,
+    /// Threads between "about to wait" and "holds the mutex again".
+    /// Only changed under the waiters' mutex.
+    sleepers: AtomicUsize,
+    /// Notifies passed on to `base`, for the tests that pin the skip.
+    #[cfg(any(test, loom))]
+    forwarded: std::sync::atomic::AtomicUsize,
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaitTimeoutResult {
@@ -187,12 +205,15 @@ impl WaitTimeoutResult {
 
 impl Condvar {
     pub fn new() -> Self {
-        Condvar(base::Condvar::new())
+        Condvar::default()
     }
 
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let g = guard.inner.take().expect("guard taken");
-        guard.inner = Some(ok(self.0.wait(g)));
+        self.sleepers.fetch_add(1, Ordering::Relaxed);
+        let g = ok(self.base.wait(g));
+        self.sleepers.fetch_sub(1, Ordering::Relaxed);
+        guard.inner = Some(g);
     }
 
     pub fn wait_for<T>(
@@ -201,7 +222,9 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let g = guard.inner.take().expect("guard taken");
-        let (g, res) = ok(self.0.wait_timeout(g, timeout));
+        self.sleepers.fetch_add(1, Ordering::Relaxed);
+        let (g, res) = ok(self.base.wait_timeout(g, timeout));
+        self.sleepers.fetch_sub(1, Ordering::Relaxed);
         guard.inner = Some(g);
         WaitTimeoutResult {
             timed_out: res.timed_out(),
@@ -248,17 +271,90 @@ impl Condvar {
         }
     }
 
+    /// Wake one sleeper, if there is one. See the type's doc for the
+    /// rule a caller keeps.
     pub fn notify_one(&self) {
-        self.0.notify_one();
+        if self.has_sleepers() {
+            self.base.notify_one();
+        }
     }
 
+    /// Wake every sleeper, if there is one.
     pub fn notify_all(&self) {
-        self.0.notify_all();
+        if self.has_sleepers() {
+            self.base.notify_all();
+        }
+    }
+
+    // Relaxed is enough: the waiter's increment happens before the
+    // notifier's lock of the same mutex, which comes before this load.
+    fn has_sleepers(&self) -> bool {
+        let any = self.sleepers.load(Ordering::Relaxed) != 0;
+        #[cfg(any(test, loom))]
+        if any {
+            self.forwarded
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+        any
+    }
+
+    /// How many notifies reached the base condvar.
+    #[cfg(any(test, loom))]
+    pub fn forwarded(&self) -> usize {
+        self.forwarded.load(std::sync::atomic::Ordering::Relaxed)
     }
 }
 
 impl fmt::Debug for Condvar {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("Condvar")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    /// A notify reaches the base condvar exactly when a waiter is
+    /// parked: none before the waiter, one for it, none after it left.
+    #[test]
+    fn a_notify_forwards_only_to_a_parked_waiter() {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let (m, cv) = &*pair;
+        cv.notify_one();
+        cv.notify_all();
+        assert_eq!(cv.forwarded(), 0, "nobody parked, yet a notify went on");
+
+        let p2 = Arc::clone(&pair);
+        let waiter = std::thread::spawn(move || {
+            let (m, cv) = &*p2;
+            let mut ready = m.lock();
+            while !*ready {
+                cv.wait(&mut ready);
+            }
+        });
+        // The count rises under the mutex before the wait releases it,
+        // so seeing it under the mutex means the waiter is parked (or
+        // about to be, which the base condvar handles).
+        let start = Instant::now();
+        let mut ready = m.lock();
+        while cv.sleepers.load(Ordering::Relaxed) == 0 {
+            drop(ready);
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "waiter never parked"
+            );
+            std::thread::yield_now();
+            ready = m.lock();
+        }
+        *ready = true;
+        drop(ready);
+        cv.notify_one();
+        assert_eq!(cv.forwarded(), 1, "a parked waiter was not notified");
+        waiter.join().unwrap();
+
+        cv.notify_all();
+        assert_eq!(cv.forwarded(), 1, "the waiter left, yet a notify went on");
     }
 }

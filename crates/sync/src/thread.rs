@@ -5,9 +5,11 @@
 //!
 //! Pinned to one CPU, spawning and joining a named thread costs
 //! ≈ 32 µs — `clone`, the stack and the sigaltstack maps — and handing
-//! a task to a parked thread ≈ 15 µs. A job start is a round of short
-//! daemon sessions and process creations, so that difference is paid
-//! many times per job.
+//! a task to a parked thread and hearing back ≈ 15 µs (re-measured with
+//! the condvar's sleeper count: a parked thread is a sleeper, so this
+//! wake-up is a real one). A job start is a round of short daemon
+//! sessions and process creations, so that difference is paid many
+//! times per job.
 //!
 //! Nothing is ever joined, for the reason [`crate::serve::Server`]
 //! joins no session: a task ends when its own work does. Dropping the

@@ -1,5 +1,5 @@
-//! Loom models of the facade's one timed wait and the channel built on
-//! it. Run with:
+//! Loom models of the facade's one timed wait, its notify skip and the
+//! channel built on it. Run with:
 //!
 //! ```sh
 //! RUSTFLAGS="--cfg loom" cargo test -p tdp-sync --release loom_
@@ -58,6 +58,47 @@ fn loom_wait_while_for_races_notify() {
         seen.lock().unwrap().insert(outcome);
         drop(ready);
         setter.join().unwrap();
+    });
+    assert_eq!(seen.lock().unwrap().len(), 2, "one outcome never explored");
+}
+
+/// An untimed `wait` loop against a setter that changes the predicate
+/// under the mutex and notifies after unlocking: whether the notify
+/// finds the waiter asleep or not, no wakeup is lost (the shim reports
+/// an untimed lost wakeup as a deadlock), and the notify reaches the
+/// base condvar exactly when the waiter slept.
+#[test]
+fn loom_notify_without_sleeper_races_wait() {
+    let seen = seen();
+    loom::model(move || {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let p2 = Arc::clone(&pair);
+        let setter = loom::thread::spawn(move || {
+            *p2.0.lock() = true;
+            p2.1.notify_one();
+        });
+
+        let (m, cv) = &*pair;
+        let mut ready = m.lock();
+        let mut slept = false;
+        while !*ready {
+            cv.wait(&mut ready);
+            slept = true;
+        }
+        drop(ready);
+        setter.join().unwrap();
+        let forwarded = cv.forwarded();
+        assert_eq!(
+            forwarded,
+            usize::from(slept),
+            "a notify must reach the base condvar exactly when the waiter slept"
+        );
+        let outcome = if slept {
+            "notify forwarded"
+        } else {
+            "notify skipped (nobody asleep yet)"
+        };
+        seen.lock().unwrap().insert(outcome);
     });
     assert_eq!(seen.lock().unwrap().len(), 2, "one outcome never explored");
 }

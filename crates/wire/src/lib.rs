@@ -8,7 +8,7 @@
 //! transports:
 //!
 //! * [`sim`] — an adapter over `tdp-netsim`'s in-memory fabric, keeping
-//!   the simulated topology, firewalls and latency models;
+//!   the simulated topology and firewalls;
 //! * [`epoll`] — real loopback TCP sockets with no thread per
 //!   connection or per transport. A receiver reads its own socket: an
 //!   incremental streaming decoder ([`tdp_proto::FrameDecoder`]) owned
@@ -66,7 +66,9 @@ pub trait TxApi: Send + Sync {
 
 /// Receive half of a connection. Object-safe; owned by [`WireRx`].
 pub trait RxApi: Send {
-    /// Blocking framed receive; `deadline` bounds the wait.
+    /// Blocking framed receive; `deadline` bounds the wait (`None` waits
+    /// as long as it takes). A deadline already past still delivers a
+    /// frame that has arrived, and only then reports `Timeout`.
     fn recv_msg_deadline(&mut self, deadline: Option<Instant>) -> TdpResult<Message>;
     /// Non-blocking framed receive: `Ok(None)` when no complete message
     /// has arrived yet.
@@ -130,6 +132,11 @@ impl WireRx {
     pub fn recv_msg_timeout(&mut self, timeout: Duration) -> TdpResult<Message> {
         self.inner
             .recv_msg_deadline(Instant::now().checked_add(timeout))
+    }
+
+    /// See [`RxApi::recv_msg_deadline`].
+    pub fn recv_msg_deadline(&mut self, deadline: Option<Instant>) -> TdpResult<Message> {
+        self.inner.recv_msg_deadline(deadline)
     }
 
     pub fn try_recv_msg(&mut self) -> TdpResult<Option<Message>> {
@@ -196,6 +203,10 @@ impl WireConn {
 
     pub fn recv_msg_timeout(&mut self, timeout: Duration) -> TdpResult<Message> {
         self.rx.recv_msg_timeout(timeout)
+    }
+
+    pub fn recv_msg_deadline(&mut self, deadline: Option<Instant>) -> TdpResult<Message> {
+        self.rx.recv_msg_deadline(deadline)
     }
 
     pub fn try_recv_msg(&mut self) -> TdpResult<Option<Message>> {

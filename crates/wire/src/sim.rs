@@ -79,14 +79,8 @@ struct SimRx {
 
 impl RxApi for SimRx {
     fn recv_msg_deadline(&mut self, deadline: Option<Instant>) -> TdpResult<Message> {
-        match deadline {
-            None => self.rx.recv_msg(),
-            // Saturating: an expired deadline still lets `pop` hand
-            // over a frame that is already deliverable.
-            Some(d) => self
-                .rx
-                .recv_msg_timeout(d.saturating_duration_since(Instant::now())),
-        }
+        // Passed through: netsim reads the clock only if it parks.
+        self.rx.recv_msg_deadline(deadline)
     }
 
     fn try_recv_msg(&mut self) -> TdpResult<Option<Message>> {

@@ -127,6 +127,53 @@ fn write_all_stall_forever_ends_with_the_peer_close() {
     assert_ne!(err.kind(), std::io::ErrorKind::TimedOut, "{err}");
 }
 
+/// `recv_msg_deadline` on both backends: `None` and a deadline already
+/// past both deliver a frame that has arrived; with nothing queued the
+/// past deadline is `Timeout` at once.
+#[test]
+fn recv_msg_deadline_none_and_past_on_both_backends() {
+    use tdp::wire::{EpollTransport, SimTransport, Transport};
+    let net = tdp::netsim::Network::new();
+    let (a, b) = (net.add_host(), net.add_host());
+    let backends: [(&str, Box<dyn Transport>); 2] = [
+        ("netsim", Box::new(SimTransport::new(net))),
+        ("epoll", Box::new(EpollTransport::new().unwrap())),
+    ];
+    let msg = tdp::proto::Message::Join { ctx: ContextId(7) };
+    for (name, t) in backends {
+        let lis = t.listen(b, 7000).unwrap();
+        let client = t.connect(a, &lis.local_endpoint()).unwrap();
+        let mut server = lis.accept().unwrap();
+        let past = Instant::now();
+        assert_eq!(
+            server.recv_msg_deadline(Some(past)),
+            Err(TdpError::Timeout),
+            "{name}: nothing queued"
+        );
+        client.send_msg(&msg).unwrap();
+        assert_eq!(
+            server.recv_msg_deadline(None),
+            Ok(msg.clone()),
+            "{name}: None"
+        );
+        client.send_msg(&msg).unwrap();
+        // A loopback segment may take a moment to land; until it has, a
+        // past deadline is rightly `Timeout`, and it consumes nothing.
+        let start = Instant::now();
+        let got = loop {
+            match server.recv_msg_deadline(Some(past)) {
+                Err(TdpError::Timeout) if start.elapsed() < T => thread::yield_now(),
+                other => break other,
+            }
+        };
+        assert_eq!(
+            got,
+            Ok(msg.clone()),
+            "{name}: a queued frame beats a past deadline"
+        );
+    }
+}
+
 // ------------------------------------------------------------ fixtures
 
 fn exit0() -> ExecImage {
