@@ -480,7 +480,6 @@ fn b9_gateway() {
         &world,
         gw_host,
         GatewayConfig {
-            workers: 8,
             pool_size: 8,
             ..GatewayConfig::default()
         },

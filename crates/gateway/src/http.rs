@@ -1,80 +1,59 @@
-//! A small HTTP/1.1 server on the wire crate's epoll machinery.
+//! A small HTTP/1.1 server: one session thread per connection, run by
+//! [`tdp_sync::serve`] like every other daemon in the tree.
 //!
-//! Leader/follower: the `workers` threads all block in `epoll_wait` on
-//! one shared [`Epoll`](tdp_wire::sys::Epoll) set, and the thread the
-//! kernel wakes serves the request itself — read, parse once, run the
-//! handler, write, re-arm — so a request costs four syscalls and no
-//! thread hand-off inside the server.
-//!
-//! * **Who owns a connection when.** Every connection is registered
-//!   `EPOLLONESHOT`: once its readiness has been reported to one worker
-//!   the kernel reports nothing more for it until that worker re-arms
-//!   it, so from wake-up to re-arm (or close) the worker is the only
-//!   thread touching the socket and its buffers. In between, the epoll
-//!   set owns it. The re-arm is level-triggered: bytes left in the
-//!   socket (a short read stops the read loop) or a request that is not
-//!   complete yet are reported again, to whichever worker is free.
-//! * **One event per `wait`.** A worker that took two ready connections
-//!   and then blocked in the first one's handler (a `subscribe`
-//!   long-poll parks for up to 30 s) would sit on the second while
-//!   other workers idle. Taking one leaves the rest in the kernel's
-//!   ready list for the next free worker.
-//! * **What a parked handler costs.** One worker, and nothing else:
-//!   the other `workers - 1` keep serving. With all of them parked,
-//!   ready connections queue in the epoll set — bounded by the number
-//!   of open connections, nothing is dropped — and are served as
-//!   workers come back.
-//! * **The listener** is `EPOLLONESHOT` too: one worker is woken per
-//!   burst of connects, accepts until `EAGAIN`, and re-arms it, so
-//!   nobody wakes up to lose an `accept` race. The workers share the
-//!   listener; it closes when the last of them exits.
-//! * **Shutdown** signals a level-triggered eventfd that no one drains,
-//!   so every worker sees it at its next `wait` and returns.
+//! * **The session thread owns its socket** for the connection's life.
+//!   It blocks in `read`, answers every complete request buffered
+//!   (pipelined ones included, in order) and reads again, so a request
+//!   costs one `read` and one `send`, and no other thread ever touches
+//!   the connection or its buffers.
+//! * **What a parked handler costs.** Its own connection's thread, and
+//!   nothing else: every other connection is read by a thread of its
+//!   own.
+//! * **A bound, not a pool.** At most [`MAX_SESSIONS`] connections are
+//!   served at once; one beyond it is answered `503` and closed as soon
+//!   as it is accepted, so a connection flood cannot become a thread
+//!   flood. An idle keep-alive connection holds its parked thread until
+//!   its peer closes: there is no idle timeout.
+//! * **Shutdown** closes the listener, shuts down every registered
+//!   connection (which ends its session's `read`) and returns once
+//!   their sessions have ended.
 //!
 //! Scope: `POST` with `Content-Length` (JSON-RPC) and bare `GET`
 //! (health probes). No chunked transfer (any `Transfer-Encoding` is
 //! refused, so a body can never be re-read as a pipelined request), no
-//! TLS — the gateway fronts a lab network, and clients are the bench
-//! harness, curl, and the example programs.
+//! TLS, no idle timeout — the gateway fronts a lab network, and clients
+//! are the bench harness, curl, and the example programs.
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tdp_sync::Mutex;
-use tdp_wire::socket::write_all_stall;
-use tdp_wire::sys::{Epoll, EpollEvent, EventFd, EPOLLIN, EPOLLONESHOT, EPOLLRDHUP};
+use tdp_sync::serve::{serve, Server};
+use tdp_sync::{Condvar, Mutex};
+use tdp_wire::socket::{write_all_stall, TcpAccept};
 
 /// Largest accepted head (request line + headers) in bytes.
 const MAX_HEAD: usize = 16 * 1024;
 /// Largest accepted body in bytes.
 const MAX_BODY: usize = 4 * 1024 * 1024;
-/// Largest complete request: head, blank line, body. A worker stops
-/// reading a connection once it buffers more than this; what is
-/// buffered then parses as a request or as bad framing, never as
-/// "need more".
-const MAX_REQUEST: usize = MAX_HEAD + 4 + MAX_BODY;
-/// One `read`'s worth. A read that returns less has drained the socket.
+/// One `read`'s worth.
 const READ_CHUNK: usize = 8 * 1024;
 /// Buffer capacity an idle connection may keep between requests; one
 /// large request must not pin megabytes for the life of a keep-alive
 /// connection.
 const KEEP_BUF: usize = 64 * 1024;
-/// How long a worker waits, in total per response, for a stalled client
-/// to make room before it drops the connection. The wait is a
-/// `poll(2)` inside [`write_all_stall`] (the write loop the wire
-/// transport's senders use too) — we never register for `EPOLLOUT`: the
-/// worker owns the connection anyway.
+/// How long a session waits, in total per response, for a stalled
+/// client to make room before it drops the connection. The wait is a
+/// `poll(2)` inside [`write_all_stall`], the write loop the wire
+/// transport's senders use too.
 const WRITE_STALL: Duration = Duration::from_secs(5);
-
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKEUP: u64 = 1;
-const TOKEN_FIRST_CONN: u64 = 2;
+/// Most connections served at once, each on a thread of its own.
+#[cfg(not(test))]
+const MAX_SESSIONS: usize = 512;
+#[cfg(test)]
+const MAX_SESSIONS: usize = 16;
 
 /// One parsed inbound request, borrowed from the connection's read
 /// buffer for the duration of the handler call.
@@ -133,6 +112,7 @@ impl HttpResponse {
             404 => "Not Found",
             405 => "Method Not Allowed",
             413 => "Payload Too Large",
+            503 => "Service Unavailable",
             _ => "Error",
         }
     }
@@ -155,7 +135,7 @@ impl HttpResponse {
 }
 
 /// Request handler. Must be cheap to call concurrently; one invocation
-/// per in-flight request, from worker threads.
+/// per in-flight request, from session threads.
 pub type Handler = Arc<dyn Fn(&HttpRequest<'_>) -> HttpResponse + Send + Sync>;
 
 // ------------------------------------------------------------- parsing
@@ -252,111 +232,147 @@ fn header_lines(head: &str) -> impl Iterator<Item = (&str, &str)> {
         .map(|(name, value)| (name.trim(), value.trim()))
 }
 
-// ---------------------------------------------------------- connection
+// ------------------------------------------------------------ sessions
 
-/// A connection's buffers, reused from request to request.
+/// The live connections: a `try_clone` of each session's stream, for
+/// `shutdown` to sever. The only state sessions share.
 #[derive(Default)]
-struct ConnIo {
-    /// Bytes read off the socket but not yet consumed as requests.
-    inb: Vec<u8>,
-    /// The response being written, head and body.
-    out: Vec<u8>,
+struct Sessions {
+    open: Mutex<Open>,
+    /// `shutdown` waits here for `open.streams` to empty.
+    ended: Condvar,
 }
 
-struct Conn {
-    stream: TcpStream,
+#[derive(Default)]
+struct Open {
+    streams: HashMap<u64, TcpStream>,
+    next_token: u64,
+    /// `shutdown` has begun: nothing more is registered.
+    closed: bool,
+}
+
+/// A registered session. Dropping it frees the slot, whether the
+/// session returned or its handler panicked.
+struct Registered<'a> {
+    sessions: &'a Sessions,
     token: u64,
-    /// Parked here while the epoll set owns the connection; the worker
-    /// that is woken takes the buffers out and puts them back before it
-    /// re-arms. The lock is never contended and never held while the
-    /// handler or the socket can block — it is only how `ConnIo` passes
-    /// from one exclusive owner to the next.
-    io: Mutex<ConnIo>,
 }
 
-impl Conn {
-    fn fd(&self) -> RawFd {
-        self.stream.as_raw_fd()
+impl Sessions {
+    /// Register `stream`; `None` when the server is full or shutting
+    /// down.
+    fn enter(&self, stream: &TcpStream) -> Option<Registered<'_>> {
+        let clone = stream.try_clone().ok()?;
+        let mut open = self.open.lock();
+        if open.closed || open.streams.len() >= MAX_SESSIONS {
+            return None;
+        }
+        let token = open.next_token;
+        open.next_token += 1;
+        open.streams.insert(token, clone);
+        Some(Registered {
+            sessions: self,
+            token,
+        })
     }
 }
 
-struct Shared {
-    epoll: Epoll,
-    wakeup: EventFd,
-    conns: Mutex<HashMap<u64, Arc<Conn>>>,
-    next_token: AtomicU64,
-    handler: Handler,
-    stop: AtomicBool,
-}
-
-impl Shared {
-    fn close(&self, conn: &Conn) {
-        // Delete before dropping the map entry so no worker can ever
-        // see a readiness event for a token that was just freed.
-        let _ = self.epoll.delete(conn.fd());
-        self.conns.lock().remove(&conn.token);
-    }
-
-    fn rearm(&self, conn: &Conn) {
-        if self
-            .epoll
-            .modify(conn.fd(), EPOLLIN | EPOLLRDHUP | EPOLLONESHOT, conn.token)
-            .is_err()
-        {
-            self.close(conn);
+impl Drop for Registered<'_> {
+    fn drop(&mut self) {
+        let mut open = self.sessions.open.lock();
+        open.streams.remove(&self.token);
+        if open.streams.is_empty() {
+            self.sessions.ended.notify_all();
         }
     }
+}
+
+/// One connection, on its own session thread: read, answer every
+/// complete request buffered, read again — until the peer closes or
+/// asks to, a write fails, or the framing is bad. `inb` stays bounded
+/// without a check of its own: [`parse_one`] says "need more" only
+/// while a request of at most `MAX_HEAD + 4 + MAX_BODY` bytes is still
+/// incomplete.
+fn session(sessions: &Sessions, handler: &Handler, stream: TcpStream) {
+    let mut out = Vec::new();
+    let Some(_registered) = sessions.enter(&stream) else {
+        return send_last(&stream, HttpResponse::text(503, "busy\n"), &mut out);
+    };
+    let _ = stream.set_nodelay(true);
+    let mut inb = Vec::new();
+    let mut chunk = [0u8; READ_CHUNK];
+    loop {
+        match (&stream).read(&mut chunk) {
+            Ok(0) => return,
+            Ok(n) => inb.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return,
+        }
+        let mut at = 0;
+        loop {
+            match parse_one(&inb[at..]) {
+                Parsed::Done {
+                    req,
+                    consumed,
+                    close,
+                } => {
+                    handler(&req).render_into(!close, &mut out);
+                    at += consumed;
+                    if write_all_stall(&stream, &out, WRITE_STALL).is_err() || close {
+                        return;
+                    }
+                }
+                Parsed::Partial => break,
+                Parsed::Bad(why) => {
+                    let resp = HttpResponse::text(400, format!("bad request: {why}\n"));
+                    return send_last(&stream, resp, &mut out);
+                }
+            }
+        }
+        inb.drain(..at);
+        if inb.is_empty() {
+            inb.shrink_to(KEEP_BUF);
+        }
+        out.clear();
+        out.shrink_to(KEEP_BUF);
+    }
+}
+
+/// Write `resp` with `connection: close`; the caller then drops the
+/// connection.
+fn send_last(stream: &TcpStream, resp: HttpResponse, out: &mut Vec<u8>) {
+    resp.render_into(false, out);
+    let _ = write_all_stall(stream, out, WRITE_STALL);
 }
 
 // -------------------------------------------------------------- server
 
 /// A running HTTP server; dropping it (or calling [`shutdown`]) stops
-/// the worker threads.
+/// it.
 ///
 /// [`shutdown`]: HttpServer::shutdown
 pub struct HttpServer {
     addr: SocketAddr,
-    shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
+    server: Server,
+    sessions: Arc<Sessions>,
 }
 
 impl HttpServer {
-    /// Bind `addr` (use port 0 for an ephemeral port) and start
-    /// `workers` threads that accept and serve.
-    pub fn bind(addr: &str, workers: usize, handler: Handler) -> std::io::Result<HttpServer> {
+    /// Bind `addr` (use port 0 for an ephemeral port) and serve each
+    /// connection on a session thread of its own.
+    pub fn bind(addr: &str, handler: Handler) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            epoll: Epoll::new()?,
-            wakeup: EventFd::new()?,
-            conns: Mutex::new(HashMap::new()),
-            next_token: AtomicU64::new(TOKEN_FIRST_CONN),
-            handler,
-            stop: AtomicBool::new(false),
-        });
-        shared
-            .epoll
-            .add(listener.as_raw_fd(), EPOLLIN | EPOLLONESHOT, TOKEN_LISTENER)?;
-        shared
-            .epoll
-            .add(shared.wakeup.fd(), EPOLLIN, TOKEN_WAKEUP)?;
-
-        let listener = Arc::new(listener);
-        let threads = (0..workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let listener = Arc::clone(&listener);
-                std::thread::Builder::new()
-                    .name(format!("gw-http-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &listener))
-                    .expect("spawn http worker")
-            })
-            .collect();
+        let listener = TcpAccept::new(listener).map_err(std::io::Error::other)?;
+        let sessions = Arc::new(Sessions::default());
+        let shared = Arc::clone(&sessions);
+        let server = serve("gw-http", listener, move |stream| {
+            session(&shared, &handler, stream)
+        })?;
         Ok(HttpServer {
             addr,
-            shared,
-            threads,
+            server,
+            sessions,
         })
     }
 
@@ -367,17 +383,22 @@ impl HttpServer {
 
     /// Number of currently-open client connections.
     pub fn open_connections(&self) -> usize {
-        self.shared.conns.lock().len()
+        self.sessions.open.lock().streams.len()
     }
 
-    /// Stop accepting, close all connections, join all threads.
+    /// Stop accepting, shut every connection down, and return once
+    /// their sessions have ended. A session parked in its handler ends
+    /// when the handler returns.
     pub fn shutdown(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.wakeup.signal();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        self.server.close();
+        let mut open = self.sessions.open.lock();
+        open.closed = true;
+        for stream in open.streams.values() {
+            let _ = stream.shutdown(Shutdown::Both);
         }
-        self.shared.conns.lock().clear();
+        self.sessions
+            .ended
+            .wait_while_for(&mut open, |o| !o.streams.is_empty(), Duration::MAX);
     }
 }
 
@@ -387,133 +408,6 @@ impl Drop for HttpServer {
     }
 }
 
-fn worker_loop(shared: &Shared, listener: &TcpListener) {
-    // One slot: see the module doc for why a worker takes one event.
-    let mut event = [EpollEvent {
-        events: 0,
-        token: 0,
-    }];
-    let mut chunk = [0u8; READ_CHUNK];
-    while !shared.stop.load(Ordering::SeqCst) {
-        let token = match shared.epoll.wait(&mut event, -1) {
-            Ok([e]) => e.token,
-            Ok(_) => continue,
-            Err(_) => return,
-        };
-        match token {
-            // Left readable for the other workers.
-            TOKEN_WAKEUP => return,
-            TOKEN_LISTENER => accept_all(shared, listener),
-            t => {
-                let conn = shared.conns.lock().get(&t).cloned();
-                if let Some(conn) = conn {
-                    serve_conn(shared, &conn, &mut chunk);
-                }
-            }
-        }
-    }
-}
-
-/// Accept until `EAGAIN`, then re-arm the listener (a connect that
-/// lands in between is reported by the re-arm).
-fn accept_all(shared: &Shared, listener: &TcpListener) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                let token = shared.next_token.fetch_add(1, Ordering::Relaxed);
-                let conn = Arc::new(Conn {
-                    stream,
-                    token,
-                    io: Mutex::new(ConnIo::default()),
-                });
-                shared.conns.lock().insert(token, Arc::clone(&conn));
-                if shared
-                    .epoll
-                    .add(conn.fd(), EPOLLIN | EPOLLRDHUP | EPOLLONESHOT, token)
-                    .is_err()
-                {
-                    shared.conns.lock().remove(&token);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => break,
-        }
-    }
-    let _ = shared
-        .epoll
-        .modify(listener.as_raw_fd(), EPOLLIN | EPOLLONESHOT, TOKEN_LISTENER);
-}
-
-/// Move what the socket holds into `inb`; `true` once the peer has
-/// closed (or the socket failed). A read shorter than `chunk` has
-/// drained the socket, so no second `read` is spent on `EAGAIN` —
-/// anything that lands later is reported by the level-triggered re-arm.
-fn fill(mut stream: &TcpStream, inb: &mut Vec<u8>, chunk: &mut [u8]) -> bool {
-    while inb.len() <= MAX_REQUEST {
-        match stream.read(chunk) {
-            Ok(0) => return true,
-            Ok(n) => {
-                inb.extend_from_slice(&chunk[..n]);
-                if n < chunk.len() {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return true,
-        }
-    }
-    false
-}
-
-/// Runs on the worker that was woken for `conn`, which owns it until
-/// it re-arms or closes: read, answer every complete request buffered
-/// (pipelined ones included, in order), then hand the connection back
-/// to the epoll set.
-fn serve_conn(shared: &Shared, conn: &Conn, chunk: &mut [u8]) {
-    let mut io = std::mem::take(&mut *conn.io.lock());
-    let eof = fill(&conn.stream, &mut io.inb, chunk);
-    let mut at = 0;
-    let keep = loop {
-        match parse_one(&io.inb[at..]) {
-            Parsed::Done {
-                req,
-                consumed,
-                close,
-            } => {
-                (shared.handler)(&req).render_into(!close, &mut io.out);
-                at += consumed;
-                if write_all_stall(&conn.stream, &io.out, WRITE_STALL).is_err() || close {
-                    break false;
-                }
-            }
-            Parsed::Partial => break !eof,
-            Parsed::Bad(why) => {
-                HttpResponse::text(400, format!("bad request: {why}\n"))
-                    .render_into(false, &mut io.out);
-                let _ = write_all_stall(&conn.stream, &io.out, WRITE_STALL);
-                break false;
-            }
-        }
-    };
-    if !keep {
-        shared.close(conn);
-        return;
-    }
-    io.inb.drain(..at);
-    if io.inb.is_empty() {
-        io.inb.shrink_to(KEEP_BUF);
-    }
-    io.out.clear();
-    io.out.shrink_to(KEEP_BUF);
-    *conn.io.lock() = io;
-    shared.rearm(conn);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -521,7 +415,6 @@ mod tests {
     fn echo_server() -> HttpServer {
         HttpServer::bind(
             "127.0.0.1:0",
-            2,
             Arc::new(|req: &HttpRequest| {
                 HttpResponse::json(200, format!("{{\"path\":\"{}\"}}", req.path))
             }),
@@ -684,10 +577,9 @@ mod tests {
     // ------------------------------------------------------ the new loop
 
     /// Echoes the request body.
-    fn body_echo_server(workers: usize) -> HttpServer {
+    fn body_echo_server() -> HttpServer {
         HttpServer::bind(
             "127.0.0.1:0",
-            workers,
             Arc::new(|req: &HttpRequest| HttpResponse::text(200, req.body)),
         )
         .unwrap()
@@ -721,7 +613,7 @@ mod tests {
 
     #[test]
     fn slow_reader_gets_a_large_body_whole() {
-        let srv = body_echo_server(2);
+        let srv = body_echo_server();
         let body = pattern(3 * 1024 * 1024);
         let mut s = TcpStream::connect(srv.addr()).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -735,20 +627,20 @@ mod tests {
         .unwrap();
         s.write_all(&body).unwrap();
         // The response outgrows the socket buffers long before this
-        // client reads a byte: the worker has to wait for room.
+        // client reads a byte: the session has to wait for room.
         std::thread::sleep(Duration::from_millis(300));
         assert!(read_response(&mut s) == body, "echoed body differs");
     }
 
     #[test]
     fn body_in_small_pieces_and_a_request_of_exactly_one_read() {
-        let srv = body_echo_server(2);
+        let srv = body_echo_server();
         let mut s = TcpStream::connect(srv.addr()).unwrap();
         s.set_nodelay(true).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
 
-        // Every piece is a short read: the worker must re-arm and come
-        // back rather than wait for EAGAIN or give up on the request.
+        // Every piece is a short read: the session must read again
+        // rather than give up on the request.
         let body = pattern(100 * 1024);
         s.write_all(
             format!(
@@ -777,13 +669,14 @@ mod tests {
     }
 
     #[test]
-    fn parked_handlers_cost_one_worker_each_and_drop_nothing() {
+    fn parked_handlers_cost_one_session_each_and_drop_nothing() {
         use tdp_sync::channel::bounded;
-        let (entered_tx, entered) = bounded::<()>(4);
-        let (release, release_rx) = bounded::<()>(4);
+        // Ten: more than a fixed pool of 8 threads could park.
+        const PARKED: usize = 10;
+        let (entered_tx, entered) = bounded::<()>(PARKED);
+        let (release, release_rx) = bounded::<()>(PARKED);
         let srv = HttpServer::bind(
             "127.0.0.1:0",
-            2,
             Arc::new(move |req: &HttpRequest| {
                 if req.path == "/park" {
                     entered_tx.send(()).unwrap();
@@ -798,33 +691,104 @@ mod tests {
             s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
             s
         };
-        let (mut a, mut b, mut c) = (connect(), connect(), connect());
+        let mut parked: Vec<TcpStream> = (0..PARKED)
+            .map(|_| {
+                let mut s = connect();
+                s.write_all(b"GET /park HTTP/1.1\r\n\r\n").unwrap();
+                s
+            })
+            .collect();
+        for _ in 0..PARKED {
+            entered.recv_timeout(Duration::from_secs(10)).unwrap();
+        }
 
-        // A parks one worker; B is served by the other.
-        a.write_all(b"GET /park HTTP/1.1\r\n\r\n").unwrap();
-        b.write_all(b"GET /fast HTTP/1.1\r\n\r\n").unwrap();
-        assert_eq!(read_response(&mut b), b"/fast");
-        entered.recv().unwrap();
+        // All ten parked: an eleventh connection is answered at once.
+        let mut fast = connect();
+        fast.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        fast.write_all(b"GET /fast HTTP/1.1\r\n\r\n").unwrap();
+        assert_eq!(read_response(&mut fast), b"/fast");
 
-        // Both parked: C's request waits in the epoll set.
-        b.write_all(b"GET /park HTTP/1.1\r\n\r\n").unwrap();
-        entered.recv().unwrap();
-        c.write_all(b"GET /fast HTTP/1.1\r\n\r\n").unwrap();
-        c.set_read_timeout(Some(Duration::from_millis(150)))
-            .unwrap();
-        let mut byte = [0u8; 1];
-        let waited = c.read(&mut byte).unwrap_err().kind();
-        assert!(
-            matches!(waited, ErrorKind::WouldBlock | ErrorKind::TimedOut),
-            "{waited:?}"
+        // Released, every parked request is answered.
+        for _ in 0..PARKED {
+            release.send(()).unwrap();
+        }
+        for s in &mut parked {
+            assert_eq!(read_response(s), b"/park");
+        }
+    }
+
+    /// Poll until `srv` holds `n` connections; false after 5 s.
+    fn settles_at(srv: &HttpServer, n: usize) -> bool {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while srv.open_connections() != n {
+            if std::time::Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        true
+    }
+
+    #[test]
+    fn a_panicking_handler_costs_only_its_own_connection() {
+        let srv = HttpServer::bind(
+            "127.0.0.1:0",
+            Arc::new(|req: &HttpRequest| {
+                if req.path == "/panic" {
+                    panic!("the handler panics on /panic");
+                }
+                HttpResponse::text(200, req.path)
+            }),
+        )
+        .unwrap();
+        // Two panics: enough to stop a server of two threads in all.
+        for _ in 0..2 {
+            let out = raw_roundtrip(srv.addr(), "GET /panic HTTP/1.1\r\n\r\n");
+            assert_eq!(out, "", "a panicked session answers nothing");
+        }
+        assert!(settles_at(&srv, 0), "a panicked session kept its slot");
+        let out = raw_roundtrip(
+            srv.addr(),
+            "GET /next HTTP/1.1\r\nconnection: close\r\n\r\n",
         );
-        c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        assert!(out.starts_with("HTTP/1.1 200 OK\r\n"), "{out}");
+        assert!(out.ends_with("/next"), "{out}");
+    }
 
-        // One worker back: C is answered, and so is whoever was let go.
-        release.send(()).unwrap();
-        assert_eq!(read_response(&mut c), b"/fast");
-        release.send(()).unwrap();
-        assert_eq!(read_response(&mut a), b"/park");
-        assert_eq!(read_response(&mut b), b"/park");
+    #[test]
+    fn a_connection_over_the_bound_gets_503_and_a_close() {
+        let srv = echo_server();
+        let mut held: Vec<TcpStream> = (0..MAX_SESSIONS)
+            .map(|i| {
+                let mut s = TcpStream::connect(srv.addr()).unwrap();
+                s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+                s.write_all(format!("GET /held{i} HTTP/1.1\r\n\r\n").as_bytes())
+                    .unwrap();
+                read_response(&mut s);
+                s
+            })
+            .collect();
+        assert_eq!(srv.open_connections(), MAX_SESSIONS);
+
+        // Refused as it is accepted, before a request is read: the
+        // client reads the 503 and then EOF.
+        let mut over = TcpStream::connect(srv.addr()).unwrap();
+        over.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut out = String::new();
+        over.read_to_string(&mut out).unwrap();
+        assert!(
+            out.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
+            "{out}"
+        );
+        assert!(out.contains("\r\nconnection: close\r\n"), "{out}");
+
+        // The bound counts live connections: one closed, one served.
+        drop(held.pop());
+        assert!(settles_at(&srv, MAX_SESSIONS - 1));
+        let out = raw_roundtrip(
+            srv.addr(),
+            "GET /again HTTP/1.1\r\nconnection: close\r\n\r\n",
+        );
+        assert!(out.starts_with("HTTP/1.1 200 OK\r\n"), "{out}");
     }
 }

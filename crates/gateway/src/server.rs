@@ -2,7 +2,7 @@
 //!
 //! [`GatewayCore`] is the transport-free heart — a method router over
 //! the tool registry, the attribute bridge, the process manager, and
-//! the keyring. [`Gateway`] wraps a core in the epoll HTTP server and
+//! the keyring. [`Gateway`] wraps a core in the HTTP server and
 //! owns the supervision hand-off. Tests drive the core directly;
 //! everything external comes in over HTTP.
 //!
@@ -45,7 +45,7 @@ use crate::tools::{AttrKeysTool, EchoTool, WorldHealthTool};
 use tdp_attrspace::ReconnectPolicy;
 
 /// Ceiling for client-supplied long-poll / blocking-get timeouts, so a
-/// client cannot park a worker thread for minutes.
+/// client cannot park its session thread for minutes.
 const MAX_CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
 const DEFAULT_CLIENT_TIMEOUT: Duration = Duration::from_secs(5);
 
@@ -54,8 +54,6 @@ const DEFAULT_CLIENT_TIMEOUT: Duration = Duration::from_secs(5);
 pub struct GatewayConfig {
     /// HTTP bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// HTTP worker threads (concurrent in-flight requests).
-    pub workers: usize,
     /// TDP sessions in the attribute bridge pool — the `n` every HTTP
     /// client multiplexes onto.
     pub pool_size: usize,
@@ -67,7 +65,6 @@ impl Default for GatewayConfig {
     fn default() -> GatewayConfig {
         GatewayConfig {
             addr: "127.0.0.1:0".to_string(),
-            workers: 8,
             pool_size: 8,
             supervise: true,
         }
@@ -403,7 +400,7 @@ impl Gateway {
     /// Build a core and serve it per `cfg`.
     pub fn start(world: &World, gw_host: HostId, cfg: GatewayConfig) -> TdpResult<Gateway> {
         let core = Arc::new(GatewayCore::new(world, gw_host, &cfg)?);
-        let http = HttpServer::bind(&cfg.addr, cfg.workers, http_handler(Arc::clone(&core)))
+        let http = HttpServer::bind(&cfg.addr, http_handler(Arc::clone(&core)))
             .map_err(|e| tdp_proto::TdpError::Substrate(format!("gateway bind: {e}")))?;
         Ok(Gateway { core, http })
     }
@@ -422,7 +419,8 @@ impl Gateway {
         self.http.open_connections()
     }
 
-    /// Stop the HTTP server (joins its workers).
+    /// Stop the HTTP server: close every connection and return once
+    /// their sessions have ended.
     pub fn shutdown(&mut self) {
         self.http.shutdown();
     }

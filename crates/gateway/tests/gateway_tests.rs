@@ -17,7 +17,6 @@ fn start_gateway(supervise: bool) -> (World, Gateway) {
     let cfg = GatewayConfig {
         supervise,
         pool_size: 4,
-        workers: 4,
         ..GatewayConfig::default()
     };
     let gw = Gateway::start(&world, gw_host, cfg).unwrap();

@@ -1,6 +1,8 @@
 //! The HTTP server's thread census. A test binary of its own, with one
 //! test, so no other server's threads are in the process.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -16,37 +18,62 @@ fn thread_names() -> Vec<String> {
         .collect()
 }
 
+/// Poll the census until `done` holds for it or 5 s pass; the last one.
+fn census(done: impl Fn(&[String]) -> bool) -> Vec<String> {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let names = thread_names();
+        if done(&names) || Instant::now() > deadline {
+            return names;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+fn count(names: &[String], name: &str) -> usize {
+    names.iter().filter(|n| *n == name).count()
+}
+
 #[test]
-fn workers_are_the_only_http_threads() {
-    let workers = 3;
+fn an_accept_thread_and_one_session_thread_per_connection() {
+    const CONNS: usize = 3;
     let threads_before = thread_names().len();
     let mut srv = HttpServer::bind(
         "127.0.0.1:0",
-        workers,
         Arc::new(|_: &HttpRequest| HttpResponse::text(200, "ok\n")),
     )
     .unwrap();
-    // A thread names itself as it starts, so give the last one a moment.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let names = loop {
-        let names = thread_names();
-        let named = names.iter().filter(|n| n.starts_with("gw-http")).count();
-        if named == workers || Instant::now() > deadline {
-            break names;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    };
-    let http: Vec<&String> = names.iter().filter(|n| n.starts_with("gw-http")).collect();
-    assert_eq!(http.len(), workers, "{names:?}");
-    assert!(
-        http.iter().all(|n| n.starts_with("gw-http-worker")),
-        "{names:?}"
-    );
-    // The three of them are every thread `bind` started.
-    assert_eq!(names.len(), threads_before + workers, "{names:?}");
+    let mut conns: Vec<TcpStream> = (0..CONNS)
+        .map(|_| {
+            let mut s = TcpStream::connect(srv.addr()).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            s.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
+            let mut got = Vec::new();
+            while !got.ends_with(b"\r\n\r\nok\n") {
+                let mut buf = [0u8; 512];
+                let n = s.read(&mut buf).unwrap();
+                assert!(n > 0, "server closed mid-response");
+                got.extend_from_slice(&buf[..n]);
+            }
+            s
+        })
+        .collect();
+
+    // Answered and kept alive: each connection holds its own thread.
+    let names = census(|n| count(n, "gw-http-conn") == CONNS);
+    assert_eq!(count(&names, "gw-http"), 1, "{names:?}");
+    assert_eq!(count(&names, "gw-http-conn"), CONNS, "{names:?}");
+    assert_eq!(names.len(), threads_before + 1 + CONNS, "{names:?}");
+
+    // Shutdown does not wait for the idle clients: it closes them.
     srv.shutdown();
+    assert_eq!(srv.open_connections(), 0);
+    for s in &mut conns {
+        assert_eq!(s.read(&mut [0u8; 64]).unwrap(), 0, "no EOF after shutdown");
+    }
+    let names = census(|n| !n.iter().any(|n| n.starts_with("gw-http")));
     assert!(
-        !thread_names().iter().any(|n| n.starts_with("gw-http")),
-        "threads outlived shutdown"
+        !names.iter().any(|n| n.starts_with("gw-http")),
+        "threads outlived shutdown: {names:?}"
     );
 }

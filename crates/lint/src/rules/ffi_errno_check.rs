@@ -7,9 +7,9 @@
 //! result check *near the call* — wrapped in `cvt`/`cvt_size`, compared
 //! against 0/-1, or feeding `last_os_error` — within the same statement
 //! or the two following ones. A syscall whose failure is consciously
-//! ignorable still has to write the check down (see `EventFd::signal`:
-//! EAGAIN on a saturated counter is fine *because the fd stays
-//! readable*, and the code now says so in executable form).
+//! ignorable still has to write the check down: `sys.rs`'s `poll_one`
+//! compares `poll`'s return against 0 and retries only `EINTR`, so
+//! which failures it swallows is visible in the code, not assumed.
 
 use super::{Rule, SourceFile};
 use crate::diag::Finding;

@@ -28,7 +28,7 @@
 //! scenario driven over either produces the same TDP call trace.
 
 // The only crate in the workspace allowed to use `unsafe` (the raw
-// poll/recv/send/epoll/eventfd FFI in `sys`); every unsafe operation must be
+// poll/recv/send FFI in `sys`); every unsafe operation must be
 // explicit even inside unsafe fns, and every block carries a
 // `// SAFETY:` comment (clippy::undocumented_unsafe_blocks).
 #![deny(unsafe_op_in_unsafe_fn)]

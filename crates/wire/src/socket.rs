@@ -10,7 +10,9 @@
 //!   connection establishment ordered.
 //! * **[`write_all_stall`]** — the tree's one non-blocking write path:
 //!   a wire connection's send turn (`flow.rs`) and the gateway's HTTP
-//!   workers both call it, each with its own stall budget.
+//!   sessions both call it, each with its own stall budget.
+//! * **[`TcpAccept`]** — a `TcpListener` that `serve` can drive and
+//!   close: the relay proxy's and the gateway's listener.
 //! * **Relay proxy** — the §2.4 firewall crossing: a one-line
 //!   `CONNECT host:port\n` exchange, then two byte pumps.
 
@@ -35,8 +37,7 @@ pub(crate) const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Write all of `data` to `stream`, by the calling thread, never
 /// parking in the `send` itself — each one is `MSG_DONTWAIT`, so the
-/// socket's own mode (blocking for a wire connection, non-blocking for
-/// the gateway's) does not matter. When the socket buffer is full, park
+/// socket's own mode does not matter. When the socket buffer is full, park
 /// in `poll(2)` until the peer makes room — for `stall` in total across
 /// the call, after which the peer counts as stalled and the call fails
 /// [`ErrorKind::TimedOut`] with part of `data` possibly written. Any
@@ -133,14 +134,14 @@ pub(crate) fn spawn_real_listener(
 /// A `TcpListener` that can be closed. `std`'s `accept` cannot be
 /// interrupted, so `close` raises a flag and wakes it with a throwaway
 /// self-connection.
-pub(crate) struct TcpAccept {
+pub struct TcpAccept {
     listener: TcpListener,
     pub(crate) local: SocketAddr,
     closed: AtomicBool,
 }
 
 impl TcpAccept {
-    pub(crate) fn new(listener: TcpListener) -> TdpResult<TcpAccept> {
+    pub fn new(listener: TcpListener) -> TdpResult<TcpAccept> {
         let local = listener
             .local_addr()
             .map_err(|e| TdpError::Substrate(format!("listener local_addr: {e}")))?;
@@ -327,8 +328,8 @@ mod tests {
 
     #[test]
     fn write_all_stall_times_out_on_a_full_socket() {
-        // In the gateway's mode and in the wire's: on a blocking socket
-        // the wait must still be the bounded `poll`, never the `send`.
+        // Whatever the socket's mode: on a blocking socket the wait
+        // must still be the bounded `poll`, never the `send`.
         for nonblocking in [true, false] {
             let (a, _b, _) = full_socket();
             a.set_nonblocking(nonblocking).unwrap();

@@ -1,52 +1,22 @@
 //! Minimal unsafe FFI shim over the Linux syscalls the socket transport
-//! and the gateway's HTTP loop need: `poll` for one fd and `recv` /
-//! `send` with per-call flags (an adopted socket stays in blocking mode;
-//! `MSG_DONTWAIT` makes the one call that must not park non-blocking),
-//! `epoll_create1` / `epoll_ctl` / `epoll_wait` and `eventfd` for
-//! cross-thread wakeups (the gateway's leader/follower loop — the
-//! tree's one epoll loop).
+//! and the gateway's HTTP sessions need that `std` does not offer:
+//! `poll` for one fd and `recv` / `send` with per-call flags (an
+//! adopted socket stays in blocking mode; `MSG_DONTWAIT` makes the one
+//! call that must not park non-blocking). There is no epoll set and no
+//! eventfd: every socket is read by the thread that wants its bytes.
 //!
 //! This build environment has no crates.io access (see
 //! `stubs/README.md`), so instead of pulling in `libc`/`mio` we declare
 //! exactly the handful of symbols we use against the C library every
 //! Rust binary on linux-gnu already links. Everything unsafe lives in
-//! this module, behind the safe [`Epoll`] / [`EventFd`] wrappers;
-//! errors are surfaced as `std::io::Error` via `last_os_error`.
+//! this module, behind safe functions; errors are surfaced as
+//! `std::io::Error` via `last_os_error`.
 
 use std::io;
 use std::os::unix::io::RawFd;
 
-// ------------------------------------------------------------ constants
-//
-// Values are identical across the Linux architectures Rust supports
-// (asm-generic); x86_64 additionally packs `epoll_event` (see below).
-
-pub const EPOLLIN: u32 = 0x001;
-pub const EPOLLRDHUP: u32 = 0x2000;
-pub const EPOLLONESHOT: u32 = 1 << 30;
-
-const EPOLL_CTL_ADD: i32 = 1;
-const EPOLL_CTL_DEL: i32 = 2;
-const EPOLL_CTL_MOD: i32 = 3;
-
-const EPOLL_CLOEXEC: i32 = 0o2000000;
-const EFD_CLOEXEC: i32 = 0o2000000;
-const EFD_NONBLOCK: i32 = 0o4000;
-
 const MSG_DONTWAIT: i32 = 0x40;
 const MSG_NOSIGNAL: i32 = 0x4000;
-
-/// The kernel's `struct epoll_event`. x86-64 is the one Linux ABI where
-/// it is packed (a 32-bit-compat leftover); everywhere else it has
-/// natural alignment.
-#[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-#[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-#[derive(Clone, Copy)]
-pub struct EpollEvent {
-    pub events: u32,
-    /// User token; we never store pointers here, only plain ids.
-    pub token: u64,
-}
 
 /// The kernel's `struct pollfd` for [`poll`].
 #[repr(C)]
@@ -60,23 +30,9 @@ const POLLIN: i16 = 0x001;
 const POLLOUT: i16 = 0x004;
 
 extern "C" {
-    fn epoll_create1(flags: i32) -> i32;
-    fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-    fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-    fn eventfd(initval: u32, flags: i32) -> i32;
-    fn close(fd: i32) -> i32;
-    fn write(fd: i32, buf: *const core::ffi::c_void, count: usize) -> isize;
     fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
     fn recv(fd: i32, buf: *mut core::ffi::c_void, len: usize, flags: i32) -> isize;
     fn send(fd: i32, buf: *const core::ffi::c_void, len: usize, flags: i32) -> isize;
-}
-
-fn cvt(ret: i32) -> io::Result<i32> {
-    if ret < 0 {
-        Err(io::Error::last_os_error())
-    } else {
-        Ok(ret)
-    }
 }
 
 fn cvt_size(ret: isize) -> io::Result<usize> {
@@ -84,24 +40,6 @@ fn cvt_size(ret: isize) -> io::Result<usize> {
         Err(io::Error::last_os_error())
     } else {
         Ok(ret as usize)
-    }
-}
-
-const EINTR: i32 = 4;
-const EAGAIN: i32 = 11;
-
-/// Close an owned fd, checking the return. `EINTR` is deliberately not
-/// retried: on Linux the descriptor is released even when `close`
-/// reports it, and a retry could close an unrelated recycled fd. Any
-/// other failure (`EBADF` above all) means fd bookkeeping is corrupt —
-/// debug builds assert, release builds drop the error the way `File`'s
-/// own `Drop` does.
-fn close_fd(fd: RawFd) {
-    // SAFETY: callers own `fd` and never use it after this call.
-    let ret = unsafe { close(fd) };
-    if ret < 0 {
-        let err = io::Error::last_os_error();
-        debug_assert_eq!(err.raw_os_error(), Some(EINTR), "close({fd}) failed: {err}");
     }
 }
 
@@ -195,149 +133,9 @@ fn retry_eintr<T>(mut call: impl FnMut() -> io::Result<T>) -> io::Result<T> {
     }
 }
 
-// ---------------------------------------------------------------- epoll
-
-/// An owned epoll instance.
-pub struct Epoll {
-    fd: RawFd,
-}
-
-impl Epoll {
-    pub fn new() -> io::Result<Epoll> {
-        // SAFETY: plain fd-returning syscall.
-        let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
-        Ok(Epoll { fd })
-    }
-
-    fn ctl(&self, op: i32, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
-        let mut ev = EpollEvent { events, token };
-        // SAFETY: `ev` outlives the call; the kernel copies it out.
-        cvt(unsafe { epoll_ctl(self.fd, op, fd, &mut ev) })?;
-        Ok(())
-    }
-
-    /// Start watching `fd` for `events`, tagging readiness with `token`.
-    pub fn add(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_ADD, fd, events, token)
-    }
-
-    /// Change the interest set of an already-watched `fd` (also rearms
-    /// an `EPOLLONESHOT` registration that has fired).
-    pub fn modify(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_MOD, fd, events, token)
-    }
-
-    /// Stop watching `fd`.
-    pub fn delete(&self, fd: RawFd) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
-    }
-
-    /// Block for readiness; `timeout_ms < 0` waits forever. Retries on
-    /// `EINTR`. Returns the filled prefix of `events`.
-    pub fn wait<'e>(
-        &self,
-        events: &'e mut [EpollEvent],
-        timeout_ms: i32,
-    ) -> io::Result<&'e [EpollEvent]> {
-        loop {
-            // SAFETY: the out-buffer is valid for `events.len()` entries.
-            let n = unsafe {
-                epoll_wait(
-                    self.fd,
-                    events.as_mut_ptr(),
-                    events.len().min(i32::MAX as usize) as i32,
-                    timeout_ms,
-                )
-            };
-            match cvt(n) {
-                Ok(n) => return Ok(&events[..n as usize]),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-    }
-}
-
-impl Drop for Epoll {
-    fn drop(&mut self) {
-        close_fd(self.fd);
-    }
-}
-
-// -------------------------------------------------------------- eventfd
-
-/// A non-blocking eventfd used to kick `epoll_wait` from other threads
-/// (registration changes take effect on their own; this is for
-/// shutdown). Nothing reads it: once signalled it stays readable.
-pub struct EventFd {
-    fd: RawFd,
-}
-
-impl EventFd {
-    pub fn new() -> io::Result<EventFd> {
-        // SAFETY: plain fd-returning syscall.
-        let fd = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
-        Ok(EventFd { fd })
-    }
-
-    pub fn fd(&self) -> RawFd {
-        self.fd
-    }
-
-    /// Wake whoever has this eventfd in an epoll set. `EAGAIN` means
-    /// the counter is saturated — the fd is already readable, so the
-    /// wakeup is delivered and the error is not worth surfacing. Any
-    /// other failure is a bookkeeping bug and asserts in debug builds.
-    pub fn signal(&self) {
-        let one: u64 = 1;
-        loop {
-            // SAFETY: writes 8 bytes from a live stack slot.
-            let n = unsafe { write(self.fd, (&one as *const u64).cast(), 8) };
-            if n >= 0 {
-                return;
-            }
-            let err = io::Error::last_os_error();
-            match err.raw_os_error() {
-                Some(EINTR) => continue,
-                Some(EAGAIN) => return, // counter saturated: still readable
-                _ => {
-                    debug_assert!(false, "eventfd write failed: {err}");
-                    return;
-                }
-            }
-        }
-    }
-}
-
-impl Drop for EventFd {
-    fn drop(&mut self) {
-        close_fd(self.fd);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn eventfd_wakes_epoll() {
-        let ep = Epoll::new().unwrap();
-        let ev = EventFd::new().unwrap();
-        ep.add(ev.fd(), EPOLLIN, 7).unwrap();
-        let mut buf = [EpollEvent {
-            events: 0,
-            token: 0,
-        }; 8];
-        // Nothing signalled: times out empty.
-        assert!(ep.wait(&mut buf, 0).unwrap().is_empty());
-        ev.signal();
-        let ready = ep.wait(&mut buf, 1000).unwrap();
-        assert_eq!(ready.len(), 1);
-        assert_eq!({ ready[0].token }, 7);
-        // Level-triggered and never drained: it stays readable, which
-        // is what lets one signal stop every loop that watches it.
-        assert_eq!(ep.wait(&mut buf, 0).unwrap().len(), 1);
-    }
 
     #[test]
     fn poll_readable_times_out_then_wakes() {

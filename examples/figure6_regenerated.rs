@@ -1,14 +1,14 @@
 //! Regenerate **Figure 6** of the paper ("TDP Function Calls from the
 //! Condor and Paradyn Sides") as a live sequence diagram: run the real
-//! Parador pipeline and render the recorded TDP calls over the starter
-//! and paradynd lifelines.
+//! Parador pipeline and render the recorded TDP calls on the starter's
+//! lifeline, then on paradynd's.
 //!
 //! ```text
 //! cargo run --example figure6_regenerated
 //! ```
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tdp::condor::{CondorPool, JobState};
 use tdp::core::World;
 use tdp::paradyn::{paradynd_image, ParadynFrontend};
@@ -52,11 +52,25 @@ fn main() {
         JobState::Completed(_)
     ));
 
+    // The starter and paradynd record their `tdp_exit()` after the job
+    // is reported done; wait for both so every run prints the same
+    // lifelines.
+    let exits = || {
+        let events = world.trace().events();
+        events.iter().filter(|e| e.call == "tdp_exit()").count()
+    };
+    let deadline = Instant::now() + T;
+    while exits() < 2 {
+        assert!(Instant::now() < deadline, "a tdp_exit() never came");
+        std::thread::park_timeout(Duration::from_millis(1));
+    }
+
+    // One lifeline at a time: each side's calls come in a fixed order,
+    // while how the two sides interleave is up to the scheduler.
     println!("Figure 6, regenerated from the live run:\n");
-    println!(
-        "{}",
-        world.trace().render_sequence(&["starter", "paradynd*"])
-    );
+    for actor in ["starter", "paradynd*"] {
+        println!("{}", world.trace().render_sequence(&[actor]));
+    }
     println!("(compare with the paper: starter tdp_init → create(AP, paused) →");
     println!(" create(paradynd) → put(pid); paradynd tdp_init → get(pid) →");
     println!(" tdp_attach → tdp_continue_process.)");
