@@ -1,17 +1,23 @@
 //! ClassAds: the attribute/requirement descriptions Condor uses for
 //! both machines and jobs, with symmetric matchmaking.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+use tdp_proto::{json_enum, json_struct};
 
 /// A typed attribute value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AdValue {
     Str(String),
     Int(i64),
     Bool(bool),
 }
+
+json_enum!(AdValue {
+    Str(String),
+    Int(i64),
+    Bool(bool),
+});
 
 impl fmt::Display for AdValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -24,7 +30,7 @@ impl fmt::Display for AdValue {
 }
 
 /// Comparison operator in a requirement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     Eq,
     Ne,
@@ -34,13 +40,24 @@ pub enum Op {
     Lt,
 }
 
+json_enum!(Op {
+    Eq,
+    Ne,
+    Ge,
+    Le,
+    Gt,
+    Lt
+});
+
 /// One constraint the *other* ad must satisfy, e.g. `Memory >= 512`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Requirement {
     pub attr: String,
     pub op: Op,
     pub value: AdValue,
 }
+
+json_struct!(Requirement { attr, op, value });
 
 impl Requirement {
     /// Parse `Attr OP Value` (e.g. `Memory >= 512`, `Arch == "X86_64"`).
@@ -119,7 +136,7 @@ fn cmp_ord(op: Op, ord: std::cmp::Ordering) -> bool {
 /// assert!(job.matches(&machine));
 /// assert_eq!(job.rank_of(&machine), 1024);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClassAd {
     pub attrs: BTreeMap<String, AdValue>,
     /// Constraints the counterpart ad must satisfy.
@@ -127,6 +144,12 @@ pub struct ClassAd {
     /// Attribute of the counterpart used as preference (higher wins).
     pub rank_attr: Option<String>,
 }
+
+json_struct!(ClassAd {
+    attrs,
+    requirements,
+    rank_attr,
+});
 
 impl ClassAd {
     pub fn new() -> ClassAd {
@@ -275,7 +298,7 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn json_roundtrip() {
         let ad = machine(512, "X86_64")
             .require("ImageSize <= 50")
             .rank_by("Prio");

@@ -3,14 +3,13 @@
 
 use crate::classad::ClassAd;
 use crate::submit::SubmitDescription;
-use serde::de::DeserializeOwned;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 use tdp_netsim::Conn;
-use tdp_proto::{json, Addr, HostId, JobId, TdpResult};
+use tdp_proto::json::{FromJson, ToJson};
+use tdp_proto::{json, json_enum, json_struct, Addr, HostId, JobId, TdpResult};
 
 /// Messages to/from the matchmaker (collector + negotiator).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum MmMsg {
     /// startd → matchmaker: advertise a machine.
     RegisterMachine {
@@ -50,8 +49,20 @@ pub enum MmMsg {
     Machines(Vec<(String, bool)>),
 }
 
+json_enum!(MmMsg {
+    RegisterMachine { name, host, startd, ad },
+    UpdateMachine { name, available },
+    UnregisterMachine { name },
+    Negotiate { job_ad, exclude, budget_us },
+    MatchFound { name, host, startd, ad },
+    NoMatch,
+    Ack,
+    QueryMachines,
+    Machines(Vec<(String, bool)>),
+});
+
 /// Everything the starter needs to run one (rank of a) job.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JobDetails {
     pub job: JobId,
     pub submit: SubmitDescription,
@@ -66,8 +77,17 @@ pub struct JobDetails {
     pub tool_auto_run: bool,
 }
 
+json_struct!(JobDetails {
+    job,
+    submit,
+    shadow,
+    submit_host,
+    rank,
+    tool_auto_run,
+});
+
 /// Claiming-protocol and activation messages (schedd ↔ startd).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum ClaimMsg {
     /// schedd → startd: may I claim this machine for `job`?
     RequestClaim { job: JobId },
@@ -89,8 +109,18 @@ pub enum ClaimMsg {
     Released,
 }
 
+json_enum!(ClaimMsg {
+    RequestClaim { job },
+    ClaimAccepted { claim_id },
+    ClaimRejected { reason },
+    ActivateClaim { claim_id, details },
+    Activated,
+    ReleaseClaim { claim_id },
+    Released,
+});
+
 /// Remote-syscall and status messages (starter → shadow), plus replies.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum ShadowMsg {
     /// Read a file on the submit machine.
     FetchFile {
@@ -132,18 +162,30 @@ pub enum ShadowMsg {
     Ack,
 }
 
+json_enum!(ShadowMsg {
+    FetchFile { path },
+    FileData { path, data },
+    FileError { path, error },
+    StoreFile { path, data },
+    StoreOk,
+    StatusUpdate { job, rank, status },
+    JobDone { job, rank, status },
+    RankFailed { job, rank, error },
+    Ack,
+});
+
 /// Send one JSON message as one chunk.
-pub fn send_json<T: Serialize>(conn: &Conn, msg: &T) -> TdpResult<()> {
+pub fn send_json<T: ToJson>(conn: &Conn, msg: &T) -> TdpResult<()> {
     conn.send(&json::to_vec(msg)?)
 }
 
 /// Receive one JSON message (one chunk).
-pub fn recv_json<T: DeserializeOwned>(conn: &mut Conn) -> TdpResult<T> {
+pub fn recv_json<T: FromJson>(conn: &mut Conn) -> TdpResult<T> {
     json::from_slice(&conn.recv()?)
 }
 
 /// Receive with a deadline.
-pub fn recv_json_timeout<T: DeserializeOwned>(conn: &mut Conn, t: Duration) -> TdpResult<T> {
+pub fn recv_json_timeout<T: FromJson>(conn: &mut Conn, t: Duration) -> TdpResult<T> {
     json::from_slice(&conn.recv_timeout(t)?)
 }
 
@@ -206,7 +248,7 @@ mod tests {
     }
 
     /// Text → value → text is stable, and the value prints the same.
-    fn roundtrip<T: Serialize + DeserializeOwned + std::fmt::Debug>(msg: &T) {
+    fn roundtrip<T: ToJson + FromJson + std::fmt::Debug>(msg: &T) {
         let text = json::to_string(msg).unwrap();
         let back: T = json::from_str(&text).unwrap();
         assert_eq!(format!("{back:?}"), format!("{msg:?}"), "{text}");

@@ -18,20 +18,25 @@
 //! ```
 
 use crate::classad::ClassAd;
-use serde::{Deserialize, Serialize};
 use tdp_proto::attr::split_multi_value;
-use tdp_proto::{TdpError, TdpResult};
+use tdp_proto::{json_enum, json_struct, TdpError, TdpResult};
 
 /// Condor execution environment (§4.3: "Condor defines six different
 /// execution environments, called universes"; the prototype covered
 /// Vanilla and MPI, and we add Standard's remote-syscall file access).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Universe {
     #[default]
     Vanilla,
     Mpi,
     Standard,
 }
+
+json_enum!(Universe {
+    Vanilla,
+    Mpi,
+    Standard,
+});
 
 impl Universe {
     pub fn parse(s: &str) -> Option<Universe> {
@@ -45,7 +50,7 @@ impl Universe {
 }
 
 /// The tool-daemon block of a submit file (`+ToolDaemon*`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ToolDaemonSpec {
     /// `+ToolDaemonCmd`: executable of the RT daemon.
     pub cmd: String,
@@ -58,6 +63,13 @@ pub struct ToolDaemonSpec {
     pub error: Option<String>,
 }
 
+json_struct!(ToolDaemonSpec {
+    cmd,
+    args,
+    output,
+    error,
+});
+
 /// A parsed submit description.
 ///
 /// ```
@@ -69,7 +81,7 @@ pub struct ToolDaemonSpec {
 /// assert_eq!(d.machine_count, 4);
 /// assert!(d.suspend_job_at_exec);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SubmitDescription {
     pub universe: Universe,
     pub executable: String,
@@ -100,6 +112,25 @@ pub struct SubmitDescription {
     /// How many instances `queue` asked for.
     pub count: u32,
 }
+
+json_struct!(SubmitDescription {
+    universe,
+    executable,
+    arguments,
+    input,
+    output,
+    error,
+    transfer_files,
+    transfer_input_files,
+    suspend_job_at_exec,
+    tool_daemon,
+    checkpointing,
+    checkpoint_file,
+    machine_count,
+    requirements,
+    rank,
+    count,
+});
 
 impl Default for SubmitDescription {
     fn default() -> Self {

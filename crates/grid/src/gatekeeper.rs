@@ -2,7 +2,6 @@
 //! the GRAM of our Globus-shaped layer.
 
 use crate::rsl::Rsl;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -11,7 +10,7 @@ use tdp_core::World;
 use tdp_lsf::{LsfCluster, LsfJobState, LsfRequest};
 use tdp_netsim::Conn;
 use tdp_proto::{
-    attr::split_multi_value, json, Addr, HostId, JobId, ProcStatus, TdpError, TdpResult,
+    attr::split_multi_value, json, json_enum, Addr, HostId, JobId, ProcStatus, TdpError, TdpResult,
 };
 use tdp_sync::serve::Server;
 use tdp_sync::Mutex;
@@ -155,7 +154,7 @@ impl LocalRm for LsfCluster {
 }
 
 /// Wire messages.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum GramMsg {
     Submit {
         subject: String,
@@ -174,6 +173,13 @@ enum GramMsg {
         detail: String,
     },
 }
+
+json_enum!(GramMsg {
+    Submit { subject, token, rsl },
+    Accepted { job, backend },
+    Denied { reason },
+    Status { state, detail },
+});
 
 /// Job state as observed by the client.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -450,5 +456,51 @@ mod tests {
             let back: GramMsg = json::from_str(&text).unwrap();
             assert_eq!(format!("{back:?}"), format!("{msg:?}"), "{text}");
         }
+    }
+
+    /// The gatekeeper's wire text, byte for byte (the other schedulers'
+    /// messages are pinned in `tests/scheduler_wire_format.rs`).
+    #[test]
+    fn gram_wire_text_is_pinned() {
+        for (msg, text) in [
+            (
+                GramMsg::Submit {
+                    subject: "/O=Grid/CN=alice".into(),
+                    token: "proxy-abc".into(),
+                    rsl: r#"&(executable=/bin/app)(arguments="a b")"#.into(),
+                },
+                r#"{"Submit":{"subject":"/O=Grid/CN=alice","token":"proxy-abc","rsl":"&(executable=/bin/app)(arguments=\"a b\")"}}"#,
+            ),
+            (
+                GramMsg::Accepted {
+                    job: JobId(3),
+                    backend: "condor".into(),
+                },
+                r#"{"Accepted":{"job":3,"backend":"condor"}}"#,
+            ),
+            (
+                GramMsg::Denied {
+                    reason: "malformed submission".into(),
+                },
+                r#"{"Denied":{"reason":"malformed submission"}}"#,
+            ),
+            (
+                GramMsg::Status {
+                    state: "DONE".into(),
+                    detail: r#"{"0":"exited:0"}"#.into(),
+                },
+                r#"{"Status":{"state":"DONE","detail":"{\"0\":\"exited:0\"}"}}"#,
+            ),
+        ] {
+            assert_eq!(json::to_string(&msg).unwrap(), text);
+            let back: GramMsg = json::from_str(text).unwrap();
+            assert_eq!(format!("{back:?}"), format!("{msg:?}"), "{text}");
+        }
+        let detail: HashMap<u32, String> =
+            json::from_str(r#"{"0":"exited:0","3":"signaled:9"}"#).unwrap();
+        assert_eq!(
+            detail,
+            HashMap::from([(0, "exited:0".into()), (3, "signaled:9".into())])
+        );
     }
 }

@@ -9,8 +9,8 @@
 //!
 //! There is no `syn` here — the build environment is offline (see
 //! `stubs/README.md`) — so the walk is a token-level pass over a
-//! hand-rolled lexer ([`lexer`]), the same trade the workspace already
-//! makes in `stubs/serde_derive`. Rules are deliberately lexical and
+//! hand-rolled lexer ([`lexer`]): no syntax tree, only the tokens a rule
+//! needs to see. Rules are deliberately lexical and
 //! conservative: each one matches a *shape* the codebase has agreed
 //! never to write, and anything cleverer belongs in loom/TSan/lockdep,
 //! not here. Escapes go through the explicit allowlist file

@@ -1,18 +1,19 @@
 //! mbatchd ↔ sbatchd wire messages.
 
-use serde::{Deserialize, Serialize};
-use tdp_proto::JobId;
+use tdp_proto::{json_enum, json_struct, JobId};
 
 /// A tool daemon request attached to a job (`bsub -tool`), the LSF-side
 /// equivalent of Condor's `+ToolDaemon*` directives.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ToolSpecWire {
     pub cmd: String,
     pub args: Vec<String>,
 }
 
+json_struct!(ToolSpecWire { cmd, args });
+
 /// One task dispatch (mbatchd → sbatchd).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dispatch {
     pub job: JobId,
     pub task: u32,
@@ -26,8 +27,18 @@ pub struct Dispatch {
     pub tool: Option<ToolSpecWire>,
 }
 
+json_struct!(Dispatch {
+    job,
+    task,
+    executable,
+    args,
+    stdin,
+    suspend_at_exec,
+    tool,
+});
+
 /// sbatchd → mbatchd messages.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum SbdMsg {
     /// Registration: host with `slots` execution slots.
     Register { name: String, slots: u32 },
@@ -53,8 +64,15 @@ pub enum SbdMsg {
     },
 }
 
+json_enum!(SbdMsg {
+    Register { name, slots },
+    TaskStarted { job, task, pid },
+    TaskDone { job, task, status, stdout, stderr, tool_files },
+    TaskFailed { job, task, error },
+});
+
 /// mbatchd → sbatchd messages.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum MbdMsg {
     Dispatch(Dispatch),
     /// `bkill`: terminate every task of `job` running on this host.
@@ -64,13 +82,19 @@ pub enum MbdMsg {
     Ack,
 }
 
+json_enum!(MbdMsg {
+    Dispatch(Dispatch),
+    Kill { job },
+    Ack,
+});
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdp_proto::json;
+    use tdp_proto::json::{self, FromJson, ToJson};
 
     /// Text → value → text is stable, and the value prints the same.
-    fn roundtrip<T: Serialize + serde::de::DeserializeOwned + std::fmt::Debug>(msg: &T) {
+    fn roundtrip<T: ToJson + FromJson + std::fmt::Debug>(msg: &T) {
         let text = json::to_string(msg).unwrap();
         let back: T = json::from_str(&text).unwrap();
         assert_eq!(format!("{back:?}"), format!("{msg:?}"), "{text}");

@@ -4,7 +4,6 @@
 //! `Copy`, hash cheaply, and cannot be confused with one another at type
 //! level (a `Pid` is not a `Port`).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A logical host in the simulated cluster.
@@ -12,8 +11,10 @@ use std::fmt;
 /// Host 0 is conventionally the *submit* / front-end machine (the user's
 /// desktop outside the private network in Figure 1 of the paper); higher
 /// ids are execution machines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct HostId(pub u32);
+
+crate::json_struct!(HostId(u32));
 
 impl fmt::Display for HostId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -43,8 +44,10 @@ impl Pid {
 }
 
 /// A port number on a simulated host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Port(pub u16);
+
+crate::json_struct!(Port(u16));
 
 impl fmt::Display for Port {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -55,11 +58,13 @@ impl fmt::Display for Port {
 /// A network address: `(host, port)` — what the paper calls the
 /// "host/port number pair" disseminated through the attribute space so a
 /// tool daemon can contact its front-end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Addr {
     pub host: HostId,
     pub port: Port,
 }
+
+crate::json_struct!(Addr { host, port });
 
 impl Addr {
     pub fn new(host: HostId, port: u16) -> Addr {
@@ -112,8 +117,10 @@ impl fmt::Display for ContextId {
 }
 
 /// A batch job identifier (Condor "cluster.proc" collapsed to one number).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u64);
+
+crate::json_struct!(JobId(u64));
 
 impl fmt::Display for JobId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -122,7 +129,7 @@ impl fmt::Display for JobId {
 }
 
 /// An MPI rank within a parallel job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Rank(pub u32);
 
 impl fmt::Display for Rank {

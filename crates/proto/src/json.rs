@@ -1,17 +1,24 @@
 //! The workspace's one JSON text codec: a small hand-rolled document
 //! value with its parser and writer.
 //!
-//! Two *trees* remain and one *codec*. The gateway needs a dynamic
-//! document model — JSON-RPC params are schemaless (each tool defines
-//! its own) and the registry forwards them opaquely — so [`Json`] is
-//! its wire value and this parser/writer sit on its request path
-//! untouched. The scheduler daemons (condor, lsf, grid) instead send
-//! derived Rust types, which the `serde` shim renders to its own
-//! `Content` tree; [`to_vec`]/[`to_string`]/[`from_slice`]/[`from_str`]
-//! bridge that tree to [`Json`] by move and reuse the same text layer,
-//! so bytes from a peer meet exactly one parser — the one with the
-//! nesting cap. The conversion costs a tree walk, paid only on
-//! ms-scale scheduler messages, never on the gateway's µs-scale path.
+//! One *tree* and one *codec*. The gateway needs a dynamic document
+//! model — JSON-RPC params are schemaless (each tool defines its own)
+//! and the registry forwards them opaquely — so [`Json`] is its wire
+//! value. The scheduler daemons (condor, lsf, grid) send typed messages
+//! through the same tree: a type that travels implements [`ToJson`] and
+//! [`FromJson`], and [`to_vec`]/[`to_string`]/[`from_slice`]/[`from_str`]
+//! run value → [`Json`] → text and back, so bytes from a peer meet
+//! exactly one parser — the one with the nesting cap.
+//!
+//! A message type's wire shape is data: [`json_struct!`] and
+//! [`json_enum!`] take the list of its field and variant names and write
+//! serde's default shape — a struct is an object of its fields in
+//! declaration order, a newtype is its inner value, an enum is
+//! externally tagged and a unit variant is a string. Decoding takes the
+//! tree by value, so strings move into the message. The impls cover
+//! only what travels: `bool`, `String`, `u8`/`u16`/`u32`/`u64`/`i64`,
+//! `Option`, `Box`, `Vec`, pairs and maps with string or integer keys
+//! (written as JSON object keys).
 //!
 //! Numbers: integers in `i64` range stay exact ([`Json::Int`]); other
 //! numbers ride as `f64` ([`Json::Num`]). A typed encode of an integer
@@ -20,9 +27,10 @@
 //! the stack.
 
 use crate::{TdpError, TdpResult};
-use serde::de::DeserializeOwned;
-use serde::{Content, Serialize};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::Hash;
+use std::str::FromStr;
 
 /// Maximum container nesting the parser accepts.
 const MAX_DEPTH: usize = 64;
@@ -110,7 +118,7 @@ impl Json {
         self.get(key).and_then(Json::as_u64)
     }
 
-    /// Serialize to compact JSON text.
+    /// Render as compact JSON text.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.write(&mut out);
@@ -242,24 +250,36 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Encode a derived type as compact JSON text.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> TdpResult<String> {
-    Ok(Json::try_from(value.to_content())?.render())
+/// A value that travels as JSON: it renders itself to a [`Json`] tree.
+/// Fallible, so that an integer outside `i64` is an encode error, never
+/// a rounded float.
+pub trait ToJson {
+    fn to_json(&self) -> TdpResult<Json>;
 }
 
-/// Encode a derived type as one JSON message (the daemons' chunk).
-pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> TdpResult<Vec<u8>> {
+/// A value rebuilt from a [`Json`] tree. The tree is taken by value, so
+/// decoded strings move into the value instead of being copied.
+pub trait FromJson: Sized {
+    fn from_json(j: Json) -> TdpResult<Self>;
+}
+
+/// Encode a value as compact JSON text.
+pub fn to_string<T: ToJson + ?Sized>(value: &T) -> TdpResult<String> {
+    Ok(value.to_json()?.render())
+}
+
+/// Encode a value as one JSON message (the daemons' chunk).
+pub fn to_vec<T: ToJson + ?Sized>(value: &T) -> TdpResult<Vec<u8>> {
     to_string(value).map(String::into_bytes)
 }
 
-/// Decode a derived type from JSON text.
-pub fn from_str<T: DeserializeOwned>(text: &str) -> TdpResult<T> {
-    let doc = Json::parse(text).map_err(decode_err)?;
-    T::from_content(&doc.into()).map_err(decode_err)
+/// Decode a value from JSON text.
+pub fn from_str<T: FromJson>(text: &str) -> TdpResult<T> {
+    T::from_json(Json::parse(text).map_err(decode_err)?)
 }
 
-/// Decode a derived type from one received chunk.
-pub fn from_slice<T: DeserializeOwned>(bytes: &[u8]) -> TdpResult<T> {
+/// Decode a value from one received chunk.
+pub fn from_slice<T: FromJson>(bytes: &[u8]) -> TdpResult<T> {
     from_str(std::str::from_utf8(bytes).map_err(decode_err)?)
 }
 
@@ -267,48 +287,330 @@ fn decode_err(e: impl fmt::Display) -> TdpError {
     TdpError::Protocol(format!("json decode: {e}"))
 }
 
-impl TryFrom<Content> for Json {
-    type Error = TdpError;
+fn mismatch(want: impl fmt::Display, got: &Json) -> TdpError {
+    let got = match got {
+        Json::Null => "null",
+        Json::Bool(_) => "a bool",
+        Json::Int(_) | Json::Num(_) => "a number",
+        Json::Str(_) => "a string",
+        Json::Arr(_) => "an array",
+        Json::Obj(_) => "an object",
+    };
+    decode_err(format_args!("expected {want}, got {got}"))
+}
 
-    fn try_from(c: Content) -> TdpResult<Json> {
-        Ok(match c {
-            Content::Null => Json::Null,
-            Content::Bool(b) => Json::Bool(b),
-            Content::U64(n) => Json::Int(i64::try_from(n).map_err(|_| {
-                TdpError::Protocol(format!("json encode: {n} is outside the exact (i64) range"))
-            })?),
-            Content::I64(n) => Json::Int(n),
-            Content::F64(f) => Json::Num(f),
-            Content::Str(s) => Json::Str(s),
-            Content::Seq(items) => Json::Arr(
-                items
-                    .into_iter()
-                    .map(Json::try_from)
-                    .collect::<TdpResult<_>>()?,
-            ),
-            Content::Map(entries) => Json::Obj(
-                entries
-                    .into_iter()
-                    .map(|(k, v)| Ok((k, Json::try_from(v)?)))
-                    .collect::<TdpResult<_>>()?,
-            ),
-        })
+/// The fields of an object, taken out one by one by [`json_struct!`]
+/// and [`json_enum!`]. A missing field is an error; a field the type
+/// does not name is ignored.
+pub struct Fields {
+    pairs: Vec<(String, Json)>,
+    ty: &'static str,
+}
+
+impl Fields {
+    pub fn new(j: Json, ty: &'static str) -> TdpResult<Fields> {
+        match j {
+            Json::Obj(pairs) => Ok(Fields { pairs, ty }),
+            other => Err(mismatch(format_args!("an object for {ty}"), &other)),
+        }
+    }
+
+    pub fn take<T: FromJson>(&mut self, key: &str) -> TdpResult<T> {
+        match self.pairs.iter_mut().find(|(k, _)| k == key) {
+            Some((_, v)) => T::from_json(std::mem::replace(v, Json::Null)),
+            None => Err(decode_err(format_args!(
+                "missing field `{key}` for {}",
+                self.ty
+            ))),
+        }
     }
 }
 
-impl From<Json> for Content {
-    fn from(j: Json) -> Content {
-        match j {
-            Json::Null => Content::Null,
-            Json::Bool(b) => Content::Bool(b),
-            Json::Int(n) => u64::try_from(n).map_or(Content::I64(n), Content::U64),
-            Json::Num(f) => Content::F64(f),
-            Json::Str(s) => Content::Str(s),
-            Json::Arr(items) => Content::Seq(items.into_iter().map(Content::from).collect()),
-            Json::Obj(pairs) => {
-                Content::Map(pairs.into_iter().map(|(k, v)| (k, v.into())).collect())
+/// An externally tagged enum value: a unit variant is its name as a
+/// string, any other is a one-member object `{name: body}`.
+pub fn variant(j: Json, ty: &str) -> TdpResult<(String, Option<Json>)> {
+    match j {
+        Json::Str(tag) => Ok((tag, None)),
+        Json::Obj(pairs) => match <[(String, Json); 1]>::try_from(pairs) {
+            Ok([(tag, body)]) => Ok((tag, Some(body))),
+            Err(pairs) => Err(mismatch(format_args!("a {ty} variant"), &Json::Obj(pairs))),
+        },
+        other => Err(mismatch(format_args!("a {ty} variant"), &other)),
+    }
+}
+
+/// Implements [`ToJson`] and [`FromJson`] for a struct in serde's
+/// default shape. `json_struct!(Ty { a, b })` is an object of the listed
+/// fields, in declaration order; `json_struct!(Ty(Inner))`, a newtype,
+/// is its inner value.
+#[macro_export]
+macro_rules! json_struct {
+    ($ty:ident { $($f:ident),+ $(,)? }) => {
+        impl $crate::json::ToJson for $ty {
+            fn to_json(&self) -> $crate::TdpResult<$crate::json::Json> {
+                Ok($crate::json::Json::Obj(::std::vec![$((
+                    stringify!($f).to_string(),
+                    $crate::json::ToJson::to_json(&self.$f)?,
+                )),+]))
             }
         }
+        impl $crate::json::FromJson for $ty {
+            fn from_json(j: $crate::json::Json) -> $crate::TdpResult<Self> {
+                let mut fields = $crate::json::Fields::new(j, stringify!($ty))?;
+                Ok($ty { $($f: fields.take(stringify!($f))?),+ })
+            }
+        }
+    };
+    ($ty:ident($inner:ty)) => {
+        impl $crate::json::ToJson for $ty {
+            fn to_json(&self) -> $crate::TdpResult<$crate::json::Json> {
+                $crate::json::ToJson::to_json(&self.0)
+            }
+        }
+        impl $crate::json::FromJson for $ty {
+            fn from_json(j: $crate::json::Json) -> $crate::TdpResult<Self> {
+                <$inner as $crate::json::FromJson>::from_json(j).map($ty)
+            }
+        }
+    };
+}
+
+/// Implements [`ToJson`] and [`FromJson`] for an enum, externally tagged
+/// as serde does by default: `json_enum!(Ty { Unit, Tuple(Inner),
+/// Struct { a, b } })` writes `"Unit"`, `{"Tuple":inner}` and
+/// `{"Struct":{"a":…,"b":…}}`.
+#[macro_export]
+macro_rules! json_enum {
+    ($ty:ident { $($v:ident $(($t:ty))? $({ $($f:ident),+ $(,)? })?),+ $(,)? }) => {
+        impl $crate::json::ToJson for $ty {
+            fn to_json(&self) -> $crate::TdpResult<$crate::json::Json> {
+                Ok(match self {$(
+                    $crate::json_enum!(@pat $ty $v x [$($t)?] [$($($f)+)?]) =>
+                        $crate::json_enum!(@enc $v x [$($t)?] [$($($f)+)?]),
+                )+})
+            }
+        }
+        impl $crate::json::FromJson for $ty {
+            fn from_json(j: $crate::json::Json) -> $crate::TdpResult<Self> {
+                let (tag, body) = $crate::json::variant(j, stringify!($ty))?;
+                match (tag.as_str(), body) {
+                    $($crate::json_enum!(@tag $v b [$($t)?] [$($($f)+)?]) =>
+                        $crate::json_enum!(@dec $ty $v b [$($t)?] [$($($f)+)?]),)+
+                    (tag, _) => Err($crate::TdpError::Protocol(format!(
+                        "json decode: unknown {} variant {tag:?}",
+                        stringify!($ty)
+                    ))),
+                }
+            }
+        }
+    };
+    (@pat $ty:ident $v:ident $x:ident [] []) => { $ty::$v };
+    (@pat $ty:ident $v:ident $x:ident [$t:ty] []) => { $ty::$v($x) };
+    (@pat $ty:ident $v:ident $x:ident [] [$($f:ident)+]) => { $ty::$v { $($f),+ } };
+    (@enc $v:ident $x:ident [] []) => {
+        $crate::json::Json::Str(stringify!($v).to_string())
+    };
+    (@enc $v:ident $x:ident [$t:ty] []) => {
+        $crate::json::Json::Obj(::std::vec![(
+            stringify!($v).to_string(),
+            $crate::json::ToJson::to_json($x)?,
+        )])
+    };
+    (@enc $v:ident $x:ident [] [$($f:ident)+]) => {
+        $crate::json::Json::Obj(::std::vec![(
+            stringify!($v).to_string(),
+            $crate::json::Json::Obj(::std::vec![$((
+                stringify!($f).to_string(),
+                $crate::json::ToJson::to_json($f)?,
+            )),+]),
+        )])
+    };
+    (@tag $v:ident $b:ident [] []) => { (stringify!($v), None) };
+    (@tag $v:ident $b:ident [$($t:tt)*] [$($f:ident)*]) => { (stringify!($v), Some($b)) };
+    (@dec $ty:ident $v:ident $b:ident [] []) => { Ok($ty::$v) };
+    (@dec $ty:ident $v:ident $b:ident [$t:ty] []) => {
+        Ok($ty::$v($crate::json::FromJson::from_json($b)?))
+    };
+    (@dec $ty:ident $v:ident $b:ident [] [$($f:ident)+]) => {{
+        let mut fields =
+            $crate::json::Fields::new($b, concat!(stringify!($ty), "::", stringify!($v)))?;
+        Ok($ty::$v { $($f: fields.take(stringify!($f))?),+ })
+    }};
+}
+
+impl ToJson for bool {
+    fn to_json(&self) -> TdpResult<Json> {
+        Ok(Json::Bool(*self))
+    }
+}
+
+impl FromJson for bool {
+    fn from_json(j: Json) -> TdpResult<Self> {
+        match j {
+            Json::Bool(b) => Ok(b),
+            other => Err(mismatch("a bool", &other)),
+        }
+    }
+}
+
+impl ToJson for String {
+    fn to_json(&self) -> TdpResult<Json> {
+        Ok(Json::Str(self.clone()))
+    }
+}
+
+impl FromJson for String {
+    fn from_json(j: Json) -> TdpResult<Self> {
+        match j {
+            Json::Str(s) => Ok(s),
+            other => Err(mismatch("a string", &other)),
+        }
+    }
+}
+
+macro_rules! json_int {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn to_json(&self) -> TdpResult<Json> {
+                i64::try_from(i128::from(*self)).map(Json::Int).map_err(|_| {
+                    TdpError::Protocol(format!(
+                        "json encode: {self} is outside the exact (i64) range"
+                    ))
+                })
+            }
+        }
+
+        impl FromJson for $t {
+            fn from_json(j: Json) -> TdpResult<Self> {
+                let n = match j {
+                    Json::Int(n) => i128::from(n),
+                    // An integral float, such as the retired writer's `1e3`.
+                    Json::Num(f) if f.fract() == 0.0 => f as i128,
+                    other => return Err(mismatch("an integer", &other)),
+                };
+                <$t>::try_from(n).map_err(|_| {
+                    decode_err(format_args!("{n} is out of range for {}", stringify!($t)))
+                })
+            }
+        }
+    )*};
+}
+
+json_int!(u8, u16, u32, u64, i64);
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> TdpResult<Json> {
+        self.as_ref().map_or(Ok(Json::Null), T::to_json)
+    }
+}
+
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(j: Json) -> TdpResult<Self> {
+        match j {
+            Json::Null => Ok(None),
+            j => T::from_json(j).map(Some),
+        }
+    }
+}
+
+impl<T: ToJson> ToJson for Box<T> {
+    fn to_json(&self) -> TdpResult<Json> {
+        (**self).to_json()
+    }
+}
+
+impl<T: FromJson> FromJson for Box<T> {
+    fn from_json(j: Json) -> TdpResult<Self> {
+        T::from_json(j).map(Box::new)
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> TdpResult<Json> {
+        self.iter()
+            .map(T::to_json)
+            .collect::<TdpResult<_>>()
+            .map(Json::Arr)
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(j: Json) -> TdpResult<Self> {
+        match j {
+            Json::Arr(items) => items.into_iter().map(T::from_json).collect(),
+            other => Err(mismatch("an array", &other)),
+        }
+    }
+}
+
+impl<A: ToJson, B: ToJson> ToJson for (A, B) {
+    fn to_json(&self) -> TdpResult<Json> {
+        Ok(Json::Arr(vec![self.0.to_json()?, self.1.to_json()?]))
+    }
+}
+
+impl<A: FromJson, B: FromJson> FromJson for (A, B) {
+    fn from_json(j: Json) -> TdpResult<Self> {
+        let items = match j {
+            Json::Arr(items) => <[Json; 2]>::try_from(items).map_err(Json::Arr),
+            other => Err(other),
+        };
+        match items {
+            Ok([a, b]) => Ok((A::from_json(a)?, B::from_json(b)?)),
+            Err(other) => Err(mismatch("a pair", &other)),
+        }
+    }
+}
+
+// Map keys travel as JSON object keys, so an integer key is written as
+// its decimal string.
+impl<K: fmt::Display, V: ToJson> ToJson for HashMap<K, V> {
+    fn to_json(&self) -> TdpResult<Json> {
+        object(self)
+    }
+}
+
+impl<K: FromStr + Eq + Hash, V: FromJson> FromJson for HashMap<K, V> {
+    fn from_json(j: Json) -> TdpResult<Self> {
+        entries(j)
+    }
+}
+
+impl<K: fmt::Display, V: ToJson> ToJson for BTreeMap<K, V> {
+    fn to_json(&self) -> TdpResult<Json> {
+        object(self)
+    }
+}
+
+impl<K: FromStr + Ord, V: FromJson> FromJson for BTreeMap<K, V> {
+    fn from_json(j: Json) -> TdpResult<Self> {
+        entries(j)
+    }
+}
+
+fn object<'a, K, V>(map: impl IntoIterator<Item = (&'a K, &'a V)>) -> TdpResult<Json>
+where
+    K: fmt::Display + 'a,
+    V: ToJson + 'a,
+{
+    map.into_iter()
+        .map(|(k, v)| Ok((k.to_string(), v.to_json()?)))
+        .collect::<TdpResult<_>>()
+        .map(Json::Obj)
+}
+
+fn entries<K: FromStr, V: FromJson, M: FromIterator<(K, V)>>(j: Json) -> TdpResult<M> {
+    match j {
+        Json::Obj(pairs) => pairs
+            .into_iter()
+            .map(|(k, v)| {
+                let key = k
+                    .parse()
+                    .map_err(|_| decode_err(format_args!("bad map key {k:?}")))?;
+                Ok((key, V::from_json(v)?))
+            })
+            .collect(),
+        other => Err(mismatch("an object", &other)),
     }
 }
 
@@ -604,12 +906,11 @@ mod tests {
         assert_eq!(j.render(), r#"{"z":1,"a":2}"#);
     }
 
-    // ---- typed entry points (serde `Content` tree ⇄ `Json` ⇄ text) ----
+    // ---- typed entry points (value ⇄ `Json` ⇄ text) ----
 
-    use std::collections::HashMap;
     use std::fmt::Debug;
 
-    fn typed_roundtrip<T: Serialize + DeserializeOwned + PartialEq + Debug>(v: T) {
+    fn typed_roundtrip<T: ToJson + FromJson + PartialEq + Debug>(v: T) {
         let text = to_string(&v).unwrap();
         assert_eq!(from_str::<T>(&text).unwrap(), v, "{text}");
         assert_eq!(from_slice::<T>(&to_vec(&v).unwrap()).unwrap(), v);
@@ -631,9 +932,38 @@ mod tests {
             (9, String::new()),
         ]));
         typed_roundtrip(vec![0u8, 1, 127, 255]);
-        typed_roundtrip((Some(-3i32), Option::<String>::None, true, 1.5f64));
+        typed_roundtrip(vec![("a".to_string(), true), ("b".to_string(), false)]);
+        typed_roundtrip(vec![("trace.out".to_string(), vec![1u8, 2])]);
+        typed_roundtrip((Some(-3i64), Option::<String>::None));
+        typed_roundtrip(Box::new(Some(u16::MAX)));
         typed_roundtrip(crate::Addr::new(crate::HostId(2), 9620));
         typed_roundtrip("quote\" slash\\ nl\n unicode:é🚀 ctrl:\u{01}".to_string());
+    }
+
+    #[test]
+    fn int_keyed_maps_are_written_with_string_keys() {
+        let m = HashMap::from([(3u32, "three".to_string())]);
+        assert_eq!(to_string(&m).unwrap(), r#"{"3":"three"}"#);
+        let b = BTreeMap::from([("b".to_string(), 2u64), ("a".to_string(), 1)]);
+        assert_eq!(to_string(&b).unwrap(), r#"{"a":1,"b":2}"#);
+        typed_roundtrip(b);
+        let err = from_str::<HashMap<u32, String>>(r#"{"-1":"x"}"#).unwrap_err();
+        assert!(matches!(err, TdpError::Protocol(_)), "{err}");
+    }
+
+    #[test]
+    fn range_checks_fail_cleanly() {
+        for (text, ok) in [("255", true), ("300", false), ("-1", false), ("2.5", false)] {
+            assert_eq!(from_str::<u8>(text).is_ok(), ok, "{text} as u8");
+        }
+        assert!(from_str::<u16>("65536").is_err());
+        assert!(from_str::<u32>("-1").is_err());
+        assert!(from_str::<u64>("-1").is_err());
+        assert_eq!(from_str::<i64>("-1").unwrap(), -1);
+        // An integral float is read as the integer it spells.
+        assert_eq!(from_str::<u32>("4e2").unwrap(), 400);
+        assert!(from_str::<bool>("1").is_err());
+        assert!(from_str::<(u8, u8)>("[1,2,3]").is_err());
     }
 
     #[test]

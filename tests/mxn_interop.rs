@@ -160,6 +160,9 @@ fn matrix_minirm_runs_paradynd() {
         world.os().wait_terminal(tool, T).unwrap(),
         ProcStatus::Exited(0)
     );
+    // The daemon's DONE line follows its last samples on the same data
+    // connection, so once the front-end has taken it, it holds them too.
+    fe.wait_done(1, T).unwrap();
     assert!(fe
         .samples()
         .iter()
