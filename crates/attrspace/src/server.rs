@@ -128,7 +128,8 @@ impl AttrSpaceServer {
         self.server.close();
         // Sever live sessions too: a crashed server leaves no half-open
         // clients behind (their next operation fails fast instead of
-        // hanging).
+        // hanging). A session's own `WireTx` is a clone of the one in
+        // the map, so closing this one severs it too.
         for tx in self.shared.clients.lock().values() {
             tx.close();
         }
@@ -144,13 +145,13 @@ impl Drop for AttrSpaceServer {
 /// Per-connection request loop.
 fn serve_client(shared: &Shared, client: u64, conn: WireConn) {
     let (tx, mut rx) = conn.split();
-    shared.clients.lock().insert(client, tx);
+    shared.clients.lock().insert(client, tx.clone());
     // Serve until disconnect or protocol failure.
     while let Ok(msg) = rx.recv_msg() {
         let outs = {
             let mut space = shared.space.lock();
             match msg {
-                Message::Put { ctx, key, value } => space.put(client, ctx, &key, &value),
+                Message::Put { ctx, key, value } => space.put(client, ctx, &key, value),
                 Message::Get { ctx, key, blocking } => space.get(client, ctx, &key, blocking),
                 Message::Remove { ctx, key } => space.remove(client, ctx, &key),
                 Message::Subscribe {
@@ -178,15 +179,28 @@ fn serve_client(shared: &Shared, client: u64, conn: WireConn) {
                 }
             }
         };
-        route(shared, outs);
+        route(shared, client, &tx, outs);
     }
     // Implicit leave of everything on disconnect.
     let outs = shared.space.lock().disconnect(client);
-    route(shared, outs);
+    route(shared, client, &tx, outs);
     shared.clients.lock().remove(&client);
 }
 
-fn route(shared: &Shared, outs: Vec<(u64, Reply)>) {
+/// Deliver a request's replies. Those to the requester go out first,
+/// in the space's order, on its own connection `own`; only the others
+/// are looked up in the session map.
+fn route(shared: &Shared, client: u64, own: &WireTx, mut outs: Vec<(u64, Reply)>) {
+    outs.retain_mut(|(dst, reply)| {
+        if *dst != client {
+            return true;
+        }
+        let _ = own.send_msg(&Message::Reply(std::mem::replace(reply, Reply::Ok)));
+        false
+    });
+    if outs.is_empty() {
+        return;
+    }
     // Snapshot the send handles first: `send_msg` may block (TCP
     // backpressure), and holding the clients mutex across it would stall
     // every other session's delivery — and deadlock against a handler

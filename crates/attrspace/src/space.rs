@@ -97,19 +97,28 @@ impl Space {
     }
 
     /// `tdp_put`: validate and store, waking blocked getters and
-    /// notifying every subscription on the key.
-    pub fn put(&mut self, client: ClientId, ctx: ContextId, key: &str, value: &str) -> Vec<Out> {
+    /// notifying every subscription on the key. The value is kept as
+    /// handed in (the server passes the decoder's string): an overwrite
+    /// allocates nothing, a new key is copied once, and waiters and
+    /// subscribers get clones only when there are some.
+    pub fn put(
+        &mut self,
+        client: ClientId,
+        ctx: ContextId,
+        key: &str,
+        value: impl Into<String>,
+    ) -> Vec<Out> {
+        let value = value.into();
         if let Err(e) = validate_key(key) {
             return vec![(client, Reply::Err(e))];
         }
-        if let Err(e) = validate_value(value) {
+        if let Err(e) = validate_value(&value) {
             return vec![(client, Reply::Err(e))];
         }
         let c = match self.member_mut(client, ctx) {
             Ok(c) => c,
             Err(e) => return vec![(client, Reply::Err(e))],
         };
-        c.attrs.insert(key.to_string(), value.to_string());
         let mut out = vec![(client, Reply::Ok)];
         if let Some(waiters) = c.waiters.remove(key) {
             for w in waiters {
@@ -117,7 +126,7 @@ impl Space {
                     w,
                     Reply::Value {
                         key: key.to_string(),
-                        value: value.to_string(),
+                        value: value.clone(),
                     },
                 ));
             }
@@ -129,9 +138,15 @@ impl Space {
                     Reply::Notify {
                         token,
                         key: key.to_string(),
-                        value: value.to_string(),
+                        value: value.clone(),
                     },
                 ));
+            }
+        }
+        match c.attrs.get_mut(key) {
+            Some(v) => *v = value,
+            None => {
+                c.attrs.insert(key.to_string(), value);
             }
         }
         out

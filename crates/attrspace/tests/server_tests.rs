@@ -3,8 +3,8 @@
 
 use std::time::Duration;
 use tdp_attrspace::{AttrClient, AttrSpaceServer, ServerKind};
-use tdp_netsim::{FirewallPolicy, Network};
-use tdp_proto::{names, Addr, ContextId, HostId, TdpError};
+use tdp_netsim::{Conn, FirewallPolicy, Network};
+use tdp_proto::{names, Addr, ContextId, HostId, Message, Reply, TdpError};
 
 const CTX: ContextId = ContextId(1);
 const T: Duration = Duration::from_secs(5);
@@ -251,4 +251,115 @@ fn server_shutdown_refuses_new_connections() {
     let addr = srv.addr();
     srv.shutdown();
     assert!(AttrClient::connect(&net, host, addr).is_err());
+}
+
+/// A session driven frame by frame, so a test sees the server's
+/// replies in the order they arrive (`AttrClient` queues a `Notify`
+/// wherever it lands).
+fn raw_session(net: &Network, host: HostId, srv: &AttrSpaceServer) -> Conn {
+    let mut c = net.connect(host, srv.addr()).unwrap();
+    c.send_msg(&Message::Join { ctx: CTX }).unwrap();
+    assert_eq!(next_reply(&mut c), Reply::Ok);
+    c
+}
+
+fn next_reply(c: &mut Conn) -> Reply {
+    match c.recv_msg_timeout(T).unwrap() {
+        Message::Reply(r) => r,
+        other => panic!("expected a reply, got {other:?}"),
+    }
+}
+
+fn put_msg(key: &str, value: &str) -> Message {
+    Message::Put {
+        ctx: CTX,
+        key: key.into(),
+        value: value.into(),
+    }
+}
+
+#[test]
+fn a_put_answers_its_sender_in_order_and_reaches_the_other_sessions() {
+    let (net, host, srv) = world();
+    let mut putter = raw_session(&net, host, &srv);
+    putter
+        .send_msg(&Message::Subscribe {
+            ctx: CTX,
+            key: "k".into(),
+            token: 5,
+            only_future: true,
+        })
+        .unwrap();
+    assert_eq!(next_reply(&mut putter), Reply::Ok);
+    let mut watcher = AttrClient::connect(&net, host, srv.addr()).unwrap();
+    watcher.join(CTX).unwrap();
+    watcher.subscribe(CTX, "k", 9, true).unwrap();
+    // The getter parks on `k`; its next request is answered only after
+    // the server has handled the get, so the get is parked by then.
+    let mut getter = raw_session(&net, host, &srv);
+    getter
+        .send_msg(&Message::Get {
+            ctx: CTX,
+            key: "k".into(),
+            blocking: true,
+        })
+        .unwrap();
+    getter.send_msg(&put_msg("sync", "x")).unwrap();
+    assert_eq!(next_reply(&mut getter), Reply::Ok);
+
+    putter.send_msg(&put_msg("k", "v")).unwrap();
+    assert_eq!(next_reply(&mut putter), Reply::Ok);
+    assert_eq!(
+        next_reply(&mut putter),
+        Reply::Notify {
+            token: 5,
+            key: "k".into(),
+            value: "v".into()
+        }
+    );
+    assert_eq!(
+        next_reply(&mut getter),
+        Reply::Value {
+            key: "k".into(),
+            value: "v".into()
+        }
+    );
+    let n = watcher.wait_notify(T).unwrap();
+    assert_eq!((n.token, n.key.as_str(), n.value.as_str()), (9, "k", "v"));
+}
+
+#[test]
+fn subscribe_to_a_held_value_sends_the_notify_before_the_ok() {
+    let (net, host, srv) = world();
+    let mut c = raw_session(&net, host, &srv);
+    c.send_msg(&put_msg("pid", "42")).unwrap();
+    assert_eq!(next_reply(&mut c), Reply::Ok);
+    c.send_msg(&Message::Subscribe {
+        ctx: CTX,
+        key: "pid".into(),
+        token: 3,
+        only_future: false,
+    })
+    .unwrap();
+    assert_eq!(
+        next_reply(&mut c),
+        Reply::Notify {
+            token: 3,
+            key: "pid".into(),
+            value: "42".into()
+        }
+    );
+    assert_eq!(next_reply(&mut c), Reply::Ok);
+}
+
+#[test]
+fn after_shutdown_a_live_session_fails_fast() {
+    let (net, host, srv) = world();
+    let mut c = AttrClient::connect(&net, host, srv.addr()).unwrap();
+    c.join(CTX).unwrap();
+    c.put(CTX, "k", "v").unwrap();
+    srv.shutdown();
+    // The session thread's own send handle is the connection the
+    // shutdown closed: the next op sees the close, not its timeout.
+    assert_eq!(c.get_timeout(CTX, "k", T), Err(TdpError::Disconnected));
 }

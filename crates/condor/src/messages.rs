@@ -5,7 +5,7 @@ use crate::classad::ClassAd;
 use crate::submit::SubmitDescription;
 use std::time::Duration;
 use tdp_netsim::Conn;
-use tdp_proto::json::{FromJson, ToJson};
+use tdp_proto::json::{Blob, FromJson, ToJson};
 use tdp_proto::{json, json_enum, json_struct, Addr, HostId, JobId, TdpResult};
 
 /// Messages to/from the matchmaker (collector + negotiator).
@@ -128,7 +128,7 @@ pub enum ShadowMsg {
     },
     FileData {
         path: String,
-        data: Vec<u8>,
+        data: Blob,
     },
     FileError {
         path: String,
@@ -137,7 +137,7 @@ pub enum ShadowMsg {
     /// Write a file on the submit machine (output staging).
     StoreFile {
         path: String,
-        data: Vec<u8>,
+        data: Blob,
     },
     StoreOk,
     /// Job status change, as an attribute-style string.
@@ -174,9 +174,9 @@ json_enum!(ShadowMsg {
     Ack,
 });
 
-/// Send one JSON message as one chunk.
+/// Send one JSON message as one chunk: the encoded text itself.
 pub fn send_json<T: ToJson>(conn: &Conn, msg: &T) -> TdpResult<()> {
-    conn.send(&json::to_vec(msg)?)
+    conn.send_bytes(json::to_vec(msg)?)
 }
 
 /// Receive one JSON message (one chunk).
@@ -292,7 +292,7 @@ mod tests {
         roundtrip(&ClaimMsg::Released);
         roundtrip(&ShadowMsg::FileData {
             path: "out/é.txt".into(),
-            data: vec![0, 10, 255],
+            data: vec![0, 10, 255].into(),
         });
         roundtrip(&ShadowMsg::Ack);
     }

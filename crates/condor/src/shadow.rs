@@ -161,7 +161,10 @@ fn serve(
 ) -> ShadowMsg {
     match msg {
         ShadowMsg::FetchFile { path } => match world.os().fs().read_file(submit_host, &path) {
-            Ok(data) => ShadowMsg::FileData { path, data },
+            Ok(data) => ShadowMsg::FileData {
+                path,
+                data: data.into(),
+            },
             Err(e) => ShadowMsg::FileError {
                 path,
                 error: e.to_string(),
@@ -233,7 +236,7 @@ mod tests {
                 path: "infile".into(),
             },
         ) {
-            ShadowMsg::FileData { data, .. } => assert_eq!(data, b"input data"),
+            ShadowMsg::FileData { data, .. } => assert_eq!(*data, b"input data"),
             other => panic!("{other:?}"),
         }
         // Missing file.
@@ -255,7 +258,7 @@ mod tests {
             shadow.addr(),
             ShadowMsg::StoreFile {
                 path: "outfile".into(),
-                data: b"results".to_vec(),
+                data: b"results".to_vec().into(),
             },
         );
         assert_eq!(

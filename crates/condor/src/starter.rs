@@ -266,7 +266,7 @@ fn fetch_file(shadow: &mut Conn, path: &str) -> TdpResult<Vec<u8>> {
     )?;
     loop {
         match recv_json_timeout::<ShadowMsg>(shadow, Duration::from_secs(10))? {
-            ShadowMsg::FileData { data, .. } => return Ok(data),
+            ShadowMsg::FileData { data, .. } => return Ok(data.0),
             ShadowMsg::FileError { path, error } => {
                 return Err(TdpError::Substrate(format!("fetch {path}: {error}")))
             }
@@ -285,7 +285,7 @@ fn store_file(shadow: &mut Conn, path: &str, data: &[u8]) -> TdpResult<()> {
         shadow,
         &ShadowMsg::StoreFile {
             path: path.to_string(),
-            data: data.to_vec(),
+            data: data.to_vec().into(),
         },
     )?;
     loop {

@@ -55,7 +55,7 @@ impl RemoteFs {
             },
         )?;
         match recv_json_timeout::<ShadowMsg>(&mut self.conn, Duration::from_secs(10))? {
-            ShadowMsg::FileData { data, .. } => Ok(data),
+            ShadowMsg::FileData { data, .. } => Ok(data.0),
             ShadowMsg::FileError { path, error } => {
                 Err(TdpError::Substrate(format!("remote read {path}: {error}")))
             }
@@ -71,7 +71,7 @@ impl RemoteFs {
             &self.conn,
             &ShadowMsg::StoreFile {
                 path: path.to_string(),
-                data: data.to_vec(),
+                data: data.to_vec().into(),
             },
         )?;
         match recv_json_timeout::<ShadowMsg>(&mut self.conn, Duration::from_secs(10))? {

@@ -10,6 +10,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use tdp_core::World;
 use tdp_netsim::ConnTx;
+use tdp_proto::json::Blob;
 use tdp_proto::{json, Addr, HostId, JobId, ProcStatus, TdpError, TdpResult};
 use tdp_sync::serve::{serve, Server};
 use tdp_sync::{Condvar, Mutex};
@@ -416,9 +417,9 @@ impl Mbd {
         job: JobId,
         task: u32,
         status: &str,
-        stdout: Vec<u8>,
-        stderr: Vec<u8>,
-        tool_files: Vec<(String, Vec<u8>)>,
+        stdout: Blob,
+        stderr: Blob,
+        tool_files: Vec<(String, Blob)>,
     ) {
         if let Some(i) = host_index {
             let mut hosts = self.hosts.lock();
@@ -490,7 +491,7 @@ impl Mbd {
                     task: next.task,
                     executable: r.req.executable.clone(),
                     args,
-                    stdin,
+                    stdin: stdin.into(),
                     suspend_at_exec: r.req.suspend_at_exec,
                     tool: r.req.tool.as_ref().map(|t| ToolSpecWire {
                         cmd: t.cmd.clone(),

@@ -1,5 +1,6 @@
 //! mbatchd ↔ sbatchd wire messages.
 
+use tdp_proto::json::Blob;
 use tdp_proto::{json_enum, json_struct, JobId};
 
 /// A tool daemon request attached to a job (`bsub -tool`), the LSF-side
@@ -21,7 +22,7 @@ pub struct Dispatch {
     pub args: Vec<String>,
     /// Staged stdin contents (inline staging — LSF copies files with
     /// the job, unlike Condor's remote syscalls).
-    pub stdin: Vec<u8>,
+    pub stdin: Blob,
     /// Create the task stopped at exec.
     pub suspend_at_exec: bool,
     pub tool: Option<ToolSpecWire>,
@@ -50,11 +51,11 @@ pub enum SbdMsg {
         job: JobId,
         task: u32,
         status: String,
-        stdout: Vec<u8>,
-        stderr: Vec<u8>,
+        stdout: Blob,
+        stderr: Blob,
         /// Files the tool produced on the execution host, staged back
         /// inline: (name, contents).
-        tool_files: Vec<(String, Vec<u8>)>,
+        tool_files: Vec<(String, Blob)>,
     },
     /// A task could not be started.
     TaskFailed {
@@ -107,16 +108,16 @@ mod tests {
             job,
             task,
             status: "exited:0".into(),
-            stdout: b"crunched \x00\xff".to_vec(),
-            stderr: Vec::new(),
-            tool_files: vec![("trace\n.out".into(), vec![1, 2, 3])],
+            stdout: b"crunched \x00\xff".to_vec().into(),
+            stderr: Blob::default(),
+            tool_files: vec![("trace\n.out".into(), vec![1, 2, 3].into())],
         });
         roundtrip(&MbdMsg::Dispatch(Dispatch {
             job,
             task,
             executable: "/bin/app".into(),
             args: vec!["5".into()],
-            stdin: b"input".to_vec(),
+            stdin: b"input".to_vec().into(),
             suspend_at_exec: true,
             tool: Some(ToolSpecWire {
                 cmd: "paradynd".into(),

@@ -122,7 +122,7 @@ fn run_task(
 
     let mut app = TdpCreate::new(d.executable.clone())
         .args(d.args.clone())
-        .stdin_bytes(d.stdin.clone())
+        .stdin_bytes(d.stdin.0.clone())
         .stdout(Sink::Capture)
         .stderr(Sink::Capture);
     if d.suspend_at_exec {
@@ -180,7 +180,7 @@ fn run_task(
     for f in world.os().fs().list(host, "") {
         if !before.contains(&f) {
             if let Ok(data) = world.os().fs().read_file(host, &f) {
-                tool_files.push((f, data));
+                tool_files.push((f, data.into()));
             }
         }
     }
@@ -196,8 +196,8 @@ fn run_task(
             job: d.job,
             task: d.task,
             status: status.to_attr_value(),
-            stdout,
-            stderr,
+            stdout: stdout.into(),
+            stderr: stderr.into(),
             tool_files,
         },
     )

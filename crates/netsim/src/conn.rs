@@ -1,7 +1,7 @@
 //! Connections and listeners: in-memory duplex byte pipes with blocking
 //! semantics matching a TCP socket.
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -11,7 +11,8 @@ use tdp_proto::{
 };
 use tdp_sync::{Condvar, Mutex};
 
-/// One direction of a connection: a queue of byte chunks and an EOF
+/// One direction of a connection: a queue of owned byte chunks (a
+/// framed send is one chunk, the encoder's buffer itself) and an EOF
 /// flag.
 pub(crate) struct Pipe {
     state: Mutex<PipeState>,
@@ -21,7 +22,7 @@ pub(crate) struct Pipe {
 }
 
 struct PipeState {
-    queue: VecDeque<Bytes>,
+    queue: VecDeque<Vec<u8>>,
     closed: bool,
 }
 
@@ -37,7 +38,7 @@ impl Pipe {
         })
     }
 
-    fn push(&self, chunk: Bytes) -> TdpResult<()> {
+    fn push(&self, chunk: Vec<u8>) -> TdpResult<()> {
         let mut st = self.state.lock();
         if st.closed {
             return Err(TdpError::Disconnected);
@@ -53,7 +54,7 @@ impl Pipe {
     /// Pop the next chunk. `None` deadline blocks forever; a deadline
     /// already past still hands over a chunk that is queued. The clock
     /// is read only when the queue is empty.
-    fn pop(&self, deadline: Option<Instant>) -> TdpResult<Bytes> {
+    fn pop(&self, deadline: Option<Instant>) -> TdpResult<Vec<u8>> {
         let mut st = self.state.lock();
         loop {
             if let Some(chunk) = st.queue.pop_front() {
@@ -73,7 +74,7 @@ impl Pipe {
         }
     }
 
-    fn try_pop(&self) -> Option<TdpResult<Bytes>> {
+    fn try_pop(&self) -> Option<TdpResult<Vec<u8>>> {
         let mut st = self.state.lock();
         match st.queue.pop_front() {
             Some(chunk) => Some(Ok(chunk)),
@@ -169,24 +170,24 @@ impl Conn {
     }
 
     /// Send an owned chunk without copying.
-    pub fn send_bytes(&self, data: Bytes) -> TdpResult<()> {
+    pub fn send_bytes(&self, data: Vec<u8>) -> TdpResult<()> {
         self.tx.send_bytes(data)
     }
 
     /// Blocking receive of the next chunk.
-    pub fn recv(&mut self) -> TdpResult<Bytes> {
+    pub fn recv(&mut self) -> TdpResult<Vec<u8>> {
         self.rx.recv()
     }
 
     /// Receive with a timeout.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> TdpResult<Bytes> {
+    pub fn recv_timeout(&mut self, timeout: Duration) -> TdpResult<Vec<u8>> {
         self.rx.recv_timeout(timeout)
     }
 
     /// Non-blocking receive: `None` when nothing is queued.
-    pub fn try_recv(&mut self) -> Option<TdpResult<Bytes>> {
+    pub fn try_recv(&mut self) -> Option<TdpResult<Vec<u8>>> {
         if !self.rx.read_buf.is_empty() {
-            return Some(Ok(self.rx.read_buf.split().freeze()));
+            return Some(Ok(std::mem::take(&mut self.rx.read_buf).into()));
         }
         self.rx.rx.try_pop()
     }
@@ -255,10 +256,10 @@ pub struct ConnTx {
 
 impl ConnTx {
     pub fn send(&self, data: &[u8]) -> TdpResult<()> {
-        self.tx.push(Bytes::copy_from_slice(data))
+        self.tx.push(data.to_vec())
     }
 
-    pub fn send_bytes(&self, data: Bytes) -> TdpResult<()> {
+    pub fn send_bytes(&self, data: Vec<u8>) -> TdpResult<()> {
         self.tx.push(data)
     }
 
@@ -289,16 +290,16 @@ pub struct ConnRx {
 }
 
 impl ConnRx {
-    pub fn recv(&mut self) -> TdpResult<Bytes> {
+    pub fn recv(&mut self) -> TdpResult<Vec<u8>> {
         if !self.read_buf.is_empty() {
-            return Ok(self.read_buf.split().freeze());
+            return Ok(std::mem::take(&mut self.read_buf).into());
         }
         self.rx.pop(None)
     }
 
-    pub fn recv_timeout(&mut self, timeout: Duration) -> TdpResult<Bytes> {
+    pub fn recv_timeout(&mut self, timeout: Duration) -> TdpResult<Vec<u8>> {
         if !self.read_buf.is_empty() {
-            return Ok(self.read_buf.split().freeze());
+            return Ok(std::mem::take(&mut self.read_buf).into());
         }
         self.rx.pop(Instant::now().checked_add(timeout))
     }

@@ -10,7 +10,8 @@
 use crate::error::TdpError;
 use crate::ids::ContextId;
 use crate::message::{Message, Reply};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
+use std::ops::DerefMut;
 
 /// Errors from the frame codec.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,7 +70,7 @@ const R_KEYS: u8 = 3;
 const R_NOTIFY: u8 = 4;
 const R_ERR: u8 = 5;
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+fn put_str(buf: &mut impl BufMut, s: &str) {
     buf.put_u32(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
@@ -162,9 +163,8 @@ impl DecodeScratch {
 // --------------------------------------------------------------- cursor
 
 /// A non-consuming read cursor over a complete frame body. Decoding
-/// borrows the receive buffer in place — no `split_to` copies, no
-/// `freeze` refcounts — and the buffer is advanced once, after the
-/// whole body parses.
+/// borrows the receive buffer in place — no `split_to` copies — and
+/// the buffer is advanced once, after the whole body parses.
 struct Cursor<'a> {
     b: &'a [u8],
     pos: usize,
@@ -213,11 +213,12 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Encode a message as a length-prefixed frame.
-pub fn encode_frame(msg: &Message) -> Bytes {
-    let mut framed = BytesMut::with_capacity(64);
-    encode_frame_into(msg, &mut framed);
-    framed.freeze()
+/// Encode a message as a length-prefixed frame: one owned buffer, for
+/// a sender that hands the frame on (netsim queues it as it is).
+pub fn encode_frame(msg: &Message) -> Vec<u8> {
+    let mut framed = Vec::with_capacity(64);
+    encode_framed(msg, &mut framed);
+    framed
 }
 
 /// Encode a message as a length-prefixed frame into `out`, replacing
@@ -225,7 +226,13 @@ pub fn encode_frame(msg: &Message) -> Bytes {
 /// sender recycling one buffer allocates nothing here.
 pub fn encode_frame_into(msg: &Message, out: &mut BytesMut) {
     out.clear();
-    out.put_u32(0); // length, patched below
+    encode_framed(msg, out);
+}
+
+/// Append the frame to an empty `out`: the length prefix, patched once
+/// the body is written behind it.
+fn encode_framed<B: BufMut + DerefMut<Target = [u8]>>(msg: &Message, out: &mut B) {
+    out.put_u32(0);
     encode_body(msg, out);
     let body_len = (out.len() - 4) as u32;
     out[..4].copy_from_slice(&body_len.to_be_bytes());
@@ -243,7 +250,7 @@ pub fn check_sendable(frame: &[u8]) -> Result<(), TdpError> {
     Ok(())
 }
 
-fn encode_body(msg: &Message, buf: &mut BytesMut) {
+fn encode_body(msg: &Message, buf: &mut impl BufMut) {
     match msg {
         Message::Put { ctx, key, value } => {
             buf.put_u8(T_PUT);
@@ -303,7 +310,7 @@ fn encode_body(msg: &Message, buf: &mut BytesMut) {
     }
 }
 
-fn encode_reply(r: &Reply, buf: &mut BytesMut) {
+fn encode_reply(r: &Reply, buf: &mut impl BufMut) {
     match r {
         Reply::Ok => buf.put_u8(R_OK),
         Reply::Value { key, value } => {

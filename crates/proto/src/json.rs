@@ -17,8 +17,9 @@
 //! externally tagged and a unit variant is a string. Decoding takes the
 //! tree by value, so strings move into the message. The impls cover
 //! only what travels: `bool`, `String`, `u8`/`u16`/`u32`/`u64`/`i64`,
-//! `Option`, `Box`, `Vec`, pairs and maps with string or integer keys
-//! (written as JSON object keys).
+//! `Option`, `Box`, `Vec`, pairs, maps with string or integer keys
+//! (written as JSON object keys) and [`Blob`], a byte payload written
+//! as one base64 string.
 //!
 //! Numbers: integers in `i64` range stay exact ([`Json::Int`]); other
 //! numbers ride as `f64` ([`Json::Num`]). A typed encode of an integer
@@ -543,6 +544,90 @@ impl<T: FromJson> FromJson for Vec<T> {
     }
 }
 
+/// Bytes that travel as one JSON string of padded standard base64
+/// (RFC 4648 §4), not as an array of one number per byte. A decoder
+/// refuses any other alphabet, missing or stray padding, and set
+/// padding bits, so each value has exactly one text.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Blob(pub Vec<u8>);
+
+const BASE64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+impl From<Vec<u8>> for Blob {
+    fn from(bytes: Vec<u8>) -> Blob {
+        Blob(bytes)
+    }
+}
+
+impl std::ops::Deref for Blob {
+    type Target = Vec<u8>;
+    fn deref(&self) -> &Vec<u8> {
+        &self.0
+    }
+}
+
+impl ToJson for Blob {
+    fn to_json(&self) -> TdpResult<Json> {
+        let mut text = String::with_capacity(self.0.len().div_ceil(3) * 4);
+        for chunk in self.0.chunks(3) {
+            let n = chunk
+                .iter()
+                .enumerate()
+                .fold(0u32, |n, (i, &b)| n | u32::from(b) << (16 - 8 * i));
+            for i in 0..4 {
+                let digit = BASE64[(n >> (18 - 6 * i)) as usize & 63];
+                text.push(if i <= chunk.len() {
+                    char::from(digit)
+                } else {
+                    '='
+                });
+            }
+        }
+        Ok(Json::Str(text))
+    }
+}
+
+impl FromJson for Blob {
+    fn from_json(j: Json) -> TdpResult<Self> {
+        let text = match j {
+            Json::Str(text) => text,
+            other => return Err(mismatch("a base64 string", &other)),
+        };
+        // Names where, not what: a bad payload may be megabytes long.
+        let bad = |at: usize| decode_err(format_args!("bad base64 at character {at}"));
+        if text.len() % 4 != 0 {
+            return Err(bad(text.len()));
+        }
+        let quads = text.as_bytes().chunks(4);
+        let last = quads.len().saturating_sub(1);
+        let mut bytes = Vec::with_capacity(text.len() / 4 * 3);
+        for (q, quad) in quads.enumerate() {
+            let pad = quad.iter().rev().take_while(|&&c| c == b'=').count();
+            if pad > 2 || (pad > 0 && q != last) {
+                return Err(bad(4 * q));
+            }
+            let mut n = 0u32;
+            for &c in &quad[..4 - pad] {
+                let digit = match c {
+                    b'A'..=b'Z' => c - b'A',
+                    b'a'..=b'z' => c - b'a' + 26,
+                    b'0'..=b'9' => c - b'0' + 52,
+                    b'+' => 62,
+                    b'/' => 63,
+                    _ => return Err(bad(4 * q)),
+                };
+                n = n << 6 | u32::from(digit);
+            }
+            let three = (n << (6 * pad)).to_be_bytes();
+            if three[4 - pad..].iter().any(|&b| b != 0) {
+                return Err(bad(4 * q));
+            }
+            bytes.extend_from_slice(&three[1..4 - pad]);
+        }
+        Ok(Blob(bytes))
+    }
+}
+
 impl<A: ToJson, B: ToJson> ToJson for (A, B) {
     fn to_json(&self) -> TdpResult<Json> {
         Ok(Json::Arr(vec![self.0.to_json()?, self.1.to_json()?]))
@@ -938,6 +1023,28 @@ mod tests {
         typed_roundtrip(Box::new(Some(u16::MAX)));
         typed_roundtrip(crate::Addr::new(crate::HostId(2), 9620));
         typed_roundtrip("quote\" slash\\ nl\n unicode:é🚀 ctrl:\u{01}".to_string());
+    }
+
+    #[test]
+    fn blobs_are_rfc4648_base64() {
+        for (bytes, text) in [
+            ("", ""),
+            ("f", "Zg=="),
+            ("fo", "Zm8="),
+            ("foo", "Zm9v"),
+            ("foob", "Zm9vYg=="),
+            ("fooba", "Zm9vYmE="),
+            ("foobar", "Zm9vYmFy"),
+        ] {
+            let blob = Blob(bytes.as_bytes().to_vec());
+            assert_eq!(to_string(&blob).unwrap(), format!("\"{text}\""));
+            typed_roundtrip(blob);
+        }
+        // Every byte value, at every offset within a quad.
+        for n in 0..=258usize {
+            typed_roundtrip(Blob((0..n).map(|i| (i * 167) as u8).collect()));
+        }
+        assert!(from_str::<Blob>("[1,2]").is_err());
     }
 
     #[test]

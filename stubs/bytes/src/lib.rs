@@ -1,16 +1,13 @@
 //! Offline shim for `bytes` (see `stubs/README.md`).
 //!
-//! Implements the `Bytes`/`BytesMut` pair and the `Buf`/`BufMut`
-//! traits with the big-endian accessors the TDP codec uses. `Bytes`
-//! is a cheaply-cloneable view over shared storage; `BytesMut` is a
-//! growable buffer with an amortized-O(1) consumed-prefix offset so
-//! streaming decoders can `advance`/`split_to` without quadratic
-//! copying.
+//! Implements `BytesMut` and the `Buf`/`BufMut` traits with the
+//! big-endian accessors the TDP codec uses. `BytesMut` is a growable
+//! buffer with an amortized-O(1) consumed-prefix offset so streaming
+//! decoders can `advance`/`split_to` without quadratic copying; a
+//! `Vec<u8>` is a `BufMut` too, for a frame that is handed on whole.
 
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
 
 /// Read cursor over a contiguous byte buffer.
 pub trait Buf {
@@ -71,165 +68,6 @@ pub trait BufMut {
 
     fn put_u64(&mut self, v: u64) {
         self.put_slice(&v.to_be_bytes());
-    }
-}
-
-// --------------------------------------------------------------- Bytes
-
-/// An immutable, cheaply-cloneable slice of shared bytes.
-#[derive(Clone, Default)]
-pub struct Bytes {
-    data: Arc<Vec<u8>>,
-    start: usize,
-    end: usize,
-}
-
-impl Bytes {
-    pub fn new() -> Self {
-        Bytes::default()
-    }
-
-    pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes::from(data.to_vec())
-    }
-
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-
-    /// Splits off and returns the first `at` bytes; `self` keeps the rest.
-    pub fn split_to(&mut self, at: usize) -> Bytes {
-        assert!(at <= self.len(), "split_to out of bounds");
-        let head = Bytes {
-            data: self.data.clone(),
-            start: self.start,
-            end: self.start + at,
-        };
-        self.start += at;
-        head
-    }
-
-    pub fn slice(&self, range: std::ops::Range<usize>) -> Bytes {
-        assert!(
-            range.start <= range.end && range.end <= self.len(),
-            "slice out of bounds"
-        );
-        Bytes {
-            data: self.data.clone(),
-            start: self.start + range.start,
-            end: self.start + range.end,
-        }
-    }
-
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.as_slice().to_vec()
-    }
-
-    fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
-    }
-}
-
-impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn chunk(&self) -> &[u8] {
-        self.as_slice()
-    }
-
-    fn advance(&mut self, cnt: usize) {
-        assert!(cnt <= self.len(), "advance out of bounds");
-        self.start += cnt;
-    }
-}
-
-impl From<Vec<u8>> for Bytes {
-    fn from(v: Vec<u8>) -> Self {
-        let end = v.len();
-        Bytes {
-            data: Arc::new(v),
-            start: 0,
-            end,
-        }
-    }
-}
-
-impl From<&[u8]> for Bytes {
-    fn from(v: &[u8]) -> Self {
-        Bytes::copy_from_slice(v)
-    }
-}
-
-impl From<&'static str> for Bytes {
-    fn from(s: &'static str) -> Self {
-        Bytes::copy_from_slice(s.as_bytes())
-    }
-}
-
-impl Deref for Bytes {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl AsRef<[u8]> for Bytes {
-    fn as_ref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl PartialEq for Bytes {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for Bytes {}
-
-impl PartialEq<[u8]> for Bytes {
-    fn eq(&self, other: &[u8]) -> bool {
-        self.as_slice() == other
-    }
-}
-
-impl PartialEq<&[u8]> for Bytes {
-    fn eq(&self, other: &&[u8]) -> bool {
-        self.as_slice() == *other
-    }
-}
-
-impl Hash for Bytes {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
-    }
-}
-
-impl fmt::Debug for Bytes {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "b{:?}", self.as_slice())
-    }
-}
-
-impl IntoIterator for Bytes {
-    type Item = u8;
-    type IntoIter = std::vec::IntoIter<u8>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.to_vec().into_iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a Bytes {
-    type Item = &'a u8;
-    type IntoIter = std::slice::Iter<'a, u8>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
     }
 }
 
@@ -297,14 +135,6 @@ impl BytesMut {
         self.split_to(all)
     }
 
-    pub fn freeze(mut self) -> Bytes {
-        if self.off > 0 {
-            self.buf.drain(..self.off);
-            self.off = 0;
-        }
-        Bytes::from(self.buf)
-    }
-
     fn as_slice(&self) -> &[u8] {
         &self.buf[self.off..]
     }
@@ -338,6 +168,19 @@ impl Buf for BytesMut {
 impl BufMut for BytesMut {
     fn put_slice(&mut self, src: &[u8]) {
         self.buf.extend_from_slice(src);
+    }
+}
+
+impl BufMut for Vec<u8> {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.extend_from_slice(src);
+    }
+}
+
+impl From<BytesMut> for Vec<u8> {
+    fn from(mut b: BytesMut) -> Vec<u8> {
+        b.buf.drain(..b.off);
+        b.buf
     }
 }
 
@@ -405,11 +248,10 @@ mod tests {
         b.put_u64(42);
         b.put_slice(b"xyz");
         assert_eq!(b.len(), 1 + 4 + 8 + 3);
-        let mut r = b.freeze();
-        assert_eq!(r.get_u8(), 7);
-        assert_eq!(r.get_u32(), 0xDEADBEEF);
-        assert_eq!(r.get_u64(), 42);
-        assert_eq!(&r[..], b"xyz");
+        assert_eq!(b.get_u8(), 7);
+        assert_eq!(b.get_u32(), 0xDEADBEEF);
+        assert_eq!(b.get_u64(), 42);
+        assert_eq!(&b[..], b"xyz");
     }
 
     #[test]
@@ -417,6 +259,16 @@ mod tests {
         let mut b = BytesMut::new();
         b.put_u32(1);
         assert_eq!(&b[..], &[0, 0, 0, 1]);
+        let mut v = Vec::new();
+        v.put_u32(1);
+        assert_eq!(v, [0, 0, 0, 1]);
+    }
+
+    #[test]
+    fn into_vec_drops_the_consumed_prefix() {
+        let mut b = BytesMut::from(&b"hello world"[..]);
+        b.advance(6);
+        assert_eq!(Vec::from(b), b"world");
     }
 
     #[test]
@@ -430,20 +282,6 @@ mod tests {
         let rest = b.split();
         assert_eq!(&rest[..], b"ld");
         assert!(b.is_empty());
-    }
-
-    #[test]
-    fn bytes_view_split() {
-        let mut b = Bytes::from(b"abcdef".to_vec());
-        let head = b.split_to(2);
-        assert_eq!(&head[..], b"ab");
-        assert_eq!(&b[..], b"cdef");
-        assert_eq!(b.slice(1..3), Bytes::from(b"de".to_vec()));
-        // The clone shares storage but views independently.
-        let mut c = b.clone();
-        c.advance(1);
-        assert_eq!(&b[..], b"cdef");
-        assert_eq!(&c[..], b"def");
     }
 
     #[test]

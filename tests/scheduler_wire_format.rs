@@ -14,6 +14,7 @@ use tdp::condor::classad::{AdValue, ClassAd};
 use tdp::condor::messages::{ClaimMsg, JobDetails, MmMsg, ShadowMsg};
 use tdp::condor::submit::{SubmitDescription, ToolDaemonSpec, Universe};
 use tdp::lsf::messages::{Dispatch, MbdMsg, SbdMsg, ToolSpecWire};
+use tdp::proto::json::Blob;
 use tdp::proto::{json, Addr, HostId, JobId, TdpError};
 
 /// Encodes `value`, checks the text, decodes the text as `ty` and
@@ -258,9 +259,9 @@ fn every_condor_message_keeps_its_text() {
         (
             ShadowMsg::FileData {
                 path: "infile".into(),
-                data: vec![0, 10, 255],
+                data: vec![0, 10, 255].into(),
             },
-            r#"{"FileData":{"path":"infile","data":[0,10,255]}}"#,
+            r#"{"FileData":{"path":"infile","data":"AAr/"}}"#,
         ),
         (
             ShadowMsg::FileError {
@@ -272,9 +273,9 @@ fn every_condor_message_keeps_its_text() {
         (
             ShadowMsg::StoreFile {
                 path: "outfile".into(),
-                data: Vec::new(),
+                data: Blob::default(),
             },
-            r#"{"StoreFile":{"path":"outfile","data":[]}}"#,
+            r#"{"StoreFile":{"path":"outfile","data":""}}"#,
         ),
         (ShadowMsg::StoreOk, r#""StoreOk""#),
         (
@@ -332,13 +333,13 @@ fn every_lsf_message_keeps_its_text() {
                 job,
                 task: 1,
                 status: "exited:0".into(),
-                stdout: b"ok\n".to_vec(),
-                stderr: Vec::new(),
-                tool_files: vec![("trace.out".into(), vec![1, 2])],
+                stdout: b"ok\n".to_vec().into(),
+                stderr: Blob::default(),
+                tool_files: vec![("trace.out".into(), vec![1, 2].into())],
             },
             concat!(
-                r#"{"TaskDone":{"job":7,"task":1,"status":"exited:0","stdout":[111,107,10],"#,
-                r#""stderr":[],"tool_files":[["trace.out",[1,2]]]}}"#
+                r#"{"TaskDone":{"job":7,"task":1,"status":"exited:0","stdout":"b2sK","#,
+                r#""stderr":"","tool_files":[["trace.out","AQI="]]}}"#
             ),
         ),
         (
@@ -361,7 +362,7 @@ fn every_lsf_message_keeps_its_text() {
                 task: 0,
                 executable: "/bin/app".into(),
                 args: vec!["5".into()],
-                stdin: b"in".to_vec(),
+                stdin: b"in".to_vec().into(),
                 suspend_at_exec: true,
                 tool: Some(ToolSpecWire {
                     cmd: "paradynd".into(),
@@ -370,7 +371,7 @@ fn every_lsf_message_keeps_its_text() {
             }),
             concat!(
                 r#"{"Dispatch":{"job":7,"task":0,"executable":"/bin/app","args":["5"],"#,
-                r#""stdin":[105,110],"suspend_at_exec":true,"#,
+                r#""stdin":"aW4=","suspend_at_exec":true,"#,
                 r#""tool":{"cmd":"paradynd","args":["-a%pid"]}}}"#
             ),
         ),
@@ -380,13 +381,13 @@ fn every_lsf_message_keeps_its_text() {
                 task: 1,
                 executable: "/bin/app".into(),
                 args: Vec::new(),
-                stdin: Vec::new(),
+                stdin: Blob::default(),
                 suspend_at_exec: false,
                 tool: None,
             }),
             concat!(
                 r#"{"Dispatch":{"job":7,"task":1,"executable":"/bin/app","args":[],"#,
-                r#""stdin":[],"suspend_at_exec":false,"tool":null}}"#
+                r#""stdin":"","suspend_at_exec":false,"tool":null}}"#
             ),
         ),
         (MbdMsg::Kill { job }, r#"{"Kill":{"job":7}}"#),
@@ -433,11 +434,21 @@ fn refusals_are_protocol_errors() {
         protocol(json::from_str::<ClaimMsg>(text).unwrap_err());
     }
     for text in [
-        r#"{"FileData":{"path":"x","data":"AAE="}}"#,
+        r#"{"FileData":{"path":"x","data":[0,1]}}"#,
         r#"{"FileData":{"path":"x","data":[256]}}"#,
         r#"{"StatusUpdate":{"job":1,"rank":4294967296,"status":""}}"#,
     ] {
         protocol(json::from_str::<ShadowMsg>(text).unwrap_err());
+    }
+    // A byte payload that is not padded standard base64: a character
+    // outside the alphabet, a length that is not a multiple of four,
+    // padding that is missing, stray or too long, or padding bits set.
+    for data in [
+        "AA-_", "AA\\n=", "AAE", "AA=", "A===", "AA=A", "AA==AAAA", "AB==", "AAF=",
+    ] {
+        let text = format!(r#"{{"StoreFile":{{"path":"x","data":"{data}"}}}}"#);
+        let e = json::from_str::<ShadowMsg>(&text).unwrap_err();
+        assert!(protocol(e).contains("base64"), "{text}");
     }
     protocol(json::from_str::<MbdMsg>(r#"{"Kill":{"job":true}}"#).unwrap_err());
     protocol(json::from_str::<HashMap<u32, String>>(r#"{"x":"exited:0"}"#).unwrap_err());
@@ -469,4 +480,19 @@ fn refusals_are_protocol_errors() {
     // A chunk that is not UTF-8 or not JSON at all.
     protocol(json::from_slice::<ShadowMsg>(&[0xff, 0xfe]).unwrap_err());
     protocol(json::from_str::<ShadowMsg>(r#"{"StoreOk""#).unwrap_err());
+}
+
+#[test]
+fn a_mebibyte_of_file_data_is_base64_text() {
+    let data: Vec<u8> = (0..1u32 << 20).map(|i| (i * 7 + i / 251) as u8).collect();
+    let msg = ShadowMsg::FileData {
+        path: "infile".into(),
+        data: data.clone().into(),
+    };
+    let text = json::to_vec(&msg).unwrap();
+    assert!(text.len() <= 1_400_000, "{} bytes of text", text.len());
+    match json::from_slice::<ShadowMsg>(&text).unwrap() {
+        ShadowMsg::FileData { data: back, .. } => assert!(back.0 == data),
+        other => panic!("{other:?}"),
+    }
 }
